@@ -29,6 +29,7 @@ from fadecap.direct import DirectStats, optimize_tau
 
 LOG10 = math.log(10.0)
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def synthetic_points(num=6, slope=1.0, intercept=0.0):
@@ -227,6 +228,17 @@ class TestEmission:
         missing = tmp_path / "no" / "such" / "dir" / "sweep.csv"
         with pytest.raises(OSError, match="sweep.csv"):
             write_outputs(points, metadata, missing, "csv")
+
+
+class TestGoldenDemoSweep:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_demo_sweep_reproduces_golden_bytes(self, fmt, tmp_path, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", "1")
+        out = tmp_path / f"demo_sweep.{fmt}"
+        argv = ["sweep", "--config", str(REPO_CONFIG), "--output", str(out), "--format", fmt]
+        assert cli.main(argv) == 0
+        for name in (out.name, out.name + ".meta.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 class TestMainEntry:
