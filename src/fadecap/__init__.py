@@ -14,8 +14,6 @@ from .channel import (
     ChannelConfig,
     ChannelRealization,
     aggregate_gain,
-    average_power,
-    realize,
     realize_many,
     simulate,
     snr_of,
@@ -35,14 +33,11 @@ from .direct import (
     DirectStats,
     LogUniformX2,
     SchemeParams,
-    block_average_power,
     build_scheme,
     lemma_mi_lower_bound,
     log_block_average_power,
     lower_bound,
     optimize_tau,
-    per_symbol_bound,
-    sample_block,
     schedule_is_valid,
     sharp_slot_bound,
     xi_p,
@@ -55,7 +50,6 @@ from .fading import (
     ZeroPath,
     ar1_spectral_density,
     entropy_rate_szego,
-    sample_path,
     sample_paths,
     stats_of,
 )

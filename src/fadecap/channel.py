@@ -99,15 +99,6 @@ class ChannelRealization:
         return self.gains.shape[-2] - 1
 
 
-def realize(config: ChannelConfig, n: int, seed: int) -> ChannelRealization:
-    """Draw one realization of length ``n`` from independent per-path streams."""
-    gains = np.empty((config.num_paths + 1, n), dtype=complex)
-    for ell, spec in enumerate(config.path_specs):
-        gains[ell] = sample_paths(spec, n, 1, substream(seed, 0, ell))[0]
-    noise = complex_normal(substream(seed, 1), n, config.noise_variance)
-    return ChannelRealization(gains=gains, noise=noise)
-
-
 def realize_many(config: ChannelConfig, n: int, n_samples: int, seed: int) -> ChannelRealization:
     """Batch of ``n_samples`` independent realizations, gains shape (n_samples, L+1, n)."""
     gains = np.empty((n_samples, config.num_paths + 1, n), dtype=complex)
@@ -143,18 +134,6 @@ def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.nd
     return y
 
 
-def average_power(x) -> float:
-    """Time-average power (1/n) sum_k E|X_k|^2 of a sequence or sample ensemble.
-
-    For a 1-D deterministic sequence this is the plain time average; leading
-    dimensions of a sample ensemble are averaged as the expectation.
-    """
-    x = np.asarray(x)
-    if x.shape[-1] < 1:
-        raise ValueError("need at least one symbol")
-    return float(np.mean(np.abs(x) ** 2))
-
-
 def config_to_dict(config: ChannelConfig) -> dict:
     from .fading import path_spec_to_dict
 
@@ -166,16 +145,19 @@ def config_to_dict(config: ChannelConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ChannelConfig:
-    from .fading import _reject_unknown_keys, path_spec_from_dict
+    from .fading import REQUIRED, path_spec_from_dict, read_fields
 
-    if not isinstance(data, dict):
-        raise ValueError(f"channel config must be an object, got {data!r}")
-    _reject_unknown_keys(data, {"paths", "noise_variance", "log10_power"})
-    paths = data.get("paths")
-    if not isinstance(paths, list) or not paths:
-        raise ValueError("channel config needs a nonempty 'paths' list")
+    fields = read_fields(
+        data,
+        "channel",
+        {"paths": (list, REQUIRED), "noise_variance": (float, REQUIRED), "log10_power": (float, REQUIRED)},
+    )
+    if not fields["paths"]:
+        raise ValueError("channel.paths must be a nonempty list")
     return ChannelConfig(
-        path_specs=tuple(path_spec_from_dict(p) for p in paths),
-        noise_variance=float(data["noise_variance"]),
-        log_power=float(data["log10_power"]) * math.log(10.0),
+        path_specs=tuple(
+            path_spec_from_dict(p, f"channel.paths[{i}]") for i, p in enumerate(fields["paths"])
+        ),
+        noise_variance=fields["noise_variance"],
+        log_power=fields["log10_power"] * math.log(10.0),
     )

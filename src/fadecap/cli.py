@@ -13,8 +13,11 @@ rejected everywhere, and user-facing SNR/power values are base-10 logs
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +38,7 @@ from .direct import (
     optimize_tau,
     schedule_is_valid,
 )
-from .fading import ZeroPath, entropy_rate_szego, spectral_density, stats_of
+from .fading import REQUIRED, ZeroPath, entropy_rate_szego, read_fields, spectral_density, stats_of
 from .oracle import (
     CheckReport,
     default_workers,
@@ -49,37 +52,22 @@ SCHEMA_VERSION = 1
 LOG10 = math.log(10.0)
 CSV_HEADER = "log_snr,upper,lower,tau_star,loglog_snr,ratio_upper,ratio_lower"
 
-# JSON sweep output: an array of per-grid-point objects with exactly these keys.
-OUTPUT_SCHEMA = {
-    "type": "array",
-    "minItems": 1,
-    "items": {
-        "type": "object",
-        "properties": {
-            "log_snr": {"type": "number"},
-            "upper": {"type": "number"},
-            "lower": {"type": "number"},
-            "tau_star": {"type": "integer", "minimum": 1},
-            "loglog_snr": {"type": "number"},
-            "ratio_upper": {"type": "number"},
-            "ratio_lower": {"type": "number"},
-        },
-        "required": [
-            "log_snr",
-            "upper",
-            "lower",
-            "tau_star",
-            "loglog_snr",
-            "ratio_upper",
-            "ratio_lower",
-        ],
-        "additionalProperties": False,
-    },
+CONFIG_FIELDS = {
+    "schema": (int, REQUIRED),
+    "channel": (dict, REQUIRED),
+    "bounds": (dict, {}),
+    "grid": (dict, REQUIRED),
+    "tau": (int, None),
+    "tau_max": (int, 1024),
+    "seed": (int, 0),
+    "output_format": (str, "csv"),
 }
-
-CONFIG_KEYS = {"schema", "channel", "bounds", "grid", "tau", "tau_max", "seed", "output_format"}
-BOUNDS_KEYS = {"delta", "eta", "eps_const", "xi"}
-GRID_KEYS = {"log10_snr_start", "log10_snr_stop", "points"}
+BOUNDS_FIELDS = {"delta": (float, 1.0), "eta": (float, 0.5), "eps_const": (float, 0.0), "xi": (float, None)}
+GRID_FIELDS = {
+    "log10_snr_start": (float, REQUIRED),
+    "log10_snr_stop": (float, REQUIRED),
+    "points": (int, REQUIRED),
+}
 
 
 @dataclass(frozen=True)
@@ -95,6 +83,8 @@ class GridSpec:
             raise ValueError("grid start must lie below grid stop")
         if self.points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
+        if not math.isfinite(self.log10_snr_stop * LOG10):
+            raise ValueError(f"grid stop {self.log10_snr_stop} overflows log SNR in nats")
 
     def log_snr_values(self) -> np.ndarray:
         """Grid in nats of log-SNR, ascending."""
@@ -134,36 +124,12 @@ class SweepPoint:
     ratio_upper: float
     ratio_lower: float
 
-    def to_dict(self) -> dict:
-        return {
-            "log_snr": self.log_snr,
-            "upper": self.upper,
-            "lower": self.lower,
-            "tau_star": self.tau_star,
-            "loglog_snr": self.loglog_snr,
-            "ratio_upper": self.ratio_upper,
-            "ratio_lower": self.ratio_lower,
-        }
-
-
-def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in {where} (allowed: {sorted(allowed)})")
-
 
 def bound_params_from_dict(data: dict) -> BoundParams:
-    _reject_unknown(data, BOUNDS_KEYS, "bounds")
-    eps_const = float(data.get("eps_const", 0.0))
-    xi = data.get("xi", None)
-    params = BoundParams() if eps_const == 0.0 else BoundParams(eps=ConstEps(eps_const))
-    return BoundParams(
-        delta=float(data.get("delta", 1.0)),
-        eta=float(data.get("eta", 0.5)),
-        eps=params.eps,
-        xi_override=None if xi is None else float(xi),
-        constants_certified=False,
-    )
+    fields = read_fields(data, "bounds", BOUNDS_FIELDS)
+    # a zero constant keeps the default eps, so the demo file equals BoundParams()
+    eps = {} if fields["eps_const"] == 0.0 else {"eps": ConstEps(fields["eps_const"])}
+    return BoundParams(delta=fields["delta"], eta=fields["eta"], xi_override=fields["xi"], **eps)
 
 
 def bound_params_to_dict(params: BoundParams) -> dict:
@@ -176,31 +142,17 @@ def bound_params_to_dict(params: BoundParams) -> dict:
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    _reject_unknown(data, CONFIG_KEYS, "config")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported config schema {data.get('schema')!r}, expected {SCHEMA_VERSION}")
-    missing = {"channel", "grid"} - set(data)
-    if missing:
-        raise ValueError(f"config is missing required sections: {sorted(missing)}")
-    grid_raw = data["grid"]
-    missing_grid = GRID_KEYS - set(grid_raw)
-    if missing_grid:
-        raise ValueError(f"grid is missing required fields: {sorted(missing_grid)}")
-    _reject_unknown(grid_raw, GRID_KEYS, "grid")
+    fields = read_fields(data, "config", CONFIG_FIELDS)
+    if fields["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported config schema {fields['schema']!r}, expected {SCHEMA_VERSION}")
     return SweepConfig(
-        channel=config_from_dict(data["channel"]),
-        bound_params=bound_params_from_dict(data.get("bounds", {})),
-        grid=GridSpec(
-            log10_snr_start=float(grid_raw["log10_snr_start"]),
-            log10_snr_stop=float(grid_raw["log10_snr_stop"]),
-            points=int(grid_raw["points"]),
-        ),
-        tau_max=int(data.get("tau_max", 1024)),
-        seed=int(data.get("seed", 0)),
-        output_format=str(data.get("output_format", "csv")),
-        tau=None if data.get("tau") is None else int(data["tau"]),
+        channel=config_from_dict(fields["channel"]),
+        bound_params=bound_params_from_dict(fields["bounds"]),
+        grid=GridSpec(**read_fields(fields["grid"], "grid", GRID_FIELDS)),
+        tau_max=fields["tau_max"],
+        seed=fields["seed"],
+        output_format=fields["output_format"],
+        tau=fields["tau"],
     )
 
 
@@ -209,11 +161,7 @@ def sweep_config_to_dict(config: SweepConfig) -> dict:
         "schema": SCHEMA_VERSION,
         "channel": config_to_dict(config.channel),
         "bounds": bound_params_to_dict(config.bound_params),
-        "grid": {
-            "log10_snr_start": config.grid.log10_snr_start,
-            "log10_snr_stop": config.grid.log10_snr_stop,
-            "points": config.grid.points,
-        },
+        "grid": dataclasses.asdict(config.grid),
         "tau": config.tau,
         "tau_max": config.tau_max,
         "seed": config.seed,
@@ -330,45 +278,34 @@ def emit(points: Sequence[SweepPoint], output_format: str) -> str:
             )
         return "\n".join(lines) + "\n"
     if output_format == "json":
-        return json.dumps([p.to_dict() for p in points], indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"output format must be 'csv' or 'json', got {output_format!r}")
-
-
-def parse_emitted(text: str, output_format: str) -> List[SweepPoint]:
-    """Inverse of ``emit``; round-trips values bit-exactly."""
-    if output_format == "csv":
-        lines = [line for line in text.splitlines() if line]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError("malformed CSV: missing or unexpected header")
-        points = []
-        for line in lines[1:]:
-            f = line.split(",")
-            points.append(
-                SweepPoint(
-                    log_snr=float(f[0]),
-                    upper=float(f[1]),
-                    lower=float(f[2]),
-                    tau_star=int(f[3]),
-                    loglog_snr=float(f[4]),
-                    ratio_upper=float(f[5]),
-                    ratio_lower=float(f[6]),
-                )
-            )
-        return points
-    if output_format == "json":
-        return [SweepPoint(**entry) for entry in json.loads(text)]
+        return json.dumps([vars(p) for p in points], indent=2, sort_keys=True) + "\n"
     raise ValueError(f"output format must be 'csv' or 'json', got {output_format!r}")
 
 
 def write_outputs(points: Sequence[SweepPoint], metadata: dict, out_path, output_format: str) -> Path:
-    """Write the data file and its JSON metadata sidecar; returns the sidecar path."""
+    """Write the data file and its JSON metadata sidecar; returns the sidecar path.
+
+    Both files are written under temporary names in the target directory and
+    then renamed into place, so a failure leaves no partial or temporary file.
+    """
     out_path = Path(out_path)
+    sidecar = out_path.with_name(out_path.name + ".meta.json")
+    texts = {
+        out_path: emit(points, output_format),
+        sidecar: json.dumps(metadata, indent=2, sort_keys=True) + "\n",
+    }
+    temps = {target: target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in texts}
     try:
-        out_path.write_text(emit(points, output_format), encoding="utf-8")
-        sidecar = out_path.with_name(out_path.name + ".meta.json")
-        sidecar.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        for target, text in texts.items():
+            temps[target].write_text(text, encoding="utf-8")
+        for target, temp in temps.items():
+            os.replace(temp, target)
     except OSError as err:
         raise OSError(f"failed writing sweep output near {out_path}: {err}") from err
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                temp.unlink()
     return sidecar
 
 
@@ -551,16 +488,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = load_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            config = _replace_seed(config, args.seed)
+        if getattr(args, "seed", None) is not None:  # the stats subcommand takes no seed
+            config = dataclasses.replace(config, seed=args.seed)
 
         if args.command == "sweep":
-            config = _apply_sweep_overrides(config, args)
+            params = _overridden(
+                config.bound_params,
+                delta=args.delta,
+                eta=args.eta,
+                eps=None if args.eps_const is None else ConstEps(args.eps_const),
+                xi_override=args.xi,
+            )
+            config = _overridden(
+                config, bound_params=params, tau=args.tau, tau_max=args.tau_max, output_format=args.format
+            )
             points, metadata = run_sweep(config)
+            fits = {which: fit_preloglog_slope(points, which) for which in ("upper", "lower")}
             out_path = args.output or f"sweep.{config.output_format}"
             sidecar = write_outputs(points, metadata, out_path, config.output_format)
-            for which in ("upper", "lower"):
-                fit = fit_preloglog_slope(points, which)
+            for which, fit in fits.items():
                 print(
                     f"{which}: slope {fit.slope:.6f}, intercept {fit.intercept:.6f}, "
                     f"rms residual {fit.residual:.3g}"
@@ -594,38 +540,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     raise AssertionError("unreachable")
 
 
-def _replace_seed(config: SweepConfig, seed: int) -> SweepConfig:
-    return SweepConfig(
-        channel=config.channel,
-        bound_params=config.bound_params,
-        grid=config.grid,
-        tau_max=config.tau_max,
-        seed=seed,
-        output_format=config.output_format,
-        tau=config.tau,
-    )
-
-
-def _apply_sweep_overrides(config: SweepConfig, args) -> SweepConfig:
-    params = config.bound_params
-    raw = bound_params_to_dict(params)
-    if args.delta is not None:
-        raw["delta"] = args.delta
-    if args.eta is not None:
-        raw["eta"] = args.eta
-    if args.eps_const is not None:
-        raw["eps_const"] = args.eps_const
-    if args.xi is not None:
-        raw["xi"] = args.xi
-    return SweepConfig(
-        channel=config.channel,
-        bound_params=bound_params_from_dict(raw),
-        grid=config.grid,
-        tau_max=args.tau_max if args.tau_max is not None else config.tau_max,
-        seed=config.seed,
-        output_format=args.format if args.format is not None else config.output_format,
-        tau=args.tau if args.tau is not None else config.tau,
-    )
+def _overridden(obj, **changes):
+    """``obj`` with every change that is not None applied (fields re-validated)."""
+    return dataclasses.replace(obj, **{k: v for k, v in changes.items() if v is not None})
 
 
 if __name__ == "__main__":

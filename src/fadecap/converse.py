@@ -26,6 +26,7 @@ remain in range.  All operations are pure functions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -73,10 +74,10 @@ class BoundParams:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.eps(self.delta, self.eta) < 0.0:
-            raise ValueError("eps(delta, eta) must be nonnegative")
-        if self.xi_override is not None and not (self.xi_override > 0.0):
-            raise ValueError(f"xi override must be positive, got {self.xi_override}")
+        if not (0.0 <= self.eps(self.delta, self.eta) < math.inf):
+            raise ValueError("eps(delta, eta) must be nonnegative and finite")
+        if self.xi_override is not None and not (0.0 < self.xi_override < math.inf):
+            raise ValueError(f"xi override must be positive and finite, got {self.xi_override}")
 
 
 @dataclass(frozen=True)
@@ -178,26 +179,18 @@ def jensen_cap(stats: ConverseStats, params: BoundParams) -> float:
     return 1.0 + psi(params, stats.inf_gap) - stats.inf_gap + LOG_PI
 
 
-def optimize_xi(
-    log_snr: float,
-    stats: ConverseStats,
-    params: BoundParams,
-    lo: float = 1e-12,
-    hi: float = 1.0,
-    tol: float = 1e-12,
-) -> tuple[float, float]:
-    """Numerically minimize the bound over xi in (0, 1] by golden-section search.
+def optimize_xi(log_snr: float, stats: ConverseStats, params: BoundParams) -> tuple[float, float]:
+    """Numerically minimize the bound over xi in [1e-12, 1] by golden-section search.
 
     Off the default evaluation path; the closed-form xi is canonical.  The
     bound is convex in xi, so the search converges to the global minimum.
     """
-    bracket = 1.0 + log1p_alpha_snr(log_snr, stats.alpha_total) + psi(params, stats.inf_gap)
 
     def value(xi: float) -> float:
-        return -stats.inf_gap + xi * bracket + float(gammaln(xi)) - xi * math.log(xi) + LOG_PI
+        return upper_bound(log_snr, stats, dataclasses.replace(params, xi_override=xi))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b, tol = 1e-12, 1.0, 1e-12
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = value(c), value(d)

@@ -146,23 +146,10 @@ def build_scheme(tau: int, log_power: float, num_taps: int) -> SchemeParams:
     )
 
 
-def sample_block(params: SchemeParams, rng: np.random.Generator) -> np.ndarray:
-    """One block of length L + tau: L exact zeros, then the tau random slots."""
-    block = np.zeros(params.block_len, dtype=complex)
-    for nu in range(1, params.tau + 1):
-        block[params.num_taps + nu - 1] = params.slot_law(nu).sample_x(rng)
-    return block
-
-
 def log_block_average_power(params: SchemeParams) -> float:
     """log of the block-average power (1/(L+tau)) sum_v E|X_v|^2."""
     slot_logs = [params.slot_law(nu).log_mean_power for nu in range(1, params.tau + 1)]
     return float(logsumexp(slot_logs)) - math.log(params.block_len)
-
-
-def block_average_power(params: SchemeParams) -> float:
-    """Block-average power in linear units (may overflow for astronomical P)."""
-    return math.exp(log_block_average_power(params))
 
 
 @dataclass(frozen=True)
@@ -253,23 +240,13 @@ def xi_p(log_power: float, stats: DirectStats) -> float:
     return stats.mean_log_gain_0 - 1.0 - 2.0 * math.log(math.sqrt(stats.alpha_0) + root)
 
 
-def per_symbol_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float:
-    """Slot-uniform per-symbol mutual-information lower bound, in nats.
-
-    The value does not depend on the slot index nu nor on the block index;
-    ``sharp_slot_bound`` exposes the slot-dependent sharpening for
-    diagnostics.
-    """
-    if not 1 <= nu <= params.tau:
-        raise ValueError(f"slot index must lie in 1..{params.tau}, got {nu}")
-    return log_log_ratio(params.log_power, params.tau) + xi_p(params.log_power, stats)
-
-
 def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float:
-    """Slot-dependent per-symbol bound (sharper than ``per_symbol_bound``).
+    """Slot-dependent per-symbol bound, sharper than the slot-uniform one.
 
-    Keeps the residual noise term sigma^2 / (P^((nu-1)/tau) log P) instead of
-    relaxing it to sigma^2 / log P.
+    The slot-uniform bound ``log_log_ratio + xi_p`` (the bracket of
+    ``lower_bound``) relaxes the residual noise term
+    sigma^2 / (P^((nu-1)/tau) log P) of slot nu to sigma^2 / log P; this one
+    keeps it.
     """
     if not 1 <= nu <= params.tau:
         raise ValueError(f"slot index must lie in 1..{params.tau}, got {nu}")

@@ -138,11 +138,6 @@ def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Genera
     raise TypeError(f"not a path-gain spec: {spec!r}")
 
 
-def sample_path(spec: PathGainSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One stationary sample path of length ``n`` (deterministic given the stream)."""
-    return sample_paths(spec, n, 1, rng)[0]
-
-
 def spectral_density(spec: PathGainSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Power spectral density on [-pi, pi] of a non-zero gain process."""
     if isinstance(spec, IidGaussian):
@@ -202,25 +197,79 @@ def path_spec_to_dict(spec: PathGainSpec) -> dict:
     raise TypeError(f"not a path-gain spec: {spec!r}")
 
 
-def path_spec_from_dict(data: dict) -> PathGainSpec:
+REQUIRED = object()
+_KIND_NAMES = {
+    float: "a finite number",
+    int: "an integer",
+    str: "a string",
+    dict: "an object",
+    list: "a list",
+}
+
+
+def read_fields(data, where: str, fields: dict) -> dict:
+    """Validate one config section and return its values with defaults filled in.
+
+    ``fields`` maps every allowed key to ``(kind, default)``.  ``kind`` is
+    ``float`` (a finite number), ``int`` (an integral number, a count),
+    ``str``, ``dict`` or ``list``; bools are never numbers.  The default
+    ``REQUIRED`` marks a key that must be present, and a default of ``None``
+    also admits an explicit null.  Each rejection -- a section that is not an
+    object, unknown keys, missing required keys, a value of the wrong kind --
+    is a ``ValueError`` naming the field as ``where.key``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, got {data!r}")
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {where} (allowed: {sorted(fields)})")
+    missing = [key for key, (_, default) in fields.items() if default is REQUIRED and key not in data]
+    if missing:
+        raise ValueError(f"{where} is missing required keys {missing}")
+    values = {}
+    for key, (kind, default) in fields.items():
+        value = data.get(key, default)
+        if value is None and default is None:
+            values[key] = None
+        elif kind in (float, int):
+            values[key] = _number(value, kind, f"{where}.{key}")
+        elif isinstance(value, kind):
+            values[key] = value
+        else:
+            raise ValueError(f"{where}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return values
+
+
+def _number(value, kind, name: str):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, int) and kind is int:
+            return value
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond float range
+            number = math.inf
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+_PATH_FIELDS = {
+    "zero": {},
+    "iid": {"alpha": (float, REQUIRED)},
+    "ar1": {"alpha": (float, REQUIRED), "a_re": (float, 0.0), "a_im": (float, 0.0)},
+}
+
+
+def path_spec_from_dict(data: dict, where: str = "path") -> PathGainSpec:
     """Parse the config-schema form; unknown kinds and keys are errors."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError(f"path spec must be an object with a 'kind' field, got {data!r}")
-    kind = data["kind"]
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, got {data!r}")
+    kind = data.get("kind")
+    if kind not in ("iid", "ar1", "zero"):
+        raise ValueError(f"{where}.kind must be 'iid', 'ar1' or 'zero', got {kind!r}")
+    fields = read_fields(data, where, {"kind": (str, REQUIRED), **_PATH_FIELDS[kind]})
     if kind == "zero":
-        _reject_unknown_keys(data, {"kind"})
         return ZeroPath()
     if kind == "iid":
-        _reject_unknown_keys(data, {"kind", "alpha"})
-        return IidGaussian(alpha=float(data["alpha"]))
-    if kind == "ar1":
-        _reject_unknown_keys(data, {"kind", "alpha", "a_re", "a_im"})
-        a = complex(float(data.get("a_re", 0.0)), float(data.get("a_im", 0.0)))
-        return Ar1Gaussian(alpha=float(data["alpha"]), a=a)
-    raise ValueError(f"unknown path kind {kind!r} (expected 'iid', 'ar1' or 'zero')")
-
-
-def _reject_unknown_keys(data: dict, allowed: set) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+        return IidGaussian(alpha=fields["alpha"])
+    return Ar1Gaussian(alpha=fields["alpha"], a=complex(fields["a_re"], fields["a_im"]))

@@ -15,7 +15,6 @@ recorded in every report.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -79,9 +78,6 @@ class CheckReport:
             "pass": self.passed,
             "workers": self.workers,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _combine_mean_sem(values_per_shard: List[np.ndarray]) -> McEstimate:

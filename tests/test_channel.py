@@ -11,8 +11,6 @@ from fadecap.channel import (
     ChannelConfig,
     ChannelRealization,
     aggregate_gain,
-    average_power,
-    realize,
     realize_many,
     simulate,
     snr_of,
@@ -33,6 +31,12 @@ def two_tap_config(log_power=0.0):
 
 def fixed_realization(gains, noise):
     return ChannelRealization(gains=np.asarray(gains, dtype=complex), noise=np.asarray(noise, dtype=complex))
+
+
+def realize_one(config, n, seed):
+    """The single realization of a batch of one (gains shape (L+1, n))."""
+    batch = realize_many(config, n, 1, seed)
+    return fixed_realization(batch.gains[0], batch.noise[0])
 
 
 class TestConfig:
@@ -90,7 +94,7 @@ class TestSnr:
 class TestSimulate:
     def test_zero_input_passes_noise_through(self):
         config = two_tap_config()
-        real = realize(config, 16, seed=1)
+        real = realize_one(config, 16, seed=1)
         y = simulate(config, np.zeros(16), real)
         assert np.array_equal(y, real.noise)
 
@@ -119,14 +123,14 @@ class TestSimulate:
         rng = substream(seed, 9)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         c = complex(rng.standard_normal(), rng.standard_normal())
-        real = realize(config, 8, seed=seed)
+        real = realize_one(config, 8, seed=seed)
         quiet = ChannelRealization(gains=real.gains, noise=np.zeros(8, dtype=complex))
         assert np.allclose(simulate(config, c * x, quiet), c * simulate(config, x, quiet), rtol=1e-12)
 
     def test_causality(self):
         # perturbing x_j for j > k never changes Y_k
         config = two_tap_config()
-        real = realize(config, 10, seed=3)
+        real = realize_one(config, 10, seed=3)
         rng = substream(3, 1)
         x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         y = simulate(config, x, real)
@@ -139,7 +143,7 @@ class TestSimulate:
     def test_finite_memory(self):
         # perturbing x_j for j < k - L never changes Y_k
         config = two_tap_config()  # L = 1
-        real = realize(config, 10, seed=4)
+        real = realize_one(config, 10, seed=4)
         rng = substream(4, 1)
         x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         y = simulate(config, x, real)
@@ -151,7 +155,7 @@ class TestSimulate:
 
     def test_dimension_mismatch_rejected(self):
         config = two_tap_config()
-        real = realize(config, 8, seed=5)
+        real = realize_one(config, 8, seed=5)
         with pytest.raises(ValueError):
             simulate(config, np.zeros(7), real)
         with pytest.raises(ValueError):
@@ -191,17 +195,3 @@ class TestMoments:
         mean = total / m
         sem = np.sqrt((total_sq / m - mean**2) / m)
         assert np.all(np.abs(mean - expected) <= 3.0 * sem)
-
-
-class TestAveragePower:
-    def test_constant_magnitude(self):
-        x = 3.0 * np.exp(1j * np.linspace(0.0, 5.0, 10))
-        assert average_power(x) == pytest.approx(9.0, rel=1e-12)
-
-    def test_all_zero(self):
-        assert average_power(np.zeros(4)) == 0.0
-
-    def test_ensemble_averages_over_realizations(self):
-        rng = substream(8, 0)
-        x = rng.standard_normal((1000, 6)) + 1j * rng.standard_normal((1000, 6))
-        assert average_power(x) == pytest.approx(np.mean(np.abs(x) ** 2), rel=1e-12)

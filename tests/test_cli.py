@@ -1,7 +1,12 @@
 """Config ingestion, sweep orchestration, slope fits, emission contracts."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -11,14 +16,12 @@ from hypothesis import strategies as st
 
 from fadecap import cli
 from fadecap.cli import (
-    OUTPUT_SCHEMA,
     GridSpec,
     SweepPoint,
     demo_config,
     emit,
     fit_preloglog_slope,
     load_config,
-    parse_emitted,
     run_sweep,
     sweep_config_from_dict,
     sweep_config_to_dict,
@@ -30,6 +33,58 @@ from fadecap.direct import DirectStats, optimize_tau
 LOG10 = math.log(10.0)
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# JSON sweep output: an array of per-grid-point objects with exactly these keys.
+OUTPUT_SCHEMA = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "object",
+        "properties": {
+            "log_snr": {"type": "number"},
+            "upper": {"type": "number"},
+            "lower": {"type": "number"},
+            "tau_star": {"type": "integer", "minimum": 1},
+            "loglog_snr": {"type": "number"},
+            "ratio_upper": {"type": "number"},
+            "ratio_lower": {"type": "number"},
+        },
+        "required": [
+            "log_snr",
+            "upper",
+            "lower",
+            "tau_star",
+            "loglog_snr",
+            "ratio_upper",
+            "ratio_lower",
+        ],
+        "additionalProperties": False,
+    },
+}
+
+
+def parse_emitted(text, output_format):
+    """Inverse of ``emit``; round-trips values bit-exactly."""
+    if output_format == "csv":
+        lines = [line for line in text.splitlines() if line]
+        assert lines and lines[0] == cli.CSV_HEADER
+        points = []
+        for line in lines[1:]:
+            f = line.split(",")
+            points.append(
+                SweepPoint(
+                    log_snr=float(f[0]),
+                    upper=float(f[1]),
+                    lower=float(f[2]),
+                    tau_star=int(f[3]),
+                    loglog_snr=float(f[4]),
+                    ratio_upper=float(f[5]),
+                    ratio_lower=float(f[6]),
+                )
+            )
+        return points
+    assert output_format == "json"
+    return [SweepPoint(**entry) for entry in json.loads(text)]
 
 
 def synthetic_points(num=6, slope=1.0, intercept=0.0):
@@ -304,3 +359,97 @@ class TestMainEntry:
         bad.write_text(json.dumps({"schema": 1, "grid": {}}))
         assert cli.main(["sweep", "--config", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+DEMO_RAW = json.loads(REPO_CONFIG.read_text())
+RAW_1E400 = "__raw_1e400__"  # written into the config text as the literal 1e400
+
+
+def _key_paths(node, prefix=()):
+    """Key path of every value below the config root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+KEY_PATHS = list(_key_paths(DEMO_RAW))
+SECTIONS = [path for path in KEY_PATHS if isinstance(_at(DEMO_RAW, path), (dict, list))]
+COUNTS = [("schema",), ("grid", "points"), ("tau",), ("tau_max",), ("seed",)]
+REQUIRED_KEYS = [("schema",), ("channel",), ("grid",)] + [
+    path
+    for path in KEY_PATHS
+    if (len(path) == 2 and path[0] in ("channel", "grid")) or path[-1] in ("kind", "alpha")
+]
+
+
+def malformed(mutation):
+    """The demo config text with one mutation applied; every mutation is invalid."""
+    action, path = mutation
+    raw = copy.deepcopy(DEMO_RAW)
+    parent = _at(raw, path[:-1])
+    if action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = action
+    return json.dumps(raw).replace(f'"{RAW_1E400}"', "1e400")
+
+
+def run_sweep_cli(config_text):
+    """(exit code, stderr, files left in the output directory) of one sweep."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(config_text)
+        outdir = Path(tmp) / "out"
+        outdir.mkdir()
+        err = io.StringIO()
+        with (
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = cli.main(["sweep", "--config", str(config), "--output", str(outdir / "sweep.csv")])
+        return rc, err.getvalue(), sorted(p.name for p in outdir.iterdir())
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "mutation, field",
+        [
+            (("delete", ("channel", "paths", 0, "alpha")), "channel.paths[0]"),
+            (("delete", ("channel", "noise_variance")), "noise_variance"),
+            ((None, ("bounds",)), "bounds"),
+            ((2.7, ("grid", "points")), "grid.points"),
+            ((2, ("grid", "points")), "at least 3 points"),
+            ((RAW_1E400, ("grid", "log10_snr_stop")), "grid.log10_snr_stop"),
+            (("x", ("grid",)), "config.grid"),
+            ((True, ("tau",)), "config.tau"),
+        ],
+    )
+    def test_named_probe_fails_cleanly(self, mutation, field):
+        rc, err, files = run_sweep_cli(malformed(mutation))
+        assert (rc, files) == (1, [])
+        assert err.startswith("error:") and err.count("\n") == 1 and field in err, err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("delete"), st.sampled_from(REQUIRED_KEYS)),
+            st.tuples(st.none(), st.sampled_from(SECTIONS)),
+            st.tuples(
+                st.sampled_from(["x", True, False, RAW_1E400, math.nan]), st.sampled_from(KEY_PATHS)
+            ),
+            st.tuples(st.just(2.7), st.sampled_from(COUNTS)),
+        )
+    )
+    def test_any_malformed_config_is_one_error_line_and_no_files(self, mutation):
+        rc, err, files = run_sweep_cli(malformed(mutation))
+        assert (rc, files) == (1, [])
+        assert err.startswith("error:") and err.count("\n") == 1, err

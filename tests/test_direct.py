@@ -10,20 +10,18 @@ from hypothesis import strategies as st
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
-    block_average_power,
     build_scheme,
     lemma_mi_lower_bound,
     log_block_average_power,
     log_log_ratio,
     lower_bound,
     optimize_tau,
-    per_symbol_bound,
-    sample_block,
     schedule_is_valid,
     sharp_slot_bound,
     xi_p,
 )
 from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E
+from fadecap.oracle import _scheme_inputs
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
@@ -93,15 +91,13 @@ class TestSchedule:
 class TestSampling:
     def test_guard_zeros_and_slot_support(self):
         scheme = build_scheme(3, 6 * LOG10, 2)
-        rng = substream(21, 0)
-        for _ in range(200):
-            block = sample_block(scheme, rng)
-            assert block.shape == (5,)
-            assert np.all(block[:2] == 0.0)
-            for nu in range(1, 4):
-                law = scheme.slot_law(nu)
-                log_mag = math.log(abs(block[2 + nu - 1]) ** 2)
-                assert law.log_min - 1e-9 <= log_mag <= law.log_max + 1e-9
+        blocks = _scheme_inputs(scheme, scheme.block_len, 200, substream(21, 0))
+        assert blocks.shape == (200, 5)
+        assert np.all(blocks[:, :2] == 0.0)
+        for nu in range(1, 4):
+            law = scheme.slot_law(nu)
+            log_mag = np.log(np.abs(blocks[:, 2 + nu - 1]) ** 2)
+            assert np.all((law.log_min - 1e-9 <= log_mag) & (log_mag <= law.log_max + 1e-9))
 
     def test_log_magnitude_uniform_midpoint(self):
         law = LogUniformX2(0.0, math.log(50.0))
@@ -127,7 +123,7 @@ class TestBlockPower:
     def test_single_slot_closed_form(self):
         scheme = build_scheme(1, math.log(10.0), 0)
         expected = (10.0 - math.log(10.0)) / (math.log(10.0) - math.log(math.log(10.0)))
-        assert block_average_power(scheme) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(log_block_average_power(scheme)) == pytest.approx(expected, rel=1e-12)
 
     def test_admissible_on_power_tau_grid(self):
         # every admissible (P, tau, L) combination obeys the power constraint
@@ -218,15 +214,19 @@ class TestRateBound:
         assert abs(xi_p(1e9, stats)) / math.log(1e9) < 0.08
 
     def test_per_symbol_bound_slot_independent(self):
-        scheme = build_scheme(6, 30 * LOG10, 2)
+        # the slot-uniform bound depends on (P, tau) alone: it is slot 1's sharp
+        # bound, whose residual noise sigma^2 / log P every later slot improves on
         stats = stats_for()
-        values = {per_symbol_bound(nu, scheme, stats) for nu in range(1, 7)}
-        assert len(values) == 1
+        log_p = 30 * LOG10
+        for tau in (1, 6, 12):
+            uniform = log_log_ratio(log_p, tau) + xi_p(log_p, stats)
+            first = sharp_slot_bound(1, build_scheme(tau, log_p, stats.num_taps), stats)
+            assert uniform == pytest.approx(first, rel=1e-14)
 
     def test_sharp_bound_dominates_uniform_bound(self):
         scheme = build_scheme(6, 30 * LOG10, 2)
         stats = stats_for()
-        uniform = per_symbol_bound(1, scheme, stats)
+        uniform = log_log_ratio(scheme.log_power, scheme.tau) + xi_p(scheme.log_power, stats)
         for nu in range(1, 7):
             assert sharp_slot_bound(nu, scheme, stats) >= uniform - 1e-12
 
@@ -247,7 +247,8 @@ class TestRateBound:
         log_snr = 40 * LOG10
         tau = 5
         scheme = build_scheme(tau, log_snr, stats.num_taps)  # sigma2 = 1 so log P = log SNR
-        expected = tau / (stats.num_taps + tau) * per_symbol_bound(1, scheme, stats)
+        per_symbol = log_log_ratio(scheme.log_power, tau) + xi_p(scheme.log_power, stats)
+        expected = tau / (stats.num_taps + tau) * per_symbol
         assert lower_bound(log_snr, tau, stats) == pytest.approx(expected, rel=1e-14)
 
     def test_invalid_schedule_raises(self):

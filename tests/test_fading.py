@@ -17,7 +17,6 @@ from fadecap.fading import (
     entropy_rate_szego,
     path_spec_from_dict,
     path_spec_to_dict,
-    sample_path,
     sample_paths,
     spectral_density,
     stats_of,
@@ -105,18 +104,18 @@ class TestSzegoOracle:
 class TestSamplers:
     def test_zero_path_samples_are_zero(self):
         assert np.array_equal(
-            sample_path(ZeroPath(), 5, substream(0, 0)), np.zeros(5, dtype=complex)
+            sample_paths(ZeroPath(), 5, 1, substream(0, 0))[0], np.zeros(5, dtype=complex)
         )
 
     def test_same_stream_gives_bit_identical_paths(self):
         for spec in (IidGaussian(1.0), Ar1Gaussian(1.0, 0.4 + 0.2j)):
-            a = sample_path(spec, 128, substream(11, 3))
-            b = sample_path(spec, 128, substream(11, 3))
+            a = sample_paths(spec, 128, 1, substream(11, 3))
+            b = sample_paths(spec, 128, 1, substream(11, 3))
             assert np.array_equal(a, b)
 
     def test_different_streams_differ(self):
-        a = sample_path(IidGaussian(1.0), 64, substream(11, 0))
-        b = sample_path(IidGaussian(1.0), 64, substream(11, 1))
+        a = sample_paths(IidGaussian(1.0), 64, 1, substream(11, 0))
+        b = sample_paths(IidGaussian(1.0), 64, 1, substream(11, 1))
         assert not np.array_equal(a, b)
 
     def test_iid_empirical_variance(self):
@@ -132,7 +131,7 @@ class TestSamplers:
         assert abs(np.mean(prod) - 0.9) <= 3.0 * sem
 
     def test_ar1_lag_one_correlation_single_long_path(self):
-        h = sample_path(Ar1Gaussian(1.0, 0.9), 1_000_000, substream(46, 0))
+        h = sample_paths(Ar1Gaussian(1.0, 0.9), 1_000_000, 1, substream(46, 0))[0]
         corr = float(np.mean(h[1:] * np.conj(h[:-1])).real)
         assert abs(corr - 0.9) < 0.01  # samples are dependent; coarse tolerance
 
@@ -154,7 +153,7 @@ class TestSamplers:
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
-            sample_path(IidGaussian(1.0), 0, substream(0, 0))
+            sample_paths(IidGaussian(1.0), 0, 1, substream(0, 0))
 
 
 class TestSerialization:
