@@ -318,6 +318,30 @@ class TestMainEntry:
         pb = parse_emitted(out_b.read_text(), "csv")
         assert all(b.upper > a.upper for a, b in zip(pa, pb))  # xi=1 is far off-optimum here
 
+    @pytest.mark.parametrize(
+        "flag, value, echo_path",
+        [
+            ("--delta", 0.5, ("bounds", "delta")),
+            ("--eta", 0.8, ("bounds", "eta")),
+            ("--eps-const", 0.1, ("bounds", "eps_const")),
+            ("--xi", 1.0, ("bounds", "xi")),
+            ("--tau-max", 2, ("tau_max",)),  # the demo grid's tau* reaches 4, so 2 binds
+        ],
+    )
+    def test_sweep_override_flag_is_echoed_and_applied(self, tmp_path, flag, value, echo_path):
+        base, out = tmp_path / "base.csv", tmp_path / "flag.csv"
+        assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(base)]) == 0
+        assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out), flag, str(value)]) == 0
+        meta = json.loads((tmp_path / "flag.csv.meta.json").read_text())
+        assert _at(meta["config"], echo_path) == value
+        if flag == "--tau-max":
+            taus = [p.tau_star for p in parse_emitted(out.read_text(), "csv")]
+            assert max(taus) == value
+        else:
+            # the bound parameters only enter the upper bound
+            lower = [[line.split(",")[2] for line in path.read_text().splitlines()] for path in (base, out)]
+            assert lower[0] == lower[1]
+
     def test_sweep_fixed_tau_flag(self, tmp_path):
         out = tmp_path / "fixed.csv"
         rc = cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out), "--tau", "8"])
