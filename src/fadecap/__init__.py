@@ -20,7 +20,6 @@ from .channel import (
 )
 from .converse import (
     BoundParams,
-    ConstEps,
     ConverseStats,
     jensen_cap,
     optimize_xi,
@@ -33,7 +32,6 @@ from .direct import (
     DirectStats,
     LogUniformX2,
     SchemeParams,
-    build_scheme,
     lemma_mi_lower_bound,
     log_block_average_power,
     lower_bound,

@@ -54,11 +54,6 @@ class ChannelConfig:
     def alphas(self) -> Tuple[float, ...]:
         return tuple(spec.alpha for spec in self.path_specs)
 
-    @property
-    def active_set(self) -> Tuple[int, ...]:
-        """Indices of taps with positive variance; nonempty since alpha_0 > 0."""
-        return tuple(i for i, a in enumerate(self.alphas) if a > 0.0)
-
 
 def snr_of(config: ChannelConfig) -> float:
     """log SNR = log P - log sigma^2, in nats."""

@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelConfig, config_from_dict, config_to_dict, snr_of
-from .converse import BoundParams, ConstEps, ConverseStats, upper_bound
+from .converse import CONSTANTS_CERTIFIED, BoundParams, ConverseStats, upper_bound
 from .direct import (
     DirectStats,
     LogUniformX2,
-    build_scheme,
+    SchemeParams,
     lemma_mi_lower_bound,
     log_block_average_power,
     lower_bound,
@@ -62,7 +62,7 @@ CONFIG_FIELDS = {
     "seed": (int, 0),
     "output_format": (str, "csv"),
 }
-BOUNDS_FIELDS = {"delta": (float, 1.0), "eta": (float, 0.5), "eps_const": (float, 0.0), "xi": (float, None)}
+BOUNDS_FIELDS = {f.name: (float, f.default) for f in dataclasses.fields(BoundParams)}
 GRID_FIELDS = {
     "log10_snr_start": (float, REQUIRED),
     "log10_snr_stop": (float, REQUIRED),
@@ -125,29 +125,13 @@ class SweepPoint:
     ratio_lower: float
 
 
-def bound_params_from_dict(data: dict) -> BoundParams:
-    fields = read_fields(data, "bounds", BOUNDS_FIELDS)
-    # a zero constant keeps the default eps, so the demo file equals BoundParams()
-    eps = {} if fields["eps_const"] == 0.0 else {"eps": ConstEps(fields["eps_const"])}
-    return BoundParams(delta=fields["delta"], eta=fields["eta"], xi_override=fields["xi"], **eps)
-
-
-def bound_params_to_dict(params: BoundParams) -> dict:
-    return {
-        "delta": params.delta,
-        "eta": params.eta,
-        "eps_const": params.eps(params.delta, params.eta),
-        "xi": params.xi_override,
-    }
-
-
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     fields = read_fields(data, "config", CONFIG_FIELDS)
     if fields["schema"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {fields['schema']!r}, expected {SCHEMA_VERSION}")
     return SweepConfig(
         channel=config_from_dict(fields["channel"]),
-        bound_params=bound_params_from_dict(fields["bounds"]),
+        bound_params=BoundParams(**read_fields(fields["bounds"], "bounds", BOUNDS_FIELDS)),
         grid=GridSpec(**read_fields(fields["grid"], "grid", GRID_FIELDS)),
         tau_max=fields["tau_max"],
         seed=fields["seed"],
@@ -160,7 +144,7 @@ def sweep_config_to_dict(config: SweepConfig) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "channel": config_to_dict(config.channel),
-        "bounds": bound_params_to_dict(config.bound_params),
+        "bounds": dataclasses.asdict(config.bound_params),
         "grid": dataclasses.asdict(config.grid),
         "tau": config.tau,
         "tau_max": config.tau_max,
@@ -172,28 +156,6 @@ def sweep_config_to_dict(config: SweepConfig) -> dict:
 def load_config(path) -> SweepConfig:
     with open(path, "r", encoding="utf-8") as handle:
         return sweep_config_from_dict(json.load(handle))
-
-
-def demo_config() -> SweepConfig:
-    """The in-repo demo: three correlated taps with geometrically decaying variance."""
-    from .fading import Ar1Gaussian
-
-    return SweepConfig(
-        channel=ChannelConfig(
-            path_specs=(
-                Ar1Gaussian(alpha=1.0, a=0.5),
-                Ar1Gaussian(alpha=0.5, a=0.5),
-                Ar1Gaussian(alpha=0.25, a=0.5),
-            ),
-            noise_variance=1.0,
-            log_power=3.0 * LOG10,
-        ),
-        bound_params=BoundParams(),
-        grid=GridSpec(log10_snr_start=20.0, log10_snr_stop=200.0, points=19),
-        tau_max=1024,
-        seed=20260809,
-        output_format="csv",
-    )
 
 
 def run_sweep(config: SweepConfig) -> Tuple[List[SweepPoint], dict]:
@@ -228,7 +190,7 @@ def run_sweep(config: SweepConfig) -> Tuple[List[SweepPoint], dict]:
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "seed": config.seed,
-        "constants_certified": config.bound_params.constants_certified,
+        "constants_certified": CONSTANTS_CERTIFIED,
         "workers": default_workers(),
         "config": sweep_config_to_dict(config),
     }
@@ -360,7 +322,7 @@ def run_verification_suite(
             f"no admissible scheme at the configured power (log10 P = {log_p / LOG10:.4g}); "
             f"raise the channel power"
         )
-    scheme = build_scheme(tau_verify, log_p, chan.num_paths)
+    scheme = SchemeParams(tau_verify, log_p, chan.num_paths)
 
     log_block = log_block_average_power(scheme)
     reports.append(
@@ -451,7 +413,7 @@ def _stats_payload(config: SweepConfig) -> dict:
         "alpha_total": cstats.alpha_total,
         "inf_entropy_gap": cstats.inf_gap,
         "log_snr": snr_of(chan),
-        "constants_certified": config.bound_params.constants_certified,
+        "constants_certified": CONSTANTS_CERTIFIED,
     }
 
 
@@ -493,11 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "sweep":
             params = _overridden(
-                config.bound_params,
-                delta=args.delta,
-                eta=args.eta,
-                eps=None if args.eps_const is None else ConstEps(args.eps_const),
-                xi_override=args.xi,
+                config.bound_params, delta=args.delta, eta=args.eta, eps_const=args.eps_const, xi=args.xi
             )
             config = _overridden(
                 config, bound_params=params, tau=args.tau, tau_max=args.tau_max, output_format=args.format

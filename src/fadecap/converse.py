@@ -14,10 +14,11 @@ active taps, and the free parameter ``xi`` defaulting to
 
     Psi = log(1/delta^2) + 2*eps(delta, eta) + (2/eta)*(2/e + log(pi*e)) - (2/eta)*g,
 
-where ``eps`` is an injected nonnegative function of ``(delta, eta)``.  With
-the default injection ``eps == 0`` the absolute level of the bound is not
-certified (``constants_certified`` stays False in all outputs); every
-pre-loglog statement is unaffected because ``Psi`` does not grow with SNR.
+where ``eps(delta, eta)`` is not derived here: it enters as the nonnegative
+constant ``eps_const`` (default 0).  The absolute level of the bound is
+therefore not certified (``CONSTANTS_CERTIFIED`` is False and every output
+says so); every pre-loglog statement is unaffected because ``Psi`` does not
+grow with SNR.
 
 ``logGamma`` is evaluated exactly (no small-argument asymptote), and every
 formula consumes log-SNR in nats so that astronomically large SNR values
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -40,44 +41,32 @@ from .fading import LOG_PI, LOG_PI_E, stats_of
 TWO_OVER_E = 2.0 / math.e
 
 
-def _zero_eps(delta: float, eta: float) -> float:
-    return 0.0
-
-
-@dataclass(frozen=True)
-class ConstEps:
-    """A constant injected eps(delta, eta); value-comparable unlike a lambda."""
-
-    value: float
-
-    def __call__(self, delta: float, eta: float) -> float:
-        return self.value
+# eps(delta, eta) is a constant here, not derived from the paper's proof
+CONSTANTS_CERTIFIED = False
 
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Free parameters of the upper bound.
+    """Free parameters of the upper bound, named as in the ``bounds`` config section.
 
-    ``eps`` is injected rather than derived here; the default is the zero
-    function, recorded by ``constants_certified = False``.  ``xi_override``
-    replaces the closed-form default choice of ``xi`` when set.
+    ``eps_const`` stands in for eps(delta, eta); ``xi`` replaces the
+    closed-form default choice of xi when set.
     """
 
     delta: float = 1.0
     eta: float = 0.5
-    eps: Callable[[float, float], float] = field(default=_zero_eps)
-    xi_override: Optional[float] = None
-    constants_certified: bool = False
+    eps_const: float = 0.0
+    xi: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not (0.0 <= self.eps(self.delta, self.eta) < math.inf):
-            raise ValueError("eps(delta, eta) must be nonnegative and finite")
-        if self.xi_override is not None and not (0.0 < self.xi_override < math.inf):
-            raise ValueError(f"xi override must be positive and finite, got {self.xi_override}")
+        if not (0.0 <= self.eps_const < math.inf):
+            raise ValueError(f"eps_const must be nonnegative and finite, got {self.eps_const}")
+        if self.xi is not None and not (0.0 < self.xi < math.inf):
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +112,7 @@ def psi(params: BoundParams, inf_gap: float) -> float:
     """The SNR-independent constant block of the bound."""
     return (
         -2.0 * math.log(params.delta)
-        + 2.0 * params.eps(params.delta, params.eta)
+        + 2.0 * params.eps_const
         + (2.0 / params.eta) * (TWO_OVER_E + LOG_PI_E)
         - (2.0 / params.eta) * inf_gap
     )
@@ -131,7 +120,7 @@ def psi(params: BoundParams, inf_gap: float) -> float:
 
 def upper_bound(log_snr: float, stats: ConverseStats, params: BoundParams) -> float:
     """Capacity upper bound in nats per channel use at the given log-SNR."""
-    xi = params.xi_override if params.xi_override is not None else xi_default(log_snr, stats.alpha_total)
+    xi = params.xi if params.xi is not None else xi_default(log_snr, stats.alpha_total)
     if xi <= 0.0:
         raise ValueError(f"xi must be positive, got {xi}")
     bracket = 1.0 + log1p_alpha_snr(log_snr, stats.alpha_total) + psi(params, stats.inf_gap)
@@ -187,7 +176,7 @@ def optimize_xi(log_snr: float, stats: ConverseStats, params: BoundParams) -> tu
     """
 
     def value(xi: float) -> float:
-        return upper_bound(log_snr, stats, dataclasses.replace(params, xi_override=xi))
+        return upper_bound(log_snr, stats, dataclasses.replace(params, xi=xi))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b, tol = 1e-12, 1.0, 1e-12

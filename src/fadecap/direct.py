@@ -89,13 +89,14 @@ class LogUniformX2:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """A block scheme: tau slots behind L guard zeros, per-slot magnitude intervals."""
+    """The canonical block scheme for (tau, P, L): tau slots behind L guard zeros.
+
+    Construction fails when the schedule is inadmissible, P^(1/tau) <= log P.
+    """
 
     tau: int
     log_power: float
     num_taps: int
-    log_x2_min: Tuple[float, ...]
-    log_x2_max: Tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.tau < 1:
@@ -104,46 +105,23 @@ class SchemeParams:
             raise ValueError(f"num_taps must be >= 0, got {self.num_taps}")
         if self.log_power <= 0.0:
             raise ValueError(f"the scheme requires P > 1, got log P = {self.log_power}")
-        if len(self.log_x2_min) != self.tau or len(self.log_x2_max) != self.tau:
-            raise ValueError("need one (min, max) pair per slot")
-        for v, (a, b) in enumerate(zip(self.log_x2_min, self.log_x2_max), start=1):
-            if not a < b:
-                raise ValueError(f"slot {v} interval is empty: log bounds [{a}, {b}]")
+        log_log_ratio(self.log_power, self.tau)  # raises on schedule inversion
 
     @property
     def block_len(self) -> int:
         return self.num_taps + self.tau
 
     def slot_law(self, nu: int) -> LogUniformX2:
-        """Magnitude law of slot ``nu`` (1-based)."""
+        """Magnitude law of slot ``nu`` (1-based), on the schedule in the module docstring."""
         if not 1 <= nu <= self.tau:
             raise ValueError(f"slot index must lie in 1..{self.tau}, got {nu}")
-        return LogUniformX2(self.log_x2_min[nu - 1], self.log_x2_max[nu - 1])
+        log_p = self.log_power
+        return LogUniformX2((nu - 1) / self.tau * log_p + math.log(log_p), nu / self.tau * log_p)
 
 
 def schedule_is_valid(log_power: float, tau: int) -> bool:
     """Whether the canonical schedule has nonempty slots: P^(1/tau) > log P."""
     return log_power > 0.0 and log_power / tau > math.log(log_power)
-
-
-def build_scheme(tau: int, log_power: float, num_taps: int) -> SchemeParams:
-    """The canonical slot schedule for (tau, P, L); fails if P^(1/tau) <= log P."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    if log_power <= 0.0:
-        raise ValueError(f"the scheme requires P > 1, got log P = {log_power}")
-    if not schedule_is_valid(log_power, tau):
-        raise ValueError(
-            f"schedule inversion: P^(1/tau) <= log P "
-            f"(log P / tau = {log_power / tau:.6g} <= log log P = {math.log(log_power):.6g}); "
-            f"lower tau or raise P"
-        )
-    log_log_p = math.log(log_power)
-    mins = tuple((v - 1) / tau * log_power + log_log_p for v in range(1, tau + 1))
-    maxs = tuple(v / tau * log_power for v in range(1, tau + 1))
-    return SchemeParams(
-        tau=tau, log_power=log_power, num_taps=num_taps, log_x2_min=mins, log_x2_max=maxs
-    )
 
 
 def log_block_average_power(params: SchemeParams) -> float:

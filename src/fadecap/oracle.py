@@ -34,9 +34,12 @@ _CHUNK = 65536
 def default_workers() -> int:
     """Worker count from FADECAP_WORKERS (default 1)."""
     raw = os.environ.get("FADECAP_WORKERS", "1")
-    workers = int(raw)
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
     if workers < 1:
-        raise ValueError(f"FADECAP_WORKERS must be >= 1, got {workers}")
+        raise ValueError(f"FADECAP_WORKERS must be an integer >= 1, got {raw!r}")
     return workers
 
 

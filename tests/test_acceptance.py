@@ -18,6 +18,7 @@ stated-grid slope is printed in the criterion line.  README.md
 import math
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import List
 
 import numpy as np
@@ -30,7 +31,7 @@ from fadecap.converse import BoundParams, ConverseStats, jensen_cap, upsilon
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
-    build_scheme,
+    SchemeParams,
     lemma_mi_lower_bound,
     log_block_average_power,
     lower_bound,
@@ -49,6 +50,7 @@ from fadecap.oracle import mc_block_power, mc_log_gain, mi_scalar_gaussian, veri
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
+DEMO = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -119,11 +121,10 @@ class LimitApproach:
 class TestCriterion1ConverseSlope:
     def test_upper_bound_preloglog_slope_on_stated_grid(self):
         t0 = time.monotonic()
-        demo = cli.demo_config()
-        windows = slope_windows(demo.grid)
+        windows = slope_windows(DEMO.grid)
         # tau only sets the lower column; pinning it skips the block search
         slopes = [
-            cli.fit_preloglog_slope(cli.run_sweep(replace(demo, grid=w, tau=1))[0], "upper").slope
+            cli.fit_preloglog_slope(cli.run_sweep(replace(DEMO, grid=w, tau=1))[0], "upper").slope
             for w in windows
         ]
         approach = LimitApproach.of(windows, slopes, 1.0, lambda s: 0.95 <= s <= 1.05)
@@ -140,7 +141,7 @@ class TestCriterion2DirectSlope:
         t0 = time.monotonic()
         dstats = DirectStats.from_config(l8_channel())
         tau_max = 1024
-        windows = slope_windows(cli.demo_config().grid)
+        windows = slope_windows(DEMO.grid)
         slopes = window_slopes(windows, lambda s: optimize_tau(s, dstats, tau_max)[1])
         limit = tau_max / (dstats.num_taps + tau_max)
         approach = LimitApproach.of(windows, slopes, limit, lambda s: s >= 0.99)
@@ -155,7 +156,7 @@ class TestCriterion2DirectSlope:
         t0 = time.monotonic()
         dstats = DirectStats.from_config(l8_channel())
         tau = 8
-        windows = slope_windows(cli.demo_config().grid)
+        windows = slope_windows(DEMO.grid)
         slopes = window_slopes(windows, lambda s: lower_bound(s, tau, dstats))
         target = tau / (dstats.num_taps + tau)
         approach = LimitApproach.of(windows, slopes, target, lambda s: abs(s - target) <= 0.02)
@@ -316,7 +317,7 @@ class TestCriterion6InequalityAudit:
                 log_power=log10_p * LOG10,
             )
             tau = max(t for t in range(1, 9) if schedule_is_valid(config.log_power, t))
-            scheme = build_scheme(tau, config.log_power, config.num_paths)
+            scheme = SchemeParams(tau, config.log_power, config.num_paths)
             reports = verify_log_moment_bounds(
                 config, scheme, k=scheme.block_len, n_samples=1_000_000, seed=600 + int(log10_p)
             )
@@ -324,7 +325,7 @@ class TestCriterion6InequalityAudit:
         moment_ok = all(r.passed for _, _, reps in results for r in reps)
 
         # Jensen step: exact arithmetic, zero tolerance, 100 random allocations
-        config = cli.demo_config().channel
+        config = DEMO.channel
         params = BoundParams()
         jensen_ok = True
         for snr_idx, log10_snr in enumerate((2.0, 10.0, 20.0)):
@@ -363,10 +364,10 @@ class TestCriterion7SchemeAdmissibility:
                 for num_taps in (0, 2):
                     if not schedule_is_valid(log_p, tau):
                         with pytest.raises(ValueError, match=r"P\^\(1/tau\) <= log P"):
-                            build_scheme(tau, log_p, num_taps)
+                            SchemeParams(tau, log_p, num_taps)
                         rejected.append((log10_p, tau))
                         continue
-                    scheme = build_scheme(tau, log_p, num_taps)
+                    scheme = SchemeParams(tau, log_p, num_taps)
                     analytic_ok.append(log_block_average_power(scheme) <= log_p)
                     est = mc_block_power(scheme, 200_000, seed=700 + tau + num_taps)
                     mc_ok.append(
@@ -394,7 +395,7 @@ class TestCriterion8Reproducibility:
         import json
 
         config_path.write_text(
-            json.dumps(cli.sweep_config_to_dict(cli.demo_config()), indent=2, sort_keys=True)
+            json.dumps(cli.sweep_config_to_dict(DEMO), indent=2, sort_keys=True)
         )
         pairs = []
         for fmt in ("csv", "json"):

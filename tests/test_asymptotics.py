@@ -10,6 +10,7 @@ toward it as the window moves out.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fadecap.direct import DirectStats, lower_bound, optimize_tau
 from fadecap.fading import LOG_PI, Ar1Gaussian
 
 PARAMS = BoundParams()
-DEMO = cli.demo_config()
+DEMO = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
 DEMO_CSTATS = ConverseStats.from_config(DEMO.channel)
 DEMO_DSTATS = DirectStats.from_config(DEMO.channel)
 

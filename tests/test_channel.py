@@ -54,7 +54,6 @@ class TestConfig:
             noise_variance=1.0,
             log_power=0.0,
         )
-        assert config.active_set == (0, 2)
         assert aggregate_gain(config) == pytest.approx(3.0)
         assert config.num_paths == 2
 

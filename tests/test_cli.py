@@ -18,7 +18,6 @@ from fadecap import cli
 from fadecap.cli import (
     GridSpec,
     SweepPoint,
-    demo_config,
     emit,
     fit_preloglog_slope,
     load_config,
@@ -33,6 +32,7 @@ from fadecap.direct import DirectStats, optimize_tau
 LOG10 = math.log(10.0)
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DEMO = load_config(REPO_CONFIG)
 
 # JSON sweep output: an array of per-grid-point objects with exactly these keys.
 OUTPUT_SCHEMA = {
@@ -108,28 +108,28 @@ def synthetic_points(num=6, slope=1.0, intercept=0.0):
 
 class TestConfig:
     def test_repo_demo_file_round_trips(self):
-        config = load_config(REPO_CONFIG)
-        assert config == demo_config()
-        assert sweep_config_from_dict(sweep_config_to_dict(config)) == config
+        # the echo written to every sidecar is the file itself
+        assert sweep_config_to_dict(DEMO) == json.loads(REPO_CONFIG.read_text())
+        assert sweep_config_from_dict(sweep_config_to_dict(DEMO)) == DEMO
 
     def test_unknown_top_level_key_rejected(self):
-        raw = sweep_config_to_dict(demo_config())
+        raw = sweep_config_to_dict(DEMO)
         raw["extra"] = 1
         with pytest.raises(ValueError, match="unknown keys"):
             sweep_config_from_dict(raw)
 
     def test_unknown_nested_key_rejected(self):
-        raw = sweep_config_to_dict(demo_config())
+        raw = sweep_config_to_dict(DEMO)
         raw["grid"]["spacing"] = "log"
         with pytest.raises(ValueError, match="unknown keys"):
             sweep_config_from_dict(raw)
-        raw = sweep_config_to_dict(demo_config())
+        raw = sweep_config_to_dict(DEMO)
         raw["channel"]["paths"][0]["color"] = "red"
         with pytest.raises(ValueError, match="unknown keys"):
             sweep_config_from_dict(raw)
 
     def test_schema_version_enforced(self):
-        raw = sweep_config_to_dict(demo_config())
+        raw = sweep_config_to_dict(DEMO)
         raw["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
             sweep_config_from_dict(raw)
@@ -143,10 +143,9 @@ class TestConfig:
 
 class TestRunSweep:
     def test_two_point_grid(self):
-        config = demo_config()
         small = cli.SweepConfig(
-            channel=config.channel,
-            bound_params=config.bound_params,
+            channel=DEMO.channel,
+            bound_params=DEMO.bound_params,
             grid=GridSpec(log10_snr_start=20.0, log10_snr_stop=30.0, points=2),
             tau_max=16,
             seed=1,
@@ -159,10 +158,9 @@ class TestRunSweep:
         assert metadata["config"]["grid"]["points"] == 2
 
     def test_loglog_domain_guard(self):
-        config = demo_config()
         bad = cli.SweepConfig(
-            channel=config.channel,
-            bound_params=config.bound_params,
+            channel=DEMO.channel,
+            bound_params=DEMO.bound_params,
             grid=GridSpec(log10_snr_start=0.2, log10_snr_stop=10.0, points=3),
             tau_max=4,
             seed=1,
@@ -173,18 +171,18 @@ class TestRunSweep:
 
     def test_demo_grid_frozen_bands_at_top(self):
         # bands frozen from the first evaluation of the implemented formulas
-        points, _ = run_sweep(demo_config())
+        points, _ = run_sweep(DEMO)
         top = points[-1]
         assert top.tau_star == 4
         assert 1.30 <= top.ratio_upper <= 1.34
         assert 0.31 <= top.ratio_lower <= 0.34
 
     def test_upper_dominates_lower_everywhere(self):
-        points, _ = run_sweep(demo_config())
+        points, _ = run_sweep(DEMO)
         assert all(p.upper >= p.lower for p in points)
 
     def test_gap_ratios_shrink_along_the_grid(self):
-        points, _ = run_sweep(demo_config())
+        points, _ = run_sweep(DEMO)
         upper_excess = [p.ratio_upper - 1.0 for p in points]
         lower_deficit = [1.0 - p.ratio_lower for p in points]
         assert all(b < a for a, b in zip(upper_excess, upper_excess[1:]))
@@ -192,13 +190,12 @@ class TestRunSweep:
 
     def test_sweep_only_orchestrates_the_bound_modules(self):
         # every emitted value must equal a direct call into converse/direct
-        config = demo_config()
-        points, _ = run_sweep(config)
-        cstats = ConverseStats.from_config(config.channel)
-        dstats = DirectStats.from_config(config.channel)
+        points, _ = run_sweep(DEMO)
+        cstats = ConverseStats.from_config(DEMO.channel)
+        dstats = DirectStats.from_config(DEMO.channel)
         for p in points[:: len(points) // 4]:
-            assert p.upper == upper_bound(p.log_snr, cstats, config.bound_params)
-            tau_star, lower = optimize_tau(p.log_snr, dstats, config.tau_max)
+            assert p.upper == upper_bound(p.log_snr, cstats, DEMO.bound_params)
+            tau_star, lower = optimize_tau(p.log_snr, dstats, DEMO.tau_max)
             assert (p.tau_star, p.lower) == (tau_star, lower)
             assert p.loglog_snr == math.log(p.log_snr)
             assert p.ratio_upper == p.upper / p.loglog_snr
@@ -247,7 +244,7 @@ class TestEmission:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_bit_exact(self, fmt):
-        points, _ = run_sweep(demo_config())
+        points, _ = run_sweep(DEMO)
         assert parse_emitted(emit(points, fmt), fmt) == points
 
     @settings(max_examples=40, deadline=None)
@@ -266,20 +263,20 @@ class TestEmission:
         assert back == point
 
     def test_json_output_validates_against_documented_schema(self):
-        points, _ = run_sweep(demo_config())
+        points, _ = run_sweep(DEMO)
         jsonschema.validate(json.loads(emit(points, "json")), OUTPUT_SCHEMA)
 
     def test_write_outputs_and_sidecar(self, tmp_path):
-        points, metadata = run_sweep(demo_config())
+        points, metadata = run_sweep(DEMO)
         out = tmp_path / "sweep.csv"
         sidecar = write_outputs(points, metadata, out, "csv")
         assert out.exists() and sidecar.name == "sweep.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert meta["constants_certified"] is False
-        assert meta["config"] == sweep_config_to_dict(demo_config())
+        assert meta["config"] == sweep_config_to_dict(DEMO)
 
     def test_write_failure_carries_path_context(self, tmp_path):
-        points, metadata = run_sweep(demo_config())
+        points, metadata = run_sweep(DEMO)
         missing = tmp_path / "no" / "such" / "dir" / "sweep.csv"
         with pytest.raises(OSError, match="sweep.csv"):
             write_outputs(points, metadata, missing, "csv")
@@ -348,7 +345,7 @@ class TestMainEntry:
         assert rc == 0
         points = parse_emitted(out.read_text(), "csv")
         assert all(p.tau_star == 8 for p in points)
-        dstats = DirectStats.from_config(demo_config().channel)
+        dstats = DirectStats.from_config(DEMO.channel)
         from fadecap.direct import lower_bound
 
         assert points[-1].lower == lower_bound(points[-1].log_snr, 8, dstats)
@@ -461,6 +458,13 @@ class TestMalformedConfig:
         rc, err, files = run_sweep_cli(malformed(mutation))
         assert (rc, files) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1 and field in err, err
+
+    @pytest.mark.parametrize("workers", ["x", "0"])
+    def test_bad_workers_variable_fails_cleanly(self, workers, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", workers)
+        rc, err, files = run_sweep_cli(REPO_CONFIG.read_text())
+        assert (rc, files) == (1, [])
+        assert err.startswith("error:") and err.count("\n") == 1 and "FADECAP_WORKERS" in err, err
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -94,7 +94,7 @@ class TestPsi:
         assert psi(params, 0.0) == pytest.approx(4.0 * (TWO_OVER_E + LOG_PI_E), rel=1e-14)
 
     def test_full_substitution(self):
-        params = BoundParams(delta=0.5, eta=0.5, eps=lambda d, e: 0.1)
+        params = BoundParams(delta=0.5, eta=0.5, eps_const=0.1)
         expected = math.log(4.0) + 0.2 + 4.0 * (TWO_OVER_E + LOG_PI_E) - 4.0
         assert psi(params, 1.0) == pytest.approx(expected, rel=1e-14)
 
@@ -111,14 +111,14 @@ class TestPsi:
         with pytest.raises(ValueError):
             BoundParams(eta=1.0)
         with pytest.raises(ValueError):
-            BoundParams(eps=lambda d, e: -1.0)
+            BoundParams(eps_const=-1.0)
         with pytest.raises(ValueError):
-            BoundParams(xi_override=0.0)
+            BoundParams(xi=0.0)
 
 
 class TestUpperBound:
     def test_xi_override_one_drops_gamma_terms(self):
-        params = BoundParams(xi_override=1.0)
+        params = BoundParams(xi=1.0)
         log_snr = 10.0
         expected = (
             -DEMO_STATS.inf_gap
@@ -234,5 +234,5 @@ class TestOptimizeXi:
     def test_override_reproduces_search_value(self):
         log_snr = 30.0
         xi_star, best = optimize_xi(log_snr, DEMO_STATS, BoundParams())
-        direct_eval = upper_bound(log_snr, DEMO_STATS, BoundParams(xi_override=xi_star))
+        direct_eval = upper_bound(log_snr, DEMO_STATS, BoundParams(xi=xi_star))
         assert direct_eval == pytest.approx(best, rel=1e-12)

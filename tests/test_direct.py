@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
-    build_scheme,
+    SchemeParams,
     lemma_mi_lower_bound,
     log_block_average_power,
     log_log_ratio,
@@ -39,12 +39,12 @@ def stats_for(alpha_0=1.0, alpha_total=1.75, sigma2=1.0, num_taps=2, mean_log_ga
 
 class TestSchedule:
     def test_single_slot_at_p_ten(self):
-        scheme = build_scheme(1, math.log(10.0), 0)
-        assert scheme.log_x2_min == (pytest.approx(math.log(math.log(10.0))),)
-        assert scheme.log_x2_max == (pytest.approx(math.log(10.0)),)
+        law = SchemeParams(1, math.log(10.0), 0).slot_law(1)
+        assert law.log_min == pytest.approx(math.log(math.log(10.0)))
+        assert law.log_max == pytest.approx(math.log(10.0))
 
     def test_ratio_identity_every_slot(self):
-        scheme = build_scheme(4, 100.0, 3)
+        scheme = SchemeParams(4, 100.0, 3)
         expected = 100.0 / 4 - math.log(100.0)
         for nu in range(1, 5):
             law = scheme.slot_law(nu)
@@ -54,13 +54,13 @@ class TestSchedule:
 
     def test_preceding_peak_over_floor(self):
         # max_{l < nu} x2_max[l] / x2_min[nu] is 0 for nu=1 and 1/log P after
-        scheme = build_scheme(5, 40.0, 0)
+        scheme = SchemeParams(5, 40.0, 0)
         log_p = 40.0
         for nu in range(2, 6):
-            peak = max(scheme.log_x2_max[: nu - 1])
-            assert peak - scheme.log_x2_min[nu - 1] == pytest.approx(-math.log(log_p), abs=1e-10)
+            peak = max(scheme.slot_law(l).log_max for l in range(1, nu))
+            assert peak - scheme.slot_law(nu).log_min == pytest.approx(-math.log(log_p), abs=1e-10)
         # nu = 1: no earlier slot carries energy, the convention is a zero peak
-        assert scheme.log_x2_min[0] == pytest.approx(math.log(log_p))
+        assert scheme.slot_law(1).log_min == pytest.approx(math.log(log_p))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -71,26 +71,27 @@ class TestSchedule:
         log_p = log10_power * LOG10
         if not schedule_is_valid(log_p, tau):
             with pytest.raises(ValueError, match="schedule inversion"):
-                build_scheme(tau, log_p, 0)
+                SchemeParams(tau, log_p, 0)
             return
-        scheme = build_scheme(tau, log_p, 0)
+        scheme = SchemeParams(tau, log_p, 0)
         spread = log_p / tau - math.log(log_p)
         for nu in range(1, tau + 1):
             assert scheme.slot_law(nu).spread == pytest.approx(spread, rel=1e-9, abs=1e-12)
-        assert all(a < b for a, b in zip(scheme.log_x2_max, scheme.log_x2_max[1:]))
+        peaks = [scheme.slot_law(nu).log_max for nu in range(1, tau + 1)]
+        assert all(a < b for a, b in zip(peaks, peaks[1:]))
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError, match="P > 1"):
-            build_scheme(1, -0.5, 0)
+            SchemeParams(1, -0.5, 0)
 
     def test_inversion_error_names_inequality(self):
         with pytest.raises(ValueError, match=r"P\^\(1/tau\) <= log P"):
-            build_scheme(4, 3.0 * LOG10, 2)
+            SchemeParams(4, 3.0 * LOG10, 2)
 
 
 class TestSampling:
     def test_guard_zeros_and_slot_support(self):
-        scheme = build_scheme(3, 6 * LOG10, 2)
+        scheme = SchemeParams(3, 6 * LOG10, 2)
         blocks = _scheme_inputs(scheme, scheme.block_len, 200, substream(21, 0))
         assert blocks.shape == (200, 5)
         assert np.all(blocks[:, :2] == 0.0)
@@ -121,7 +122,7 @@ class TestBlockPower:
         assert LogUniformX2(target, target).log_mean_power == target
 
     def test_single_slot_closed_form(self):
-        scheme = build_scheme(1, math.log(10.0), 0)
+        scheme = SchemeParams(1, math.log(10.0), 0)
         expected = (10.0 - math.log(10.0)) / (math.log(10.0) - math.log(math.log(10.0)))
         assert math.exp(log_block_average_power(scheme)) == pytest.approx(expected, rel=1e-12)
 
@@ -134,13 +135,13 @@ class TestBlockPower:
                 if not schedule_is_valid(log_p, tau):
                     continue
                 for num_taps in (0, 2):
-                    scheme = build_scheme(tau, log_p, num_taps)
+                    scheme = SchemeParams(tau, log_p, num_taps)
                     assert log_block_average_power(scheme) <= log_p
                     checked += 1
         assert checked >= 4
 
     def test_stable_at_astronomical_power(self):
-        scheme = build_scheme(8, 460.0, 2)
+        scheme = SchemeParams(8, 460.0, 2)
         log_power = log_block_average_power(scheme)
         assert math.isfinite(log_power)
         assert log_power <= 460.0
@@ -220,11 +221,11 @@ class TestRateBound:
         log_p = 30 * LOG10
         for tau in (1, 6, 12):
             uniform = log_log_ratio(log_p, tau) + xi_p(log_p, stats)
-            first = sharp_slot_bound(1, build_scheme(tau, log_p, stats.num_taps), stats)
+            first = sharp_slot_bound(1, SchemeParams(tau, log_p, stats.num_taps), stats)
             assert uniform == pytest.approx(first, rel=1e-14)
 
     def test_sharp_bound_dominates_uniform_bound(self):
-        scheme = build_scheme(6, 30 * LOG10, 2)
+        scheme = SchemeParams(6, 30 * LOG10, 2)
         stats = stats_for()
         uniform = log_log_ratio(scheme.log_power, scheme.tau) + xi_p(scheme.log_power, stats)
         for nu in range(1, 7):
@@ -246,7 +247,7 @@ class TestRateBound:
         stats = stats_for()
         log_snr = 40 * LOG10
         tau = 5
-        scheme = build_scheme(tau, log_snr, stats.num_taps)  # sigma2 = 1 so log P = log SNR
+        scheme = SchemeParams(tau, log_snr, stats.num_taps)  # sigma2 = 1 so log P = log SNR
         per_symbol = log_log_ratio(scheme.log_power, tau) + xi_p(scheme.log_power, stats)
         expected = tau / (stats.num_taps + tau) * per_symbol
         assert lower_bound(log_snr, tau, stats) == pytest.approx(expected, rel=1e-14)

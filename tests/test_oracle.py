@@ -6,7 +6,7 @@ import math
 import pytest
 
 from fadecap.channel import ChannelConfig
-from fadecap.direct import LogUniformX2, build_scheme
+from fadecap.direct import LogUniformX2, SchemeParams
 from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, stats_of
 from fadecap.oracle import (
     CheckReport,
@@ -95,7 +95,7 @@ class TestBlockPowerOracle:
     def test_matches_analytic_value(self):
         from fadecap.direct import log_block_average_power
 
-        scheme = build_scheme(3, 3 * LOG10, 2)
+        scheme = SchemeParams(3, 3 * LOG10, 2)
         est = mc_block_power(scheme, 400_000, seed=31)
         assert abs(est.value - math.exp(log_block_average_power(scheme))) <= 3.0 * est.std_error
 
@@ -113,14 +113,14 @@ class TestLogMomentChecks:
 
     def test_scheme_checks_pass(self):
         config = demo_channel(log_power=3 * LOG10)
-        scheme = build_scheme(3, config.log_power, config.num_paths)
+        scheme = SchemeParams(3, config.log_power, config.num_paths)
         reports = verify_log_moment_bounds(config, scheme, k=scheme.block_len, n_samples=150_000, seed=42)
         assert [r.check for r in reports] == ["log_moment_upper", "second_moment_identity"]
         assert all(r.passed for r in reports)
 
     def test_deterministic_and_worker_stamped(self):
         config = demo_channel(log_power=3 * LOG10)
-        scheme = build_scheme(2, config.log_power, config.num_paths)
+        scheme = SchemeParams(2, config.log_power, config.num_paths)
         a = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43, n_workers=2)
         b = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43, n_workers=2)
         assert a == b
@@ -128,7 +128,7 @@ class TestLogMomentChecks:
 
     def test_mismatched_guard_length_rejected(self):
         config = demo_channel(log_power=3 * LOG10)
-        scheme = build_scheme(2, config.log_power, 1)
+        scheme = SchemeParams(2, config.log_power, 1)
         with pytest.raises(ValueError):
             verify_log_moment_bounds(config, scheme, k=4, n_samples=1000, seed=0)
 

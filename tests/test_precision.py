@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadecap.channel import ChannelConfig
-from fadecap.converse import BoundParams, ConstEps, ConverseStats, optimize_xi, upper_bound
+from fadecap.converse import BoundParams, ConverseStats, optimize_xi, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
 from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
 
@@ -39,7 +39,7 @@ CHANNELS = {
 }
 PARAMS = {
     "default": BoundParams(),
-    "tuned": BoundParams(delta=0.5, eta=0.8, eps=ConstEps(0.1)),
+    "tuned": BoundParams(delta=0.5, eta=0.8, eps_const=0.1),
 }
 
 
@@ -60,7 +60,7 @@ def mp_upper(log_snr, config, params, xi=None):
         inf_gap = min(rate - alpha for alpha, rate in filter(None, taps))
         total = mpmath.fsum(alpha for alpha, _ in filter(None, taps))
         delta, eta = mpmath.mpf(params.delta), mpmath.mpf(params.eta)
-        eps = mpmath.mpf(params.eps(params.delta, params.eta))
+        eps = mpmath.mpf(params.eps_const)
         psi = (
             -2 * mpmath.log(delta)
             + 2 * eps
@@ -129,7 +129,7 @@ class TestUpperBound:
         config, params = CHANNELS["demo"], PARAMS["default"]
         stats = ConverseStats.from_config(config)
         xi_star, best = optimize_xi(log_snr, stats, params)
-        at_xi_star = dataclasses.replace(params, xi_override=xi_star)
+        at_xi_star = dataclasses.replace(params, xi=xi_star)
         assert best == upper_bound(log_snr, stats, at_xi_star)
         assert rel_err(best, mp_upper(log_snr, config, params, xi=xi_star)) <= REL_TOL
 
