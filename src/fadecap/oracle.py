@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import ChannelConfig, realize_many, simulate
 from .direct import LogUniformX2, SchemeParams
@@ -29,6 +28,7 @@ from .fading import Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath, complex_no
 from .streams import substream
 
 _CHUNK = 65536
+_TILE = 1024  # rows of the MI oracle's log-density tile (_TILE x n_inner float64)
 
 
 def default_workers() -> int:
@@ -108,6 +108,30 @@ def mc_log_gain(
     return _combine_mean_sem(shards)
 
 
+def _log_mixture_density(y2: np.ndarray, log_c: np.ndarray, s_nodes: np.ndarray) -> np.ndarray:
+    """log sum_j exp(log_c[j] - y2[i] / s_nodes[j]) for every i, _TILE rows at a time.
+
+    Each row is shifted by its largest term, which enters through log1p
+    rather than the sum (as in scipy.special.logsumexp, whose values this
+    reproduces bit for bit).  One (_TILE x nodes) buffer is reused.
+    """
+    log_fy = np.empty(y2.size)
+    buf = np.empty((min(_TILE, y2.size), s_nodes.size))
+    for start in range(0, y2.size, _TILE):
+        stop = min(start + _TILE, y2.size)
+        t = buf[: stop - start]
+        np.divide(y2[start:stop, None], s_nodes, out=t)
+        np.subtract(log_c, t, out=t)
+        rows = np.arange(stop - start)
+        top = t.argmax(axis=1)
+        t_max = t[rows, top]
+        t -= t_max[:, None]
+        np.exp(t, out=t)
+        t[rows, top] = 0.0  # the largest term, exp(0) = 1, is the 1 of log1p
+        log_fy[start:stop] = np.log1p(t.sum(axis=1)) + t_max
+    return log_fy
+
+
 def mi_scalar_gaussian(
     h_variance: float,
     w_variance: float,
@@ -130,6 +154,11 @@ def mi_scalar_gaussian(
     Gauss-Legendre quadrature over the 1-D magnitude law.  Both terms are
     paired per sample, so the reported standard error is the standard error
     of the full estimator.
+
+    The draws are made in blocks of _CHUNK samples per shard, and log f_Y is
+    evaluated over tiles of _TILE rows of a block, so memory is
+    O(_TILE * n_inner) whatever n_outer is.  The tiling does not touch the
+    draws, so the estimate does not depend on _TILE.
     """
     if h_variance <= 0.0:
         raise ValueError(f"h_variance must be positive, got {h_variance}")
@@ -147,7 +176,9 @@ def mi_scalar_gaussian(
         u = np.array([a])
         log_w = np.array([0.0])
     s_nodes = h_variance * np.exp(u) + w_variance  # conditional variances at nodes
-    log_s_nodes = np.log(s_nodes)
+    # log f_Y(y) for a circularly-symmetric mixture of CN(0, s_j) is
+    # logsumexp_j(log_c_j - |y|^2 / s_j)
+    log_c = log_w - math.log(math.pi) - np.log(s_nodes)
 
     workers = default_workers() if n_workers is None else n_workers
     shards = []
@@ -161,12 +192,7 @@ def mi_scalar_gaussian(
             u_draw = x2_law.sample_log_x2(rng, m)
             s_draw = h_variance * np.exp(u_draw) + w_variance
             y2 = s_draw * rng.exponential(size=m)  # |Y|^2 | X is exponential(mean s)
-            # log f_Y(y) for a circularly-symmetric mixture of CN(0, s_j)
-            log_fy = logsumexp(
-                log_w[None, :] - math.log(math.pi) - log_s_nodes[None, :]
-                - y2[:, None] / s_nodes[None, :],
-                axis=1,
-            )
+            log_fy = _log_mixture_density(y2, log_c, s_nodes)
             contributions.append(-log_fy - (math.log(math.pi) + 1.0 + np.log(s_draw)))
         shards.append(np.concatenate(contributions))
     return _combine_mean_sem(shards)

@@ -2,15 +2,20 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fadecap.channel import ChannelConfig
 from fadecap.direct import LogUniformX2, SchemeParams
 from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, stats_of
 from fadecap.oracle import (
+    _TILE,
     CheckReport,
     McEstimate,
+    _log_mixture_density,
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
@@ -19,6 +24,14 @@ from fadecap.oracle import (
 
 LOG10 = math.log(10.0)
 LAW_1_100 = LogUniformX2(0.0, math.log(100.0))
+
+
+def law_1_100_mixture(h_variance, w_variance):
+    """log_c and s_nodes of the 512-node output mixture for LAW_1_100, as mi_scalar_gaussian builds them."""
+    a, b = LAW_1_100.log_min, LAW_1_100.log_max
+    nodes, weights = np.polynomial.legendre.leggauss(512)
+    s_nodes = h_variance * np.exp(0.5 * (b - a) * nodes + 0.5 * (a + b)) + w_variance
+    return np.log(0.5 * weights) - math.log(math.pi) - np.log(s_nodes), s_nodes
 
 
 def demo_channel(log_power):
@@ -89,6 +102,36 @@ class TestMiScalarGaussian:
             mi_scalar_gaussian(0.0, 1.0, LAW_1_100)
         with pytest.raises(ValueError):
             mi_scalar_gaussian(1.0, -1.0, LAW_1_100)
+
+    def test_memory_does_not_grow_with_the_draw_block(self):
+        # a full (65536 x 512) float64 density matrix alone is 256 MiB
+        tracemalloc.start()
+        try:
+            mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=100_000, seed=3, n_workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_mixture_density_matches_closed_form_without_noise(self):
+        # w_variance = 0, h_variance = 1: f_Y(y) = (e^{-v_min} - e^{-v_max}) / (pi |y|^2 spread)
+        # with v_min = |y|^2 e^{-log_max} and v_max = |y|^2 e^{-log_min}
+        a, b = LAW_1_100.log_min, LAW_1_100.log_max
+        log_c, s_nodes = law_1_100_mixture(1.0, 0.0)
+        y2 = np.logspace(-3.0, 3.0, 5001)
+        assert y2.size % _TILE != 0  # the last tile is a partial one
+        v_min, v_max = y2 * math.exp(-b), y2 * math.exp(-a)
+        exact = -v_min + np.log(-np.expm1(v_min - v_max)) - np.log(math.pi * y2 * (b - a))
+        got = _log_mixture_density(y2, log_c, s_nodes)
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("w_variance", [1.0, 100.0])
+    def test_mixture_density_matches_full_matrix_logsumexp(self, w_variance):
+        log_c, s_nodes = law_1_100_mixture(2.0, w_variance)
+        y2 = np.random.default_rng(4).exponential(size=3001) * s_nodes.max()
+        full = logsumexp(log_c[None, :] - y2[:, None] / s_nodes[None, :], axis=1)
+        got = _log_mixture_density(y2, log_c, s_nodes)
+        np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-14)
 
 
 class TestBlockPowerOracle:
