@@ -473,6 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "verify":
+            for flag, count in (("--samples-mi", args.samples_mi), ("--samples-moments", args.samples_moments)):
+                if count < 2:  # a mean and its standard error need two samples
+                    raise ValueError(f"{flag} must be at least 2, got {count}")
             reports = run_verification_suite(
                 config, samples_mi=args.samples_mi, samples_moments=args.samples_moments
             )

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 EULER_GAMMA = 0.5772156649015329
 LOG_PI = math.log(math.pi)
@@ -132,8 +131,8 @@ def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Genera
         if n > 1:
             innovation_var = spec.alpha * (1.0 - abs(spec.a) ** 2)
             innovations = complex_normal(rng, (n_paths, n - 1), innovation_var)
-            state = (spec.a * out[:, 0])[:, None]
-            out[:, 1:], _ = lfilter([1.0], [1.0, -spec.a], innovations, axis=1, zi=state)
+            for t in range(1, n):
+                out[:, t] = innovations[:, t - 1] + spec.a * out[:, t - 1]
         return out
     raise TypeError(f"not a path-gain spec: {spec!r}")
 

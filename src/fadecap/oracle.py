@@ -112,8 +112,8 @@ def _log_mixture_density(y2: np.ndarray, log_c: np.ndarray, s_nodes: np.ndarray)
     """log sum_j exp(log_c[j] - y2[i] / s_nodes[j]) for every i, _TILE rows at a time.
 
     Each row is shifted by its largest term, which enters through log1p
-    rather than the sum (as in scipy.special.logsumexp, whose values this
-    reproduces bit for bit).  One (_TILE x nodes) buffer is reused.
+    rather than the sum, so the values equal a full-matrix logsumexp bit for
+    bit.  One (_TILE x nodes) buffer is reused.
     """
     log_fy = np.empty(y2.size)
     buf = np.empty((min(_TILE, y2.size), s_nodes.size))
@@ -167,18 +167,11 @@ def mi_scalar_gaussian(
     if n_outer < 2:
         raise ValueError("need at least two outer samples")
 
-    a, b = x2_law.log_min, x2_law.log_max
-    if b > a:
-        nodes, weights = np.polynomial.legendre.leggauss(n_inner)
-        u = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        log_w = np.log(0.5 * weights)  # weights of the average over [a, b]
-    else:
-        u = np.array([a])
-        log_w = np.array([0.0])
+    u, weights = x2_law.quadrature(n_inner)
     s_nodes = h_variance * np.exp(u) + w_variance  # conditional variances at nodes
     # log f_Y(y) for a circularly-symmetric mixture of CN(0, s_j) is
     # logsumexp_j(log_c_j - |y|^2 / s_j)
-    log_c = log_w - math.log(math.pi) - np.log(s_nodes)
+    log_c = np.log(weights) - math.log(math.pi) - np.log(s_nodes)
 
     workers = default_workers() if n_workers is None else n_workers
     shards = []

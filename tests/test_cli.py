@@ -5,6 +5,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -375,6 +378,16 @@ class TestMainEntry:
         assert all(r["pass"] for r in reports)
         assert {"check", "lhs", "rhs", "std_error", "pass", "workers"} <= set(reports[0])
 
+    def test_import_leaves_unused_scipy_subpackages_out(self):
+        # fadecap's only run-time scipy call is converse's gammaln
+        probe = "import json, sys, fadecap.cli; print(json.dumps(sorted(sys.modules)))"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        loaded = set(json.loads(run.stdout))
+        assert "fadecap.cli" in loaded and "scipy.special" in loaded
+        assert not {"scipy.signal", "scipy.integrate"} & loaded
+
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 1, "grid": {}}))
@@ -465,6 +478,16 @@ class TestMalformedConfig:
         rc, err, files = run_sweep_cli(REPO_CONFIG.read_text())
         assert (rc, files) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1 and "FADECAP_WORKERS" in err, err
+
+    @pytest.mark.parametrize("flag", ["--samples-mi", "--samples-moments"])
+    @pytest.mark.parametrize("count", ["0", "-5", "1"])
+    def test_verify_sample_count_below_two_fails_cleanly(self, flag, count, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        argv = ["verify", "--config", str(REPO_CONFIG), flag, count, "--output", str(report)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and flag in err, err
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=150, deadline=None)
     @given(

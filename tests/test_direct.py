@@ -37,6 +37,13 @@ def stats_for(alpha_0=1.0, alpha_total=1.75, sigma2=1.0, num_taps=2, mean_log_ga
     )
 
 
+def reference_log_block_average_power(scheme):
+    from scipy.special import logsumexp
+
+    slot_logs = [scheme.slot_law(nu).log_mean_power for nu in range(1, scheme.tau + 1)]
+    return float(logsumexp(slot_logs)) - math.log(scheme.block_len)
+
+
 class TestSchedule:
     def test_single_slot_at_p_ten(self):
         law = SchemeParams(1, math.log(10.0), 0).slot_law(1)
@@ -137,6 +144,9 @@ class TestBlockPower:
                 for num_taps in (0, 2):
                     scheme = SchemeParams(tau, log_p, num_taps)
                     assert log_block_average_power(scheme) <= log_p
+                    assert log_block_average_power(scheme) == pytest.approx(
+                        reference_log_block_average_power(scheme), rel=1e-15, abs=0.0
+                    )
                     checked += 1
         assert checked >= 4
 
@@ -145,6 +155,7 @@ class TestBlockPower:
         log_power = log_block_average_power(scheme)
         assert math.isfinite(log_power)
         assert log_power <= 460.0
+        assert log_power == pytest.approx(reference_log_block_average_power(scheme), rel=1e-15, abs=0.0)
 
 
 class TestLemma:
@@ -188,6 +199,22 @@ class TestLemma:
             )
         )
         assert abs(quad_term - np.mean(samples)) <= 3.0 * sem
+
+    @pytest.mark.parametrize("sigma_h, sigma_w", [(1.0, 1.0), (0.3, 3.0)])  # the demo channel first
+    @pytest.mark.parametrize(
+        "log_min, log_max",
+        [(0.0, math.log(100.0))] + [(-spread / 2, spread / 2) for spread in (10.0, 50.0, 200.0, 400.0)],
+    )
+    def test_quadrature_matches_adaptive_reference(self, sigma_h, sigma_w, log_min, log_max):
+        from scipy.integrate import quad
+
+        def integrand(u):
+            return LOG_PI_E + 2.0 * math.log(sigma_h + sigma_w * math.exp(-0.5 * u))
+
+        law = LogUniformX2(log_min, log_max)
+        integral, _ = quad(integrand, log_min, log_max, epsabs=1e-12, epsrel=1e-12, limit=200)
+        got = -lemma_mi_lower_bound(0.0, 0.0, 0.0, sigma_h, sigma_w, law)  # the averaged term alone
+        assert got == pytest.approx(integral / law.spread, rel=0.0, abs=1e-12)
 
     def test_nonpositive_sigma_h_rejected(self):
         law = LogUniformX2(0.0, 1.0)

@@ -14,6 +14,7 @@ from fadecap.fading import (
     IidGaussian,
     ZeroPath,
     ar1_spectral_density,
+    complex_normal,
     entropy_rate_szego,
     path_spec_from_dict,
     path_spec_to_dict,
@@ -117,6 +118,19 @@ class TestSamplers:
         a = sample_paths(IidGaussian(1.0), 64, 1, substream(11, 0))
         b = sample_paths(IidGaussian(1.0), 64, 1, substream(11, 1))
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("a, atol", [(0.5, 0.0), (-0.99, 0.0), (0.9 + 0.3j, 1e-14)])
+    def test_ar1_recursion_matches_lfilter(self, a, atol):
+        from scipy.signal import lfilter
+
+        spec = Ar1Gaussian(1.3, a)
+        got = sample_paths(spec, 37, 1000, substream(5, 1))
+        rng = substream(5, 1)  # the same draws, in the order sample_paths makes them
+        first = complex_normal(rng, 1000, spec.alpha)
+        innovations = complex_normal(rng, (1000, 36), spec.alpha * (1.0 - abs(a) ** 2))
+        rest, _ = lfilter([1.0], [1.0, -a], innovations, axis=1, zi=(a * first)[:, None])
+        assert got[:, 0].tolist() == first.tolist()
+        np.testing.assert_allclose(got[:, 1:], rest, rtol=0.0, atol=atol)
 
     def test_iid_empirical_variance(self):
         h = sample_paths(IidGaussian(4.0), 1, 1_000_000, substream(42, 0))[:, 0]

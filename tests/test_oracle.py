@@ -28,10 +28,9 @@ LAW_1_100 = LogUniformX2(0.0, math.log(100.0))
 
 def law_1_100_mixture(h_variance, w_variance):
     """log_c and s_nodes of the 512-node output mixture for LAW_1_100, as mi_scalar_gaussian builds them."""
-    a, b = LAW_1_100.log_min, LAW_1_100.log_max
-    nodes, weights = np.polynomial.legendre.leggauss(512)
-    s_nodes = h_variance * np.exp(0.5 * (b - a) * nodes + 0.5 * (a + b)) + w_variance
-    return np.log(0.5 * weights) - math.log(math.pi) - np.log(s_nodes), s_nodes
+    u, weights = LAW_1_100.quadrature(512)
+    s_nodes = h_variance * np.exp(u) + w_variance
+    return np.log(weights) - math.log(math.pi) - np.log(s_nodes), s_nodes
 
 
 def demo_channel(log_power):
