@@ -168,7 +168,9 @@ def run_sweep(config: SweepConfig) -> Tuple[List[SweepPoint], dict]:
     cstats = ConverseStats.from_config(config.channel)
     dstats = DirectStats.from_config(config.channel)
     points = []
-    for log_snr in config.grid.log_snr_values():
+    # Python floats, not np.float64 scalars: the same IEEE results at a
+    # fraction of the per-operation cost.
+    for log_snr in config.grid.log_snr_values().tolist():
         upper = upper_bound(log_snr, cstats, config.bound_params)
         if config.tau is None:
             tau_star, lower = optimize_tau(log_snr, dstats, config.tau_max)
@@ -177,13 +179,13 @@ def run_sweep(config: SweepConfig) -> Tuple[List[SweepPoint], dict]:
         loglog = math.log(log_snr)
         points.append(
             SweepPoint(
-                log_snr=float(log_snr),
-                upper=float(upper),
-                lower=float(lower),
-                tau_star=int(tau_star),
-                loglog_snr=float(loglog),
-                ratio_upper=float(upper / loglog),
-                ratio_lower=float(lower / loglog),
+                log_snr=log_snr,
+                upper=upper,
+                lower=lower,
+                tau_star=tau_star,
+                loglog_snr=loglog,
+                ratio_upper=upper / loglog,
+                ratio_lower=lower / loglog,
             )
         )
     metadata = {
@@ -228,7 +230,15 @@ def fit_preloglog_slope(points: Sequence[SweepPoint], which: str) -> SlopeFit:
 
 
 def emit(points: Sequence[SweepPoint], output_format: str) -> str:
-    """Render the sweep points as CSV (17 significant digits) or JSON."""
+    """Render the sweep points as CSV (17 significant digits) or JSON.
+
+    The JSON text is ``json.dumps([vars(p) for p in points], indent=2,
+    sort_keys=True) + "\\n"`` byte for byte, rendered from one template per
+    row: the keys in sorted order and every float through ``float.__repr__``,
+    which is how ``json`` writes floats.  ``json`` would write a non-finite
+    float as ``NaN`` or ``Infinity``, which is not JSON, so such a point is
+    rejected instead.
+    """
     if not points:
         raise ValueError("nothing to emit: no sweep points")
     if output_format == "csv":
@@ -240,7 +250,22 @@ def emit(points: Sequence[SweepPoint], output_format: str) -> str:
             )
         return "\n".join(lines) + "\n"
     if output_format == "json":
-        return json.dumps([vars(p) for p in points], indent=2, sort_keys=True) + "\n"
+        finite = math.isfinite
+        for p in points:
+            if not (
+                finite(p.log_snr) and finite(p.upper) and finite(p.lower)
+                and finite(p.loglog_snr) and finite(p.ratio_upper) and finite(p.ratio_lower)
+            ):
+                raise ValueError(f"cannot write a non-finite value as JSON: {p}")
+        r = float.__repr__  # also renders an np.float64 field as json does
+        rows = (
+            f'  {{\n    "log_snr": {r(p.log_snr)},\n    "loglog_snr": {r(p.loglog_snr)},\n'
+            f'    "lower": {r(p.lower)},\n    "ratio_lower": {r(p.ratio_lower)},\n'
+            f'    "ratio_upper": {r(p.ratio_upper)},\n    "tau_star": {p.tau_star:d},\n'
+            f'    "upper": {r(p.upper)}\n  }}'
+            for p in points
+        )
+        return "[\n" + ",\n".join(rows) + "\n]\n"
     raise ValueError(f"output format must be 'csv' or 'json', got {output_format!r}")
 
 

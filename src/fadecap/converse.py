@@ -95,10 +95,17 @@ class ConverseStats:
 
 
 def log1p_alpha_snr(log_snr: float, alpha_total: float) -> float:
-    """log(1 + alpha_total * SNR) from log-SNR, stable for any magnitude."""
+    """log(1 + alpha_total * SNR) from log-SNR, stable for any magnitude.
+
+    The same branches as ``np.logaddexp(0, x)``, in ``math``: exp never
+    overflows, and the result equals the ufunc's bit for bit.
+    """
     if alpha_total <= 0.0:
         raise ValueError(f"alpha_total must be positive, got {alpha_total}")
-    return float(np.logaddexp(0.0, math.log(alpha_total) + log_snr))
+    x = math.log(alpha_total) + log_snr
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
 
 
 def xi_default(log_snr: float, alpha_total: float) -> float:

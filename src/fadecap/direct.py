@@ -195,7 +195,9 @@ def lemma_mi_lower_bound(
     if sigma_w < 0.0:
         raise ValueError(f"sigma_w must be nonnegative, got {sigma_w}")
     u, w = x2_law.quadrature(512)
-    last_term = LOG_PI_E + 2.0 * float(w @ np.log(sigma_h + sigma_w * np.exp(-0.5 * u)))
+    # log(sigma_h + sigma_w e^(-u/2)) in log form, finite however small |X| gets
+    log_sigma_w = math.log(sigma_w) if sigma_w > 0.0 else -math.inf
+    last_term = LOG_PI_E + 2.0 * float(w @ np.logaddexp(math.log(sigma_h), log_sigma_w - 0.5 * u))
     return h_x - mean_log_x2 + mean_log_h2 - last_term
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadecap import cli
@@ -252,7 +253,17 @@ class TestEmission:
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+    @example(-0.0)
+    @example(5e-324)  # the smallest subnormal
+    @example(-2.225073858507201e-308)  # the largest subnormal
+    @example(1e300)
+    @example(-1e300)
+    @example(1.0)
+    @example(-3.0)
+    @example(2.0**53)
+    @example(1e16)  # integral, written in exponent form
     def test_property_csv_floats_round_trip(self, value):
+        """CSV round-trips every float; JSON is json.dumps' text byte for byte."""
         point = SweepPoint(
             log_snr=max(value, 1e-300) if value > 0 else 3.0,
             upper=value,
@@ -264,6 +275,20 @@ class TestEmission:
         )
         (back,) = parse_emitted(emit([point], "csv"), "csv")
         assert back == point
+        points = [point, dataclasses.replace(point, upper=-value, tau_star=1024)]
+        expected = json.dumps([dataclasses.asdict(p) for p in points], indent=2, sort_keys=True) + "\n"
+        assert emit(points, "json") == expected
+        assert parse_emitted(emit(points, "json"), "json") == points
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_non_finite_and_writes_nothing(self, bad, tmp_path):
+        points = synthetic_points()
+        points[3] = dataclasses.replace(points[3], lower=bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            emit(points, "json")
+        with pytest.raises(ValueError, match="non-finite"):
+            write_outputs(points, {"schema": 1}, tmp_path / "sweep.json", "json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_output_validates_against_documented_schema(self):
         points, _ = run_sweep(DEMO)

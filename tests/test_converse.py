@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadecap.channel import ChannelConfig
@@ -86,6 +86,21 @@ class TestXiDefault:
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(ValueError):
             xi_default(1.0, 0.0)
+
+
+class TestLog1pAlphaSnr:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_snr=st.floats(min_value=-700.0, max_value=1e300),
+        alpha_total=st.sampled_from([1e-300, 1e-6, 0.25, 1.0, 1.75, 37.0, 1e6, 1e300]),
+    )
+    @example(log_snr=0.0, alpha_total=1.0)  # x == 0, the ufunc's separate branch
+    @example(log_snr=-math.log(1.75), alpha_total=1.75)  # x == 0 again
+    @example(log_snr=36.0, alpha_total=1.0)  # exp(-x) near the float epsilon
+    @example(log_snr=-700.0, alpha_total=1e-300)  # exp(x) subnormal
+    def test_bit_identical_to_numpy_logaddexp(self, log_snr, alpha_total):
+        reference = float(np.logaddexp(0.0, math.log(alpha_total) + log_snr))
+        assert log1p_alpha_snr(log_snr, alpha_total) == reference
 
 
 class TestPsi:

@@ -1,7 +1,9 @@
 """Block scheme and achievable rate: schedule identities, power, bounds."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,21 @@ class TestLemma:
         integral, _ = quad(integrand, log_min, log_max, epsabs=1e-12, epsrel=1e-12, limit=200)
         got = -lemma_mi_lower_bound(0.0, 0.0, 0.0, sigma_h, sigma_w, law)  # the averaged term alone
         assert got == pytest.approx(integral / law.spread, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma_h, sigma_w", [(1.0, 1.0), (0.3, 3.0), (2.0, 0.0)])
+    @pytest.mark.parametrize("log_min, log_max", [(-1500.0, -1400.0), (-1e5, -9e4)])
+    def test_finite_below_exp_underflow_against_mpmath(self, sigma_h, sigma_w, log_min, log_max):
+        # e^(-u/2) overflows a float once u < -1419; the bound stays finite and warning-free
+        law = LogUniformX2(log_min, log_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = -lemma_mi_lower_bound(0.0, 0.0, 0.0, sigma_h, sigma_w, law)  # the averaged term alone
+        with mpmath.workdps(60):
+            sh, sw = mpmath.mpf(sigma_h), mpmath.mpf(sigma_w)
+            a, b = mpmath.mpf(log_min), mpmath.mpf(log_max)
+            mean = mpmath.quad(lambda u: mpmath.log(sh + sw * mpmath.exp(-u / 2)), [a, b]) / (b - a)
+            reference = float(mpmath.log(mpmath.pi * mpmath.e) + 2 * mean)
+        assert got == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_nonpositive_sigma_h_rejected(self):
         law = LogUniformX2(0.0, 1.0)
