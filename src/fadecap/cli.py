@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class SweepConfig:
             raise ValueError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepPoint:
     """One evaluated grid point (all rate quantities in nats per channel use)."""
 
@@ -232,68 +232,91 @@ def fit_preloglog_slope(points: Sequence[SweepPoint], which: str) -> SlopeFit:
 def emit(points: Sequence[SweepPoint], output_format: str) -> str:
     """Render the sweep points as CSV (17 significant digits) or JSON.
 
-    The JSON text is ``json.dumps([vars(p) for p in points], indent=2,
-    sort_keys=True) + "\\n"`` byte for byte, rendered from one template per
-    row: the keys in sorted order and every float through ``float.__repr__``,
-    which is how ``json`` writes floats.  ``json`` would write a non-finite
-    float as ``NaN`` or ``Infinity``, which is not JSON, so such a point is
-    rejected instead.
+    The JSON text is ``json.dumps([dataclasses.asdict(p) for p in points],
+    indent=2, sort_keys=True) + "\\n"`` byte for byte, rendered from one
+    template per row: the keys in sorted order and every float through
+    ``float.__repr__``, which is how ``json`` writes floats.  ``json`` would
+    write a non-finite float as ``NaN`` or ``Infinity``, which is not JSON, so
+    such a point is rejected instead.
     """
+    return "".join(_pieces(points, output_format))
+
+
+def _pieces(points: Sequence[SweepPoint], output_format: str) -> Iterator[str]:
+    """The text of ``emit``, one header, row or framing piece at a time."""
     if not points:
         raise ValueError("nothing to emit: no sweep points")
     if output_format == "csv":
-        lines = [CSV_HEADER]
+        yield CSV_HEADER + "\n"
         for p in points:
-            lines.append(
+            yield (
                 f"{p.log_snr:.17g},{p.upper:.17g},{p.lower:.17g},{p.tau_star},"
-                f"{p.loglog_snr:.17g},{p.ratio_upper:.17g},{p.ratio_lower:.17g}"
+                f"{p.loglog_snr:.17g},{p.ratio_upper:.17g},{p.ratio_lower:.17g}\n"
             )
-        return "\n".join(lines) + "\n"
-    if output_format == "json":
+    elif output_format == "json":
         finite = math.isfinite
+        r = float.__repr__  # also renders an np.float64 field as json does
+        separator = "[\n"
         for p in points:
             if not (
                 finite(p.log_snr) and finite(p.upper) and finite(p.lower)
                 and finite(p.loglog_snr) and finite(p.ratio_upper) and finite(p.ratio_lower)
             ):
                 raise ValueError(f"cannot write a non-finite value as JSON: {p}")
-        r = float.__repr__  # also renders an np.float64 field as json does
-        rows = (
-            f'  {{\n    "log_snr": {r(p.log_snr)},\n    "loglog_snr": {r(p.loglog_snr)},\n'
-            f'    "lower": {r(p.lower)},\n    "ratio_lower": {r(p.ratio_lower)},\n'
-            f'    "ratio_upper": {r(p.ratio_upper)},\n    "tau_star": {p.tau_star:d},\n'
-            f'    "upper": {r(p.upper)}\n  }}'
-            for p in points
-        )
-        return "[\n" + ",\n".join(rows) + "\n]\n"
-    raise ValueError(f"output format must be 'csv' or 'json', got {output_format!r}")
+            yield (
+                f'{separator}  {{\n    "log_snr": {r(p.log_snr)},\n    "loglog_snr": {r(p.loglog_snr)},\n'
+                f'    "lower": {r(p.lower)},\n    "ratio_lower": {r(p.ratio_lower)},\n'
+                f'    "ratio_upper": {r(p.ratio_upper)},\n    "tau_star": {p.tau_star:d},\n'
+                f'    "upper": {r(p.upper)}\n  }}'
+            )
+            separator = ",\n"
+        yield "\n]\n"
+    else:
+        raise ValueError(f"output format must be 'csv' or 'json', got {output_format!r}")
 
 
 def write_outputs(points: Sequence[SweepPoint], metadata: dict, out_path, output_format: str) -> Path:
     """Write the data file and its JSON metadata sidecar; returns the sidecar path.
 
-    Both files are written under temporary names in the target directory and
-    then renamed into place, so a failure leaves no partial or temporary file.
+    The data file is written row by row, so writing it adds no memory in
+    proportion to the size of the output.  Both files are written under
+    temporary names in the target directory and then renamed into place, so
+    a failure leaves no partial or temporary file.
     """
     out_path = Path(out_path)
     sidecar = out_path.with_name(out_path.name + ".meta.json")
-    texts = {
-        out_path: emit(points, output_format),
-        sidecar: json.dumps(metadata, indent=2, sort_keys=True) + "\n",
-    }
-    temps = {target: target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in texts}
+    _write_atomically(
+        {
+            out_path: _pieces(points, output_format),
+            sidecar: [json.dumps(metadata, indent=2, sort_keys=True) + "\n"],
+        },
+        f"sweep output near {out_path}",
+    )
+    return sidecar
+
+
+def _write_atomically(pieces_by_target: Dict[Path, Iterable[str]], description: str) -> None:
+    """Write each target's text pieces, then rename every target into place.
+
+    Each file is written under a temporary name in its target's directory, and
+    only once all are complete are they renamed, so an error (including one
+    raised by a piece iterator partway through a file) leaves no partial or
+    temporary file.  A write error is re-raised as an ``OSError`` naming
+    ``description``.
+    """
+    temps = {target: target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in pieces_by_target}
     try:
-        for target, text in texts.items():
-            temps[target].write_text(text, encoding="utf-8")
+        for target, pieces in pieces_by_target.items():
+            with open(temps[target], "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
         for target, temp in temps.items():
             os.replace(temp, target)
     except OSError as err:
-        raise OSError(f"failed writing sweep output near {out_path}: {err}") from err
+        raise OSError(f"failed writing {description}: {err}") from err
     finally:
         for temp in temps.values():
             with contextlib.suppress(OSError):
                 temp.unlink()
-    return sidecar
 
 
 def run_verification_suite(
@@ -511,10 +534,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"std_error={report.std_error:.3g}"
                 )
             if args.output:
-                Path(args.output).write_text(
-                    json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
+                report_text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+                _write_atomically({Path(args.output): [report_text]}, f"verify report {args.output}")
             return 0 if all(r.passed for r in reports) else 2
 
         if args.command == "stats":

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -91,10 +92,10 @@ def parse_emitted(text, output_format):
     return [SweepPoint(**entry) for entry in json.loads(text)]
 
 
-def synthetic_points(num=6, slope=1.0, intercept=0.0):
+def synthetic_points(num=6, slope=1.0, intercept=0.0, step=0.5):
     points = []
     for i in range(num):
-        loglog = 1.0 + 0.5 * i
+        loglog = 1.0 + step * i
         value = slope * loglog + intercept
         points.append(
             SweepPoint(
@@ -282,13 +283,15 @@ class TestEmission:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_rejects_non_finite_and_writes_nothing(self, bad, tmp_path):
-        points = synthetic_points()
-        points[3] = dataclasses.replace(points[3], lower=bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            emit(points, "json")
-        with pytest.raises(ValueError, match="non-finite"):
-            write_outputs(points, {"schema": 1}, tmp_path / "sweep.json", "json")
-        assert list(tmp_path.iterdir()) == []
+        # in the last point the bad value arrives after the other rows were written
+        for index in (0, 3, 5):
+            points = synthetic_points()
+            points[index] = dataclasses.replace(points[index], lower=bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                emit(points, "json")
+            with pytest.raises(ValueError, match="non-finite"):
+                write_outputs(points, {"schema": 1}, tmp_path / "sweep.json", "json")
+            assert list(tmp_path.iterdir()) == [], index
 
     def test_json_output_validates_against_documented_schema(self):
         points, _ = run_sweep(DEMO)
@@ -302,6 +305,20 @@ class TestEmission:
         meta = json.loads(sidecar.read_text())
         assert meta["constants_certified"] is False
         assert meta["config"] == sweep_config_to_dict(DEMO)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_memory_does_not_grow_with_the_output(self, fmt, tmp_path):
+        # the 100 000-row JSON text alone is 24 MB
+        points = synthetic_points(num=100_000, step=1e-4)
+        out = tmp_path / f"sweep.{fmt}"
+        tracemalloc.start()
+        try:
+            write_outputs(points, {"schema": 1}, out, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert out.read_bytes() == emit(points, fmt).encode()
 
     def test_write_failure_carries_path_context(self, tmp_path):
         points, metadata = run_sweep(DEMO)
@@ -399,9 +416,20 @@ class TestMainEntry:
             ]
         )
         assert rc == 0
-        reports = json.loads(report_path.read_text())
-        assert all(r["pass"] for r in reports)
-        assert {"check", "lhs", "rhs", "std_error", "pass", "workers"} <= set(reports[0])
+        reports = cli.run_verification_suite(DEMO, samples_mi=5000, samples_moments=20000)
+        expected = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+        assert report_path.read_text() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert all(r.passed for r in reports)
+        assert {"check", "lhs", "rhs", "std_error", "pass", "workers"} <= set(reports[0].to_dict())
+
+    def test_verify_output_into_missing_directory_fails_cleanly(self, tmp_path, capsys):
+        report_path = tmp_path / "no" / "such" / "report.json"
+        argv = ["verify", "--config", str(REPO_CONFIG), "--samples-mi", "200", "--samples-moments", "200"]
+        assert cli.main(argv + ["--output", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "report.json" in err, err
+        assert list(tmp_path.iterdir()) == []
 
     def test_import_leaves_unused_scipy_subpackages_out(self):
         # fadecap's only run-time scipy call is converse's gammaln
