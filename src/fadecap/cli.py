@@ -341,27 +341,15 @@ def run_verification_suite(
             continue
         stats = stats_of(spec)
         est = mc_log_gain(spec, samples_moments, seed=_sub_seed(seed, "log_gain", ell))
-        reports.append(
-            CheckReport(
-                check=f"mean_log_gain_path_{ell}",
-                lhs=est.value,
-                rhs=stats.mean_log_gain,
-                std_error=est.std_error,
-                passed=abs(est.value - stats.mean_log_gain) <= 3.0 * est.std_error,
-                workers=workers,
-            )
-        )
         szego = entropy_rate_szego(spectral_density(spec), 2**16)
-        reports.append(
-            CheckReport(
-                check=f"entropy_rate_path_{ell}",
-                lhs=szego,
-                rhs=stats.entropy_rate,
-                std_error=0.0,
-                passed=abs(szego - stats.entropy_rate) < 1e-5,
-                workers=workers,
-            )
-        )
+        reports += [
+            CheckReport.judge(
+                f"mean_log_gain_path_{ell}", est.value, "==", stats.mean_log_gain, est.std_error, workers
+            ),
+            CheckReport.judge(
+                f"entropy_rate_path_{ell}", szego, "==", stats.entropy_rate, 0.0, workers, slack=1e-5
+            ),
+        ]
 
     log_p = chan.log_power
     tau_verify = max((t for t in range(1, 9) if schedule_is_valid(log_p, t)), default=None)
@@ -373,27 +361,13 @@ def run_verification_suite(
     scheme = SchemeParams(tau_verify, log_p, chan.num_paths)
 
     log_block = log_block_average_power(scheme)
-    reports.append(
-        CheckReport(
-            check="block_power_admissible",
-            lhs=log_block,
-            rhs=log_p,
-            std_error=0.0,
-            passed=log_block <= log_p,
-            workers=workers,
-        )
-    )
     block_mc = mc_block_power(scheme, samples_moments, seed=_sub_seed(seed, "block_power"))
-    reports.append(
-        CheckReport(
-            check="block_power_mc",
-            lhs=block_mc.value,
-            rhs=math.exp(log_block),
-            std_error=block_mc.std_error,
-            passed=abs(block_mc.value - math.exp(log_block)) <= 3.0 * block_mc.std_error,
-            workers=workers,
-        )
-    )
+    reports += [
+        CheckReport.judge("block_power_admissible", log_block, "<=", log_p, 0.0, workers),
+        CheckReport.judge(
+            "block_power_mc", block_mc.value, "==", math.exp(log_block), block_mc.std_error, workers
+        ),
+    ]
 
     reports.extend(
         verify_log_moment_bounds(
@@ -423,16 +397,7 @@ def run_verification_suite(
         n_outer=samples_mi,
         seed=_sub_seed(seed, "mi"),
     )
-    reports.append(
-        CheckReport(
-            check="lemma_mi_bound",
-            lhs=mi.value,
-            rhs=lemma,
-            std_error=mi.std_error,
-            passed=mi.value >= lemma - 3.0 * mi.std_error,
-            workers=workers,
-        )
-    )
+    reports.append(CheckReport.judge("lemma_mi_bound", mi.value, ">=", lemma, mi.std_error, workers))
     return reports
 
 

@@ -10,7 +10,8 @@ All estimators are deterministic given (seed, n_samples, n_workers).  The
 sample budget is sharded across ``n_workers`` independent substreams (the
 default worker count comes from the ``FADECAP_WORKERS`` environment
 variable); results are reproducible for a fixed worker count, which is
-recorded in every report.
+recorded in every report.  Means and standard errors are merged a chunk at
+a time, and every report is judged by the one rule of ``CheckReport.judge``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +44,16 @@ def default_workers() -> int:
     return workers
 
 
-def _shard_sizes(n_samples: int, n_workers: int) -> List[int]:
-    base, extra = divmod(n_samples, n_workers)
-    return [base + (1 if w < extra else 0) for w in range(n_workers)]
+def _shards(n_samples: int, n_workers: Optional[int], budget: str = "n_samples") -> List[Tuple[int, int]]:
+    """The non-empty ``(worker, size)`` shards of a budget of at least 2 samples (a
+    standard error needs two) over ``n_workers >= 1`` workers (None: FADECAP_WORKERS)."""
+    if n_samples < 2:
+        raise ValueError(f"{budget} must be at least 2, got {n_samples}")
+    if n_workers is not None and n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    workers = default_workers() if n_workers is None else n_workers
+    base, extra = divmod(n_samples, workers)
+    return [(w, base + (w < extra)) for w in range(min(workers, n_samples))]
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,30 @@ class McEstimate:
             raise ValueError("standard error cannot be negative")
 
 
+class _Accumulator:
+    """Count, mean and sum of squared deviations (M2) of values added a chunk at a time.
+
+    Chunks are merged as in Chan, Golub & LeVeque (1979), so no per-sample
+    value is kept.  A single chunk gives numpy's mean and
+    ``std(ddof=1) / sqrt(n)`` bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        n_b = values.size
+        mean_b = float(np.mean(values))
+        n = self.n + n_b
+        delta = mean_b - self.mean
+        self.m2 += float(np.sum(np.square(values - mean_b))) + delta * delta * (self.n * n_b / n)
+        self.mean += delta * (n_b / n)
+        self.n = n
+
+    def estimate(self) -> McEstimate:
+        return McEstimate(self.mean, math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n), self.n)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one numeric audit, JSON-serializable."""
@@ -71,6 +103,16 @@ class CheckReport:
     std_error: float
     passed: bool
     workers: int = 1
+
+    @classmethod
+    def judge(
+        cls, check: str, lhs: float, relation: str, rhs: float, std_error: float, workers: int, slack: float = 0.0
+    ) -> CheckReport:
+        """The report of ``lhs relation rhs``, for ``relation`` one of ``==``,
+        ``<=`` and ``>=``: it passes within 3 standard errors plus ``slack``."""
+        tol = 3.0 * std_error + slack
+        passed = {"==": abs(lhs - rhs) <= tol, "<=": lhs <= rhs + tol, ">=": lhs >= rhs - tol}[relation]
+        return cls(check, lhs, rhs, std_error, passed, workers)
 
     def to_dict(self) -> dict:
         return {
@@ -83,13 +125,6 @@ class CheckReport:
         }
 
 
-def _combine_mean_sem(values_per_shard: List[np.ndarray]) -> McEstimate:
-    values = np.concatenate(values_per_shard)
-    n = values.size
-    sem = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(value=float(np.mean(values)), std_error=sem, n_samples=n)
-
-
 def mc_log_gain(
     spec: PathGainSpec, n_samples: int, seed: int, n_workers: Optional[int] = None
 ) -> McEstimate:
@@ -98,14 +133,11 @@ def mc_log_gain(
         raise ValueError("the zero tap has no log-gain statistics")
     if not isinstance(spec, (IidGaussian, Ar1Gaussian)):
         raise TypeError(f"not a path-gain spec: {spec!r}")
-    workers = default_workers() if n_workers is None else n_workers
-    shards = []
-    for w, size in enumerate(_shard_sizes(n_samples, workers)):
-        if size == 0:
-            continue
+    acc = _Accumulator()
+    for w, size in _shards(n_samples, n_workers):
         h = complex_normal(substream(seed, w), size, spec.alpha)
-        shards.append(np.log(np.abs(h) ** 2))
-    return _combine_mean_sem(shards)
+        acc.add(np.log(np.abs(h) ** 2))
+    return acc.estimate()
 
 
 def _log_mixture_density(y2: np.ndarray, log_c: np.ndarray, s_nodes: np.ndarray) -> np.ndarray:
@@ -164,48 +196,38 @@ def mi_scalar_gaussian(
         raise ValueError(f"h_variance must be positive, got {h_variance}")
     if w_variance < 0.0:
         raise ValueError(f"w_variance must be nonnegative, got {w_variance}")
-    if n_outer < 2:
-        raise ValueError("need at least two outer samples")
-
+    shards = _shards(n_outer, n_workers, "n_outer")
     u, weights = x2_law.quadrature(n_inner)
     s_nodes = h_variance * np.exp(u) + w_variance  # conditional variances at nodes
     # log f_Y(y) for a circularly-symmetric mixture of CN(0, s_j) is
     # logsumexp_j(log_c_j - |y|^2 / s_j)
     log_c = np.log(weights) - math.log(math.pi) - np.log(s_nodes)
 
-    workers = default_workers() if n_workers is None else n_workers
-    shards = []
-    for w, size in enumerate(_shard_sizes(n_outer, workers)):
-        if size == 0:
-            continue
+    acc = _Accumulator()
+    for w, size in shards:
         rng = substream(seed, w)
-        contributions = []
         for start in range(0, size, _CHUNK):
             m = min(_CHUNK, size - start)
             u_draw = x2_law.sample_log_x2(rng, m)
             s_draw = h_variance * np.exp(u_draw) + w_variance
             y2 = s_draw * rng.exponential(size=m)  # |Y|^2 | X is exponential(mean s)
             log_fy = _log_mixture_density(y2, log_c, s_nodes)
-            contributions.append(-log_fy - (math.log(math.pi) + 1.0 + np.log(s_draw)))
-        shards.append(np.concatenate(contributions))
-    return _combine_mean_sem(shards)
+            acc.add(-log_fy - (math.log(math.pi) + 1.0 + np.log(s_draw)))
+    return acc.estimate()
 
 
 def mc_block_power(
     params: SchemeParams, n_samples: int, seed: int, n_workers: Optional[int] = None
 ) -> McEstimate:
     """Monte Carlo block-average power of the scheme (oracle for the closed form)."""
-    workers = default_workers() if n_workers is None else n_workers
-    shards = []
-    for w, size in enumerate(_shard_sizes(n_samples, workers)):
-        if size == 0:
-            continue
+    acc = _Accumulator()
+    for w, size in _shards(n_samples, n_workers):
         rng = substream(seed, w)
         total = np.zeros(size)
         for nu in range(1, params.tau + 1):
             total += np.exp(params.slot_law(nu).sample_log_x2(rng, size))
-        shards.append(total / params.block_len)
-    return _combine_mean_sem(shards)
+        acc.add(total / params.block_len)
+    return acc.estimate()
 
 
 def _scheme_inputs(params: SchemeParams, n: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,6 +277,7 @@ def verify_log_moment_bounds(
         raise ValueError(f"time index must be >= 1, got {k}")
     if scheme is not None and scheme.num_taps != config.num_paths:
         raise ValueError("scheme guard length must match the channel memory")
+    shards = _shards(n_samples, n_workers)
     workers = default_workers() if n_workers is None else n_workers
     alphas = np.asarray(config.alphas)
     sigma2 = config.noise_variance
@@ -271,50 +294,31 @@ def verify_log_moment_bounds(
         return sigma2 + window @ alphas[:taps]
 
     # (a) LHS and RHS from disjoint seeds so their errors combine independently.
-    lhs_vals, rhs_vals, y2_vals = [], [], []
-    for w, size in enumerate(_shard_sizes(n_samples, workers)):
-        if size == 0:
-            continue
+    lhs, rhs, second = _Accumulator(), _Accumulator(), _Accumulator()
+    for w, size in shards:
         for start in range(0, size, _CHUNK):
             m = min(_CHUNK, size - start)
             chunk_id = start // _CHUNK
             x = input_batch(substream(seed, 0, w, chunk_id), m)
             real = realize_many(config, k, m, seed=_mix(seed, 1, w, chunk_id))
-            y_k = simulate(config, x, real)[:, k - 1]
-            lhs_vals.append(np.log(np.abs(y_k) ** 2))
-            y2_vals.append(np.abs(y_k) ** 2)
-            x_rhs = input_batch(substream(seed, 2, w, chunk_id), m)
-            rhs_vals.append(np.log(weighted_input_power(x_rhs)))
+            y2 = np.abs(simulate(config, x, real)[:, k - 1]) ** 2
+            del x, real  # free this chunk's draws before the next chunk's
+            lhs.add(np.log(y2))
+            second.add(y2)
+            rhs.add(np.log(weighted_input_power(input_batch(substream(seed, 2, w, chunk_id), m))))
 
-    lhs = _combine_mean_sem(lhs_vals)
-    rhs = _combine_mean_sem(rhs_vals)
-    joint = math.hypot(lhs.std_error, rhs.std_error)
-    report_a = CheckReport(
-        check="log_moment_upper",
-        lhs=lhs.value,
-        rhs=rhs.value,
-        std_error=joint,
-        passed=lhs.value <= rhs.value + 3.0 * joint,
-        workers=workers,
-    )
-
-    second = _combine_mean_sem(y2_vals)
+    lhs, rhs, second = lhs.estimate(), rhs.estimate(), second.estimate()
     if scheme is None:
         analytic = math.log(sigma2)
     else:
         powers = _slot_mean_powers(scheme, k)
         analytic = math.log(sigma2 + float(powers[k - taps : k][::-1] @ alphas[:taps]))
-    log_mean = math.log(second.value)
-    log_sem = second.std_error / second.value
-    report_b = CheckReport(
-        check="second_moment_identity",
-        lhs=log_mean,
-        rhs=analytic,
-        std_error=log_sem,
-        passed=abs(log_mean - analytic) <= 3.0 * log_sem,
-        workers=workers,
-    )
-    return [report_a, report_b]
+    joint = math.hypot(lhs.std_error, rhs.std_error)
+    log_sem = second.std_error / second.value  # delta method
+    return [
+        CheckReport.judge("log_moment_upper", lhs.value, "<=", rhs.value, joint, workers),
+        CheckReport.judge("second_moment_identity", math.log(second.value), "==", analytic, log_sem, workers),
+    ]
 
 
 def _mix(seed: int, *key: int) -> int:

@@ -6,16 +6,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from fadecap.channel import ChannelConfig
 from fadecap.direct import LogUniformX2, SchemeParams
 from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, stats_of
 from fadecap.oracle import (
+    _CHUNK,
     _TILE,
     CheckReport,
     McEstimate,
+    _Accumulator,
     _log_mixture_density,
+    _shards,
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
@@ -168,11 +173,106 @@ class TestLogMomentChecks:
         assert a == b
         assert all(r.workers == 2 for r in a)
 
+    def test_memory_is_one_chunk_whatever_the_budget(self):
+        config = demo_channel(log_power=3 * LOG10)
+        scheme = SchemeParams(3, config.log_power, config.num_paths)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                verify_log_moment_bounds(config, scheme, scheme.block_len, n_samples, seed=44, n_workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(_CHUNK)
+        assert peak(8 * _CHUNK) < one + 2 * 2**20
+
     def test_mismatched_guard_length_rejected(self):
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(2, config.log_power, 1)
         with pytest.raises(ValueError):
             verify_log_moment_bounds(config, scheme, k=4, n_samples=1000, seed=0)
+
+
+BUDGETED = {
+    "mc_log_gain": ("n_samples", lambda n, w: mc_log_gain(IidGaussian(1.0), n, seed=0, n_workers=w)),
+    "mc_block_power": (
+        "n_samples",
+        lambda n, w: mc_block_power(SchemeParams(3, 3 * LOG10, 2), n, seed=0, n_workers=w),
+    ),
+    "verify_log_moment_bounds": (
+        "n_samples",
+        lambda n, w: verify_log_moment_bounds(demo_channel(3 * LOG10), None, 3, n, seed=0, n_workers=w),
+    ),
+    "mi_scalar_gaussian": (
+        "n_outer",
+        lambda n, w: mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=n, seed=0, n_workers=w),
+    ),
+}
+
+
+class TestSampleBudget:
+    @pytest.mark.parametrize("estimator", list(BUDGETED))
+    @pytest.mark.parametrize("budget, workers", [(0, 1), (1, 1), (100, 0), (100, -1)])
+    def test_bad_budget_or_worker_count_is_named(self, estimator, budget, workers):
+        name, call = BUDGETED[estimator]
+        argument, value = (name, budget) if budget < 2 else ("n_workers", workers)
+        with pytest.raises(ValueError, match=rf"^{argument} must be at least [12], got {value}$"):
+            call(budget, workers)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        workers=st.integers(1, 500),
+        chunk=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, workers=5, chunk=1, seed=0)
+    @example(n=400, workers=1, chunk=1, seed=1)
+    @example(n=397, workers=3, chunk=64, seed=2)
+    def test_accumulator_matches_numpy_of_the_concatenation(self, n, workers, chunk, seed):
+        # The common offset is 1000 standard deviations, where E[x^2] - E[x]^2
+        # loses about 6 of its 16 digits to cancellation.  A merged M2 carries
+        # the rounding of the stored mean to first order, about offset * 1e-16
+        # relative, so at an offset of 1e8 it is off by up to 8e-9.
+        values = 1e3 + np.random.default_rng(seed).standard_normal(n)
+        shards = _shards(n, workers)
+        assert [w for w, _ in shards] == list(range(len(shards)))
+        assert sum(size for _, size in shards) == n and min(size for _, size in shards) >= 1
+        acc, offset = _Accumulator(), 0
+        for _, size in shards:
+            for start in range(0, size, chunk):
+                acc.add(values[offset + start : offset + min(start + chunk, size)])
+            offset += size
+        est = acc.estimate()
+        assert est.n_samples == n
+        assert est.value == pytest.approx(np.mean(values), rel=1e-12, abs=0.0)
+        assert est.std_error == pytest.approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-12, abs=0.0)
+
+
+class TestAcceptanceRule:
+    @pytest.mark.parametrize(
+        "relation, rhs, std_error, slack, lhs_at_margin, beyond",
+        [
+            ("<=", 1.0, 0.25, 0.0, 1.75, math.inf),
+            (">=", 1.0, 0.25, 0.0, 0.25, -math.inf),
+            ("==", 1.0, 0.25, 0.0, 1.75, math.inf),
+            ("==", 0.0, 0.25, 0.0, -0.75, -math.inf),  # rhs 0: 1.0 - nextafter(0.25, -inf) rounds to 0.75
+            ("==", 0.0, 0.0, 1e-5, 1e-5, math.inf),  # the entropy-rate check's fixed slack
+            ("<=", 2.0, 0.0, 0.0, 2.0, math.inf),  # an exact inequality
+        ],
+    )
+    def test_passes_at_the_margin_and_fails_one_step_beyond(
+        self, relation, rhs, std_error, slack, lhs_at_margin, beyond
+    ):
+        def judge(lhs):
+            return CheckReport.judge("demo", lhs, relation, rhs, std_error, workers=2, slack=slack)
+
+        at = judge(lhs_at_margin)
+        assert at.passed
+        assert (at.lhs, at.rhs, at.std_error, at.workers) == (lhs_at_margin, rhs, std_error, 2)
+        assert not judge(math.nextafter(lhs_at_margin, beyond)).passed
 
 
 class TestReportSerialization:
