@@ -20,9 +20,15 @@ therefore not certified (``CONSTANTS_CERTIFIED`` is False and every output
 says so); every pre-loglog statement is unaffected because ``Psi`` does not
 grow with SNR.
 
-``logGamma`` is evaluated exactly (no small-argument asymptote), and every
-formula consumes log-SNR in nats so that astronomically large SNR values
-remain in range.  All operations are pure functions.
+``logGamma`` is evaluated exactly (no small-argument asymptote) by
+``_lgam``, a ``math`` port of the positive-argument branches of cephes
+``lgam`` (Moshier, *Methods and Programs for Mathematical Functions*, 1989),
+the routine behind ``scipy.special.gammaln``.  Its polynomials are written
+in cephes' own operation order, so it returns ``gammaln``'s value bit for bit
+and the pinned sweep outputs do not move; ``math.lgamma`` differs from it in
+the last bit on many xi values.  Every formula consumes log-SNR in nats so
+that astronomically large SNR values remain in range.  All operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import ChannelConfig, aggregate_gain, snr_of
 from .fading import LOG_PI, LOG_PI_E, stats_of
@@ -94,12 +99,72 @@ class ConverseStats:
         )
 
 
+def _lgam(x: float) -> float:
+    """log Gamma(x) for x > 0, equal to ``scipy.special.gammaln(x)`` bit for bit.
+
+    The positive-argument branches of cephes ``lgam``.  The Horner forms keep
+    cephes' operation order (``polevl`` and ``p1evl`` over its ``A``, ``B``
+    and ``C`` arrays); subtracting a coefficient is exactly adding its
+    negation, but a reassociated step can change the last bit.
+    """
+    if x < 13.0:
+        # shift the argument into [2, 3), keeping the product of the shifts in z
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        # log Gamma(2 + x) = x * B(x) / C(x) on [0, 1)
+        b = (
+            ((((-1.37825152569120859100e3 * x - 3.88016315134637840924e4) * x
+               - 3.31612992738871184744e5) * x - 1.16237097492762307383e6) * x
+             - 1.72173700820839662146e6) * x
+            - 8.53555664245765465627e5
+        )
+        c = (
+            (((((x - 3.51815701436523470549e2) * x - 1.70642106651881159223e4) * x
+               - 2.20528590553854454839e5) * x - 1.13933444367982507207e6) * x
+             - 2.53252307177582951285e6) * x
+            - 2.01889141433532773231e6
+        )
+        return math.log(z) + x * b / c
+    if x > 2.556348e305:
+        return math.inf
+    # Stirling's series; 0.918... is log(sqrt(2 pi))
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    return q + (
+        (((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+          + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
+        + 8.33333333333331927722e-2
+    ) / x
+
+
 def log1p_alpha_snr(log_snr: float, alpha_total: float) -> float:
     """log(1 + alpha_total * SNR) from log-SNR, stable for any magnitude.
 
     The same branches as ``np.logaddexp(0, x)``, in ``math``: exp never
     overflows, and the result equals the ufunc's bit for bit.
     """
+    if not math.isfinite(log_snr):
+        raise ValueError(f"log_snr must be finite, got {log_snr}")
     if alpha_total <= 0.0:
         raise ValueError(f"alpha_total must be positive, got {alpha_total}")
     x = math.log(alpha_total) + log_snr
@@ -108,11 +173,13 @@ def log1p_alpha_snr(log_snr: float, alpha_total: float) -> float:
     return math.log1p(math.exp(x))
 
 
+def _xi_of(log1p_snr: float) -> float:
+    return 1.0 / (1.0 + log1p_snr)
+
+
 def xi_default(log_snr: float, alpha_total: float) -> float:
     """The closed-form choice xi = 1 / (1 + log(1 + alpha_total * SNR))."""
-    if not math.isfinite(log_snr):
-        raise ValueError(f"log_snr must be finite, got {log_snr}")
-    return 1.0 / (1.0 + log1p_alpha_snr(log_snr, alpha_total))
+    return _xi_of(log1p_alpha_snr(log_snr, alpha_total))
 
 
 def psi(params: BoundParams, inf_gap: float) -> float:
@@ -127,14 +194,15 @@ def psi(params: BoundParams, inf_gap: float) -> float:
 
 def upper_bound(log_snr: float, stats: ConverseStats, params: BoundParams) -> float:
     """Capacity upper bound in nats per channel use at the given log-SNR."""
-    xi = params.xi if params.xi is not None else xi_default(log_snr, stats.alpha_total)
+    log1p_snr = log1p_alpha_snr(log_snr, stats.alpha_total)
+    xi = params.xi if params.xi is not None else _xi_of(log1p_snr)
     if xi <= 0.0:
         raise ValueError(f"xi must be positive, got {xi}")
-    bracket = 1.0 + log1p_alpha_snr(log_snr, stats.alpha_total) + psi(params, stats.inf_gap)
+    bracket = 1.0 + log1p_snr + psi(params, stats.inf_gap)
     return (
         -stats.inf_gap
         + xi * bracket
-        + float(gammaln(xi))
+        + _lgam(xi)
         - xi * math.log(xi)
         + LOG_PI
     )

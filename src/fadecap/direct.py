@@ -249,12 +249,12 @@ def lower_bound(log_snr: float, tau: int, stats: DirectStats) -> float:
     """Achievable rate of the scheme, nats per channel use.
 
     R = tau/(L+tau) * [ log log(P^(1/tau)/log P) + Xi_P ]  with P = SNR * sigma^2.
-    Raises when P <= 1 or the slot schedule is inadmissible for this (P, tau);
-    callers should then lower tau.
+    Raises when P <= 1, log P is not finite or the slot schedule is
+    inadmissible for this (P, tau); callers should then lower tau.
     """
     log_power = log_snr + math.log(stats.sigma2)
-    if log_power <= 0.0:
-        raise ValueError(f"the scheme requires P > 1, got log P = {log_power}")
+    if not 0.0 < log_power < math.inf:
+        raise ValueError(f"the scheme requires P > 1 and a finite log P, got log P = {log_power}")
     weight = tau / (stats.num_taps + tau)
     return weight * (log_log_ratio(log_power, tau) + xi_p(log_power, stats))
 

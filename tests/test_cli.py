@@ -431,15 +431,28 @@ class TestMainEntry:
         assert err.startswith("error:") and err.count("\n") == 1 and "report.json" in err, err
         assert list(tmp_path.iterdir()) == []
 
-    def test_import_leaves_unused_scipy_subpackages_out(self):
-        # fadecap's only run-time scipy call is converse's gammaln
-        probe = "import json, sys, fadecap.cli; print(json.dumps(sorted(sys.modules)))"
+    def test_import_leaves_unused_scipy_subpackages_out(self, tmp_path):
+        # scipy is a test-only reference: importing fadecap loads none of it,
+        # and a sweep and an audit run with every scipy import blocked
+        probe = (
+            "import json, sys\n"
+            "import fadecap.cli as cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.modules['scipy'] = None\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps({'loaded': loaded, 'codes': codes}))\n"
+        )
+        runs = [
+            ["sweep", "--config", str(REPO_CONFIG), "--output", str(tmp_path / "sweep.csv")],
+            ["verify", "--config", str(REPO_CONFIG), "--samples-mi", "200", "--samples-moments", "200"],
+        ]
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        loaded = set(json.loads(run.stdout))
-        assert "fadecap.cli" in loaded and "scipy.special" in loaded
-        assert not {"scipy.signal", "scipy.integrate"} & loaded
+        run = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
+        )
+        result = json.loads(run.stdout.splitlines()[-1])
+        assert result == {"loaded": [], "codes": [0, 0]}, run.stderr
 
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

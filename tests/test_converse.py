@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from fadecap.channel import ChannelConfig
 from fadecap.converse import (
     BoundParams,
     ConverseStats,
+    _lgam,
     jensen_cap,
     log1p_alpha_snr,
     optimize_xi,
@@ -88,6 +90,33 @@ class TestXiDefault:
             xi_default(1.0, 0.0)
 
 
+def _assert_same_bits(xs):
+    xs = np.asarray(xs, dtype=float)
+    ours = np.array([_lgam(float(x)) for x in xs])
+    differ = np.flatnonzero(ours.view(np.int64) != gammaln(xs).view(np.int64))
+    assert differ.size == 0, [(xs[i], ours[i], gammaln(xs[i])) for i in differ[:5]]
+
+
+class TestLgam:
+    """``_lgam`` returns scipy's ``gammaln`` bit for bit, so pinned outputs hold."""
+
+    def test_xi_of_demo_and_search_grids(self):
+        demo = np.linspace(20.0, 200.0, 19) * LOG10
+        search = np.linspace(1e6 / LOG10, 1e9 / LOG10, 2000) * LOG10
+        _assert_same_bits([xi_default(float(s), DEMO_STATS.alpha_total) for s in np.concatenate([demo, search])])
+
+    def test_seeded_uniform_and_log_uniform(self):
+        rng = np.random.default_rng(20260809)
+        _assert_same_bits(rng.uniform(0.0, 1.0, 100_000))
+        _assert_same_bits(np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 100_000)))
+
+    def test_branch_edges_and_their_neighbours(self):
+        edges = (2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305)
+        _assert_same_bits(
+            [y for e in edges for y in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))] + [5e-324]
+        )
+
+
 class TestLog1pAlphaSnr:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -146,8 +175,6 @@ class TestUpperBound:
         params = BoundParams()
         log_snr = 50.0
         xi = xi_default(log_snr, DEMO_STATS.alpha_total)
-        from scipy.special import gammaln
-
         expected = (
             1.0
             + xi * psi(params, DEMO_STATS.inf_gap)
@@ -179,6 +206,13 @@ class TestUpperBound:
         assert upper_bound(snr_of(base), ConverseStats.from_config(base), params) == pytest.approx(
             upper_bound(snr_of(scaled), ConverseStats.from_config(scaled), params), rel=1e-12
         )
+
+    @pytest.mark.parametrize("log_snr", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("xi", [None, 0.5])
+    def test_non_finite_log_snr_rejected_whatever_xi(self, log_snr, xi):
+        with pytest.raises(ValueError, match="log_snr must be finite") as raised:
+            upper_bound(log_snr, DEMO_STATS, BoundParams(xi=xi))
+        assert "\n" not in str(raised.value)
 
     def test_nondecreasing_on_demo_grid(self):
         params = BoundParams()

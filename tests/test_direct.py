@@ -303,6 +303,12 @@ class TestRateBound:
         with pytest.raises(ValueError, match="P > 1"):
             lower_bound(-1.0, 1, stats)
 
+    @pytest.mark.parametrize("log_snr", [math.nan, math.inf])
+    def test_non_finite_log_snr_raises(self, log_snr):
+        with pytest.raises(ValueError, match="finite log P") as raised:
+            lower_bound(log_snr, 4, stats_for())
+        assert "\n" not in str(raised.value)
+
 
 class TestOptimizeTau:
     def test_tau_max_one(self):
