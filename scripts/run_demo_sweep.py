@@ -2,19 +2,14 @@
 """Sweep both capacity bounds over the demo channel and fit pre-loglog slopes.
 
 Writes sweep.csv (+ metadata sidecar) into --outdir and prints the slope
-fits on the configured grid and on an extended grid where the loglog-SNR
-asymptotics have converged.
+fits on the configured grid.
 """
 
 import argparse
 import math
 from pathlib import Path
 
-import numpy as np
-
 from fadecap import cli
-from fadecap.converse import ConverseStats, upper_bound
-from fadecap.direct import DirectStats, optimize_tau
 
 
 def main() -> int:
@@ -42,18 +37,6 @@ def main() -> int:
     for which in ("upper", "lower"):
         fit = cli.fit_preloglog_slope(points, which)
         print(f"\n{which} bound on the configured grid: slope {fit.slope:.4f} (rms residual {fit.residual:.3g})")
-
-    # Extended grid: log-SNR from 1e8 to 1e60 nats, far past where the
-    # loglog asymptote takes over; both slopes approach 1 here.
-    cstats = ConverseStats.from_config(config.channel)
-    dstats = DirectStats.from_config(config.channel)
-    grid = np.logspace(8, 60, 14)
-    loglog = np.log(grid)
-    uppers = [upper_bound(s, cstats, config.bound_params) for s in grid]
-    lowers = [optimize_tau(s, dstats, config.tau_max)[1] for s in grid]
-    slope_u = np.polyfit(loglog, uppers, 1)[0]
-    slope_l = np.polyfit(loglog, lowers, 1)[0]
-    print(f"\nextended grid (log SNR up to 1e60 nats): upper slope {slope_u:.6f}, lower slope {slope_l:.6f}")
     return 0
 
 

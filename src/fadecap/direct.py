@@ -21,8 +21,8 @@ be analyzed far beyond floating-point power ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -144,13 +144,20 @@ def log_block_average_power(params: SchemeParams) -> float:
 
 @dataclass(frozen=True)
 class DirectStats:
-    """Channel statistics the achievable-rate bound consumes."""
+    """Channel statistics the achievable-rate bound consumes.
+
+    ``log_sigma2`` and ``sqrt_alpha_0`` are derived once here rather than on
+    every bound evaluation; they are not constructor arguments and take no
+    part in ``repr`` or ``==``.
+    """
 
     mean_log_gain_0: float
     alpha_0: float
     alpha_total: float
     sigma2: float
     num_taps: int
+    log_sigma2: float = field(init=False, repr=False, compare=False)
+    sqrt_alpha_0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha_0 > 0.0):
@@ -161,6 +168,8 @@ class DirectStats:
             raise ValueError("total variance cannot be smaller than alpha_0")
         if not math.isfinite(self.mean_log_gain_0):
             raise ValueError("mean log gain of the delay-0 path must be finite")
+        object.__setattr__(self, "log_sigma2", math.log(self.sigma2))
+        object.__setattr__(self, "sqrt_alpha_0", math.sqrt(self.alpha_0))
 
     @classmethod
     def from_config(cls, config: ChannelConfig) -> "DirectStats":
@@ -221,7 +230,7 @@ def xi_p(log_power: float, stats: DirectStats) -> float:
     if log_power <= 0.0:
         raise ValueError(f"requires P > 1, got log P = {log_power}")
     root = math.sqrt((stats.alpha_total + stats.sigma2) / log_power)
-    return stats.mean_log_gain_0 - 1.0 - 2.0 * math.log(math.sqrt(stats.alpha_0) + root)
+    return stats.mean_log_gain_0 - 1.0 - 2.0 * math.log(stats.sqrt_alpha_0 + root)
 
 
 def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float:
@@ -241,7 +250,7 @@ def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float
         log_log_ratio(log_p, params.tau)
         + stats.mean_log_gain_0
         - 1.0
-        - 2.0 * math.log(math.sqrt(stats.alpha_0) + root)
+        - 2.0 * math.log(stats.sqrt_alpha_0 + root)
     )
 
 
@@ -252,35 +261,48 @@ def lower_bound(log_snr: float, tau: int, stats: DirectStats) -> float:
     Raises when P <= 1, log P is not finite or the slot schedule is
     inadmissible for this (P, tau); callers should then lower tau.
     """
-    log_power = log_snr + math.log(stats.sigma2)
+    log_power = log_snr + stats.log_sigma2
     if not 0.0 < log_power < math.inf:
-        raise ValueError(f"the scheme requires P > 1 and a finite log P, got log P = {log_power}")
+        raise _power_error(log_power)
     weight = tau / (stats.num_taps + tau)
     return weight * (log_log_ratio(log_power, tau) + xi_p(log_power, stats))
+
+
+def _power_error(log_power: float) -> ValueError:
+    return ValueError(f"the scheme requires P > 1 and a finite log P, got log P = {log_power}")
 
 
 def optimize_tau(
     log_snr: float, stats: DirectStats, tau_max: int
 ) -> Tuple[int, float]:
-    """Exhaustive search of the rate bound over tau = 1..tau_max.
+    """Exhaustive search of the rate bound over the admissible tau in 1..tau_max.
 
-    Returns the maximizing (tau, rate) among schedule-admissible tau, ties
-    broken toward the smaller tau.  Raises if no tau is admissible (P too
-    small).
+    Admissibility is monotone in tau (log P / tau never grows), so the last
+    admissible tau is found by bisection on ``schedule_is_valid``; the scan
+    then evaluates ``lower_bound`` at every tau up to it.  Returns the
+    maximizing (tau, rate), ties broken toward the smaller tau.  Raises if
+    log P is not finite or no tau is admissible (P too small).
     """
     if tau_max < 1:
         raise ValueError(f"tau_max must be >= 1, got {tau_max}")
-    log_power = log_snr + math.log(stats.sigma2)
-    best: Optional[Tuple[int, float]] = None
-    for tau in range(1, tau_max + 1):
-        if not schedule_is_valid(log_power, tau):
-            break  # admissibility is monotone in tau: larger tau stays inadmissible
-        value = lower_bound(log_snr, tau, stats)
-        if best is None or value > best[1]:
-            best = (tau, value)
-    if best is None:
+    log_power = log_snr + stats.log_sigma2
+    if not math.isfinite(log_power):
+        raise _power_error(log_power)
+    if not schedule_is_valid(log_power, 1):
         raise ValueError(
             f"no admissible block length up to tau_max = {tau_max}: "
             f"P^(1/tau) <= log P for every tau (log P = {log_power:.6g})"
         )
-    return best
+    last, above = 1, tau_max + 1  # tau = last is admissible, tau = above is not (or out of range)
+    while above - last > 1:
+        mid = (last + above) // 2
+        if schedule_is_valid(log_power, mid):
+            last = mid
+        else:
+            above = mid
+    best_tau, best = 1, lower_bound(log_snr, 1, stats)
+    for tau in range(2, last + 1):
+        value = lower_bound(log_snr, tau, stats)
+        if value > best:
+            best_tau, best = tau, value
+    return best_tau, best

@@ -1,5 +1,6 @@
 """Block scheme and achievable rate: schedule identities, power, bounds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -37,6 +38,55 @@ def stats_for(alpha_0=1.0, alpha_total=1.75, sigma2=1.0, num_taps=2, mean_log_ga
         sigma2=sigma2,
         num_taps=num_taps,
     )
+
+
+def reference_search(log_snr, stats, tau_max):
+    """The plain scan: every tau until the first inadmissible one, first strict maximum kept."""
+    log_power = log_snr + math.log(stats.sigma2)
+    best = None
+    for tau in range(1, tau_max + 1):
+        if not schedule_is_valid(log_power, tau):
+            break
+        value = lower_bound(log_snr, tau, stats)
+        if best is None or value > best[1]:
+            best = (tau, value)
+    return best
+
+
+def admissibility_edge(tau):
+    """The larger root of log P = tau * log log P (tau >= 3): tau is admissible just above it, not just below."""
+    x = float(tau * tau)
+    for _ in range(200):
+        x = tau * math.log(x)
+    return x
+
+
+@st.composite
+def search_cases(draw):
+    """(log_snr, stats, tau_max) with sigma2 != 1 and alpha_0 != 1, log P on both sides of an admissibility edge."""
+    tau_max = draw(st.sampled_from([1, 2, 3, 7, 50, 1024, 10**12]))
+    alpha_0 = draw(st.floats(0.05, 5.0).filter(lambda a: a != 1.0))
+    stats = stats_for(
+        alpha_0=alpha_0,
+        alpha_total=alpha_0 + draw(st.floats(0.0, 5.0)),
+        sigma2=math.exp(draw(st.floats(-4.0, 4.0).filter(lambda v: v != 0.0))),
+        num_taps=draw(st.integers(0, 6)),
+        mean_log_gain=draw(st.floats(-3.0, 1.0)),
+    )
+    kind = draw(st.sampled_from(["edge", "edge", "small", "nonpositive"]))
+    if kind == "edge":
+        # the last admissible tau is edge_tau - 1 just below the edge and at least edge_tau above it
+        log_power = admissibility_edge(draw(st.integers(3, 2049)))
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            log_power = math.nextafter(log_power, math.inf if ulps > 0 else 0.0)
+        log_power *= 1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-2, -1e-2]))
+    elif kind == "small":
+        # log P <= 1 admits every tau; keep the range finite when tau_max is huge
+        log_power = draw(st.floats(1.5 if tau_max > 1024 else 0.01, 3.0))
+    else:
+        log_power = -draw(st.floats(0.0, 5.0))
+    return log_power - math.log(stats.sigma2), stats, tau_max
 
 
 def reference_log_block_average_power(scheme):
@@ -239,6 +289,39 @@ class TestLemma:
             lemma_mi_lower_bound(1.0, 0.5, 0.0, 0.0, 1.0, law)
 
 
+class TestDirectStats:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sigma2=st.floats(1e-300, 1e300),
+        alpha_0=st.floats(1e-300, 1e300),
+    )
+    def test_derived_fields_bit_for_bit(self, sigma2, alpha_0):
+        stats = stats_for(alpha_0=alpha_0, alpha_total=alpha_0, sigma2=sigma2)
+        assert stats.log_sigma2.hex() == math.log(sigma2).hex()
+        assert stats.sqrt_alpha_0.hex() == math.sqrt(alpha_0).hex()
+
+    def test_derived_fields_not_arguments_repr_or_equality(self):
+        init_names = {f.name for f in dataclasses.fields(DirectStats) if f.init}
+        assert init_names == {"mean_log_gain_0", "alpha_0", "alpha_total", "sigma2", "num_taps"}
+        with pytest.raises(TypeError):
+            DirectStats(-EULER_GAMMA, 1.0, 1.75, 1.0, 2, log_sigma2=0.0)
+        stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
+        assert "log_sigma2" not in repr(stats) and "sqrt_alpha_0" not in repr(stats)
+        twin = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
+        object.__setattr__(twin, "log_sigma2", 0.0)
+        object.__setattr__(twin, "sqrt_alpha_0", 0.0)
+        assert twin == stats and hash(twin) == hash(stats)
+
+    def test_replace_recomputes_derived_fields(self):
+        stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
+        noisier = dataclasses.replace(stats, sigma2=7.0)
+        assert noisier.log_sigma2 == math.log(7.0)
+        assert noisier.sqrt_alpha_0 == math.sqrt(2.0)
+        stronger = dataclasses.replace(stats, alpha_0=2.5)
+        assert stronger.sqrt_alpha_0 == math.sqrt(2.5)
+        assert stronger.log_sigma2 == math.log(3.0)
+
+
 class TestRateBound:
     def test_xi_p_increasing_in_power(self):
         stats = stats_for()
@@ -326,7 +409,7 @@ class TestOptimizeTau:
             for tau in range(1, 65)
             if schedule_is_valid(log_snr, tau)
         }
-        assert best == pytest.approx(max(candidates.values()), rel=1e-14)
+        assert best == max(candidates.values())
         assert tau_star == min(t for t, v in candidates.items() if v == max(candidates.values()))
 
     def test_tau_star_grows_then_saturates_with_budget(self):
@@ -340,3 +423,43 @@ class TestOptimizeTau:
         stats = stats_for()
         with pytest.raises(ValueError, match="no admissible block length"):
             optimize_tau(-0.1, stats, 8)  # P <= 1: no slot schedule exists
+
+    @pytest.mark.parametrize("log_snr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_log_snr_raises_lower_bound_message(self, log_snr):
+        stats = stats_for(sigma2=2.0)
+        with pytest.raises(ValueError) as expected:
+            lower_bound(log_snr, 1, stats)
+        with pytest.raises(ValueError, match="finite log P") as raised:
+            optimize_tau(log_snr, stats, 8)
+        assert str(raised.value) == str(expected.value)
+        assert "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize("tau_max", [1, 2, 3, 7, 50, 1024, 10**12])
+    @pytest.mark.parametrize("edge_tau", [3, 4, 8, 51, 1025])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_bit_for_bit_at_admissibility_edges(self, tau_max, edge_tau, side):
+        # just below the edge of edge_tau the last admissible tau is edge_tau - 1
+        # (interior, or tau_max when tau_max is smaller); just above it is at least edge_tau
+        stats = stats_for(alpha_0=0.7, alpha_total=1.9, sigma2=2.5, num_taps=3)
+        log_power = admissibility_edge(edge_tau) * (1.0 + side * 1e-9)
+        log_snr = log_power - math.log(stats.sigma2)
+        last = max(t for t in range(1, min(tau_max, 4 * edge_tau) + 1) if schedule_is_valid(log_power, t))
+        if side < 0:
+            assert last == min(tau_max, edge_tau - 1)
+        else:
+            assert last >= min(tau_max, edge_tau)
+        tau, rate = optimize_tau(log_snr, stats, tau_max)
+        ref_tau, ref_rate = reference_search(log_snr, stats, tau_max)
+        assert (tau, rate.hex()) == (ref_tau, ref_rate.hex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=search_cases())
+    def test_property_bit_for_bit_against_plain_scan(self, case):
+        log_snr, stats, tau_max = case
+        expected = reference_search(log_snr, stats, tau_max)
+        if expected is None:
+            with pytest.raises(ValueError, match="no admissible block length"):
+                optimize_tau(log_snr, stats, tau_max)
+            return
+        tau, rate = optimize_tau(log_snr, stats, tau_max)
+        assert (tau, rate.hex()) == (expected[0], expected[1].hex())
