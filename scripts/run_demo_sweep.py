@@ -22,20 +22,20 @@ def main() -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    points, metadata = cli.run_sweep(config)
+    sweep, metadata = cli.run_sweep(config)
     out = outdir / f"sweep.{config.output_format}"
-    sidecar = cli.write_outputs(points, metadata, out, config.output_format)
+    sidecar = cli.write_outputs(sweep, metadata, out, config.output_format)
     print(f"wrote {out} and {sidecar}")
 
     print(f"\n{'log10 SNR':>10} {'loglog':>8} {'upper':>9} {'lower':>9} {'tau*':>6} {'u/loglog':>9} {'l/loglog':>9}")
-    for p in points:
+    for log_snr, upper, lower, tau_star, loglog, ratio_upper, ratio_lower in sweep.rows():
         print(
-            f"{p.log_snr / math.log(10):>10.1f} {p.loglog_snr:>8.4f} {p.upper:>9.4f} "
-            f"{p.lower:>9.4f} {p.tau_star:>6d} {p.ratio_upper:>9.4f} {p.ratio_lower:>9.4f}"
+            f"{log_snr / math.log(10):>10.1f} {loglog:>8.4f} {upper:>9.4f} "
+            f"{lower:>9.4f} {tau_star:>6d} {ratio_upper:>9.4f} {ratio_lower:>9.4f}"
         )
 
     for which in ("upper", "lower"):
-        fit = cli.fit_preloglog_slope(points, which)
+        fit = cli.fit_preloglog_slope(sweep, which)
         print(f"\n{which} bound on the configured grid: slope {fit.slope:.4f} (rms residual {fit.residual:.3g})")
     return 0
 

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -50,7 +51,6 @@ from .oracle import (
 
 SCHEMA_VERSION = 1
 LOG10 = math.log(10.0)
-CSV_HEADER = "log_snr,upper,lower,tau_star,loglog_snr,ratio_upper,ratio_lower"
 
 CONFIG_FIELDS = {
     "schema": (int, REQUIRED),
@@ -112,17 +112,32 @@ class SweepConfig:
             raise ValueError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
 
 
-@dataclass(slots=True)
-class SweepPoint:
-    """One evaluated grid point (all rate quantities in nats per channel use)."""
+@dataclass(frozen=True)
+class Sweep:
+    """The grid points in grid order as typed columns, 8 bytes per value.
 
-    log_snr: float
-    upper: float
-    lower: float
-    tau_star: int
-    loglog_snr: float
-    ratio_upper: float
-    ratio_lower: float
+    Floats are ``array('d')`` (``tau_star`` is ``array('q')``), so an element
+    reads back as the float that was stored; rates are in nats per channel use.
+    """
+
+    log_snr: array
+    upper: array
+    lower: array
+    tau_star: array
+    loglog_snr: array
+    ratio_upper: array
+    ratio_lower: array
+
+    def __len__(self) -> int:
+        return len(self.log_snr)
+
+    def rows(self) -> Iterator[tuple]:
+        """One tuple per grid point, in ``CSV_HEADER`` order."""
+        return zip(*(getattr(self, name) for name in COLUMNS), strict=True)
+
+
+COLUMNS = tuple(f.name for f in dataclasses.fields(Sweep))
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
@@ -158,8 +173,8 @@ def load_config(path) -> SweepConfig:
         return sweep_config_from_dict(json.load(handle))
 
 
-def run_sweep(config: SweepConfig) -> Tuple[List[SweepPoint], dict]:
-    """Evaluate both bounds on the grid; returns the points and a metadata echo."""
+def run_sweep(config: SweepConfig) -> Tuple[Sweep, dict]:
+    """Evaluate both bounds on the grid; returns the sweep and a metadata echo."""
     if config.grid.log10_snr_start * LOG10 <= 1.0:
         raise ValueError(
             "grid contains SNR <= e, outside the domain of log log SNR; "
@@ -167,27 +182,21 @@ def run_sweep(config: SweepConfig) -> Tuple[List[SweepPoint], dict]:
         )
     cstats = ConverseStats.from_config(config.channel)
     dstats = DirectStats.from_config(config.channel)
-    points = []
-    # Python floats, not np.float64 scalars: the same IEEE results at a
-    # fraction of the per-operation cost.
-    for log_snr in config.grid.log_snr_values().tolist():
-        upper = upper_bound(log_snr, cstats, config.bound_params)
+    log_snrs = array("d", config.grid.log_snr_values().tobytes())
+    upper, lower, loglog, tau_star = array("d"), array("d"), array("d"), array("q")
+    # Iterating an array yields Python floats, not np.float64 scalars: the
+    # same IEEE results at a fraction of the per-operation cost.
+    for log_snr in log_snrs:
+        upper.append(upper_bound(log_snr, cstats, config.bound_params))
         if config.tau is None:
-            tau_star, lower = optimize_tau(log_snr, dstats, config.tau_max)
+            tau, rate = optimize_tau(log_snr, dstats, config.tau_max)
         else:
-            tau_star, lower = config.tau, lower_bound(log_snr, config.tau, dstats)
-        loglog = math.log(log_snr)
-        points.append(
-            SweepPoint(
-                log_snr=log_snr,
-                upper=upper,
-                lower=lower,
-                tau_star=tau_star,
-                loglog_snr=loglog,
-                ratio_upper=upper / loglog,
-                ratio_lower=lower / loglog,
-            )
-        )
+            tau, rate = config.tau, lower_bound(log_snr, config.tau, dstats)
+        tau_star.append(tau)
+        lower.append(rate)
+        loglog.append(math.log(log_snr))
+    ratios = [array("d", map(float.__truediv__, column, loglog)) for column in (upper, lower)]
+    sweep = Sweep(log_snrs, upper, lower, tau_star, loglog, *ratios)
     metadata = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
@@ -196,7 +205,7 @@ def run_sweep(config: SweepConfig) -> Tuple[List[SweepPoint], dict]:
         "workers": default_workers(),
         "config": sweep_config_to_dict(config),
     }
-    return points, metadata
+    return sweep, metadata
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,7 @@ class SlopeFit:
     residual: float
 
 
-def fit_preloglog_slope(points: Sequence[SweepPoint], which: str) -> SlopeFit:
+def fit_preloglog_slope(sweep: Sweep, which: str) -> SlopeFit:
     """Ordinary least squares of a bound against log log SNR.
 
     ``residual`` is the root-mean-square misfit; a perfect pre-loglog line
@@ -214,10 +223,10 @@ def fit_preloglog_slope(points: Sequence[SweepPoint], which: str) -> SlopeFit:
     """
     if which not in ("upper", "lower"):
         raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 points for a slope fit, got {len(points)}")
-    x = np.array([p.loglog_snr for p in points])
-    y = np.array([getattr(p, which) for p in points])
+    if len(sweep) < 3:
+        raise ValueError(f"need at least 3 points for a slope fit, got {len(sweep)}")
+    x = np.asarray(sweep.loglog_snr)  # views of the columns' doubles, not copies
+    y = np.asarray(getattr(sweep, which))
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate grid: all log log SNR values coincide")
     slope, intercept = np.polyfit(x, y, 1)
@@ -229,45 +238,44 @@ def fit_preloglog_slope(points: Sequence[SweepPoint], which: str) -> SlopeFit:
     )
 
 
-def emit(points: Sequence[SweepPoint], output_format: str) -> str:
-    """Render the sweep points as CSV (17 significant digits) or JSON.
+def emit(sweep: Sweep, output_format: str) -> str:
+    """Render the sweep as CSV (17 significant digits) or JSON.
 
-    The JSON text is ``json.dumps([dataclasses.asdict(p) for p in points],
-    indent=2, sort_keys=True) + "\\n"`` byte for byte, rendered from one
-    template per row: the keys in sorted order and every float through
-    ``float.__repr__``, which is how ``json`` writes floats.  ``json`` would
-    write a non-finite float as ``NaN`` or ``Infinity``, which is not JSON, so
-    such a point is rejected instead.
+    The JSON text is ``json.dumps([dict(zip(COLUMNS, row)) for row in
+    sweep.rows()], indent=2, sort_keys=True) + "\\n"`` byte for byte, rendered
+    from one template per row: the keys in sorted order and every float
+    through ``float.__repr__``, which is how ``json`` writes floats.  ``json``
+    would write a non-finite float as ``NaN`` or ``Infinity``, which is not
+    JSON, so such a value is rejected instead, naming its 0-based row.
     """
-    return "".join(_pieces(points, output_format))
+    return "".join(_pieces(sweep, output_format))
 
 
-def _pieces(points: Sequence[SweepPoint], output_format: str) -> Iterator[str]:
+def _pieces(sweep: Sweep, output_format: str) -> Iterator[str]:
     """The text of ``emit``, one header, row or framing piece at a time."""
-    if not points:
+    if not len(sweep):
         raise ValueError("nothing to emit: no sweep points")
     if output_format == "csv":
         yield CSV_HEADER + "\n"
-        for p in points:
+        for log_snr, upper, lower, tau, loglog, ratio_upper, ratio_lower in sweep.rows():
             yield (
-                f"{p.log_snr:.17g},{p.upper:.17g},{p.lower:.17g},{p.tau_star},"
-                f"{p.loglog_snr:.17g},{p.ratio_upper:.17g},{p.ratio_lower:.17g}\n"
+                f"{log_snr:.17g},{upper:.17g},{lower:.17g},{tau},"
+                f"{loglog:.17g},{ratio_upper:.17g},{ratio_lower:.17g}\n"
             )
     elif output_format == "json":
         finite = math.isfinite
-        r = float.__repr__  # also renders an np.float64 field as json does
+        r = float.__repr__
         separator = "[\n"
-        for p in points:
-            if not (
-                finite(p.log_snr) and finite(p.upper) and finite(p.lower)
-                and finite(p.loglog_snr) and finite(p.ratio_upper) and finite(p.ratio_lower)
-            ):
-                raise ValueError(f"cannot write a non-finite value as JSON: {p}")
+        for i, row in enumerate(sweep.rows()):
+            if not all(map(finite, row)):
+                name, value = next((n, v) for n, v in zip(COLUMNS, row) if not finite(v))
+                raise ValueError(f"cannot write a non-finite value as JSON: row {i}, {name} = {value!r}")
+            log_snr, upper, lower, tau, loglog, ratio_upper, ratio_lower = row
             yield (
-                f'{separator}  {{\n    "log_snr": {r(p.log_snr)},\n    "loglog_snr": {r(p.loglog_snr)},\n'
-                f'    "lower": {r(p.lower)},\n    "ratio_lower": {r(p.ratio_lower)},\n'
-                f'    "ratio_upper": {r(p.ratio_upper)},\n    "tau_star": {p.tau_star:d},\n'
-                f'    "upper": {r(p.upper)}\n  }}'
+                f'{separator}  {{\n    "log_snr": {r(log_snr)},\n    "loglog_snr": {r(loglog)},\n'
+                f'    "lower": {r(lower)},\n    "ratio_lower": {r(ratio_lower)},\n'
+                f'    "ratio_upper": {r(ratio_upper)},\n    "tau_star": {tau:d},\n'
+                f'    "upper": {r(upper)}\n  }}'
             )
             separator = ",\n"
         yield "\n]\n"
@@ -275,7 +283,7 @@ def _pieces(points: Sequence[SweepPoint], output_format: str) -> Iterator[str]:
         raise ValueError(f"output format must be 'csv' or 'json', got {output_format!r}")
 
 
-def write_outputs(points: Sequence[SweepPoint], metadata: dict, out_path, output_format: str) -> Path:
+def write_outputs(sweep: Sweep, metadata: dict, out_path, output_format: str) -> Path:
     """Write the data file and its JSON metadata sidecar; returns the sidecar path.
 
     The data file is written row by row, so writing it adds no memory in
@@ -287,7 +295,7 @@ def write_outputs(points: Sequence[SweepPoint], metadata: dict, out_path, output
     sidecar = out_path.with_name(out_path.name + ".meta.json")
     _write_atomically(
         {
-            out_path: _pieces(points, output_format),
+            out_path: _pieces(sweep, output_format),
             sidecar: [json.dumps(metadata, indent=2, sort_keys=True) + "\n"],
         },
         f"sweep output near {out_path}",
@@ -408,18 +416,10 @@ def _sub_seed(seed: int, label: str, index: int = 0) -> int:
 
 def _stats_payload(config: SweepConfig) -> dict:
     chan = config.channel
-    per_path = []
-    for ell, spec in enumerate(chan.path_specs):
-        stats = stats_of(spec)
-        per_path.append(
-            {
-                "path": ell,
-                "alpha": stats.alpha,
-                "entropy_rate": stats.entropy_rate,
-                "mean_log_gain": stats.mean_log_gain,
-                "active": stats.active,
-            }
-        )
+    per_path = [
+        {"path": ell, **dataclasses.asdict(stats), "active": stats.active}
+        for ell, stats in enumerate(map(stats_of, chan.path_specs))
+    ]
     cstats = ConverseStats.from_config(chan)
     return {
         "paths": per_path,
@@ -473,10 +473,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = _overridden(
                 config, bound_params=params, tau=args.tau, tau_max=args.tau_max, output_format=args.format
             )
-            points, metadata = run_sweep(config)
-            fits = {which: fit_preloglog_slope(points, which) for which in ("upper", "lower")}
+            sweep, metadata = run_sweep(config)
+            fits = {which: fit_preloglog_slope(sweep, which) for which in ("upper", "lower")}
             out_path = args.output or f"sweep.{config.output_format}"
-            sidecar = write_outputs(points, metadata, out_path, config.output_format)
+            sidecar = write_outputs(sweep, metadata, out_path, config.output_format)
             for which, fit in fits.items():
                 print(
                     f"{which}: slope {fit.slope:.6f}, intercept {fit.intercept:.6f}, "

@@ -12,17 +12,20 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from array import array
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadecap import cli
 from fadecap.cli import (
+    COLUMNS,
     GridSpec,
-    SweepPoint,
+    Sweep,
     emit,
     fit_preloglog_slope,
     load_config,
@@ -68,47 +71,37 @@ OUTPUT_SCHEMA = {
 }
 
 
+def sweep_of(rows):
+    """A Sweep holding ``rows``, each a tuple of values in COLUMNS order."""
+    columns = list(zip(*rows)) or [()] * len(COLUMNS)
+    return Sweep(*(array("q" if name == "tau_star" else "d", c) for name, c in zip(COLUMNS, columns)))
+
+
+def same_bits(a, b):
+    """Bit-exact equality of two sweeps, column by column."""
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMNS)
+
+
 def parse_emitted(text, output_format):
     """Inverse of ``emit``; round-trips values bit-exactly."""
     if output_format == "csv":
         lines = [line for line in text.splitlines() if line]
         assert lines and lines[0] == cli.CSV_HEADER
-        points = []
-        for line in lines[1:]:
-            f = line.split(",")
-            points.append(
-                SweepPoint(
-                    log_snr=float(f[0]),
-                    upper=float(f[1]),
-                    lower=float(f[2]),
-                    tau_star=int(f[3]),
-                    loglog_snr=float(f[4]),
-                    ratio_upper=float(f[5]),
-                    ratio_lower=float(f[6]),
-                )
-            )
-        return points
+        types = [int if name == "tau_star" else float for name in COLUMNS]
+        return sweep_of([tuple(t(f) for t, f in zip(types, line.split(","), strict=True)) for line in lines[1:]])
     assert output_format == "json"
-    return [SweepPoint(**entry) for entry in json.loads(text)]
+    entries = json.loads(text)
+    assert all(entry.keys() == set(COLUMNS) for entry in entries)
+    return sweep_of([tuple(entry[name] for name in COLUMNS) for entry in entries])
 
 
-def synthetic_points(num=6, slope=1.0, intercept=0.0, step=0.5):
-    points = []
+def synthetic_sweep(num=6, slope=1.0, intercept=0.0, step=0.5):
+    rows = []
     for i in range(num):
         loglog = 1.0 + step * i
         value = slope * loglog + intercept
-        points.append(
-            SweepPoint(
-                log_snr=math.exp(loglog),
-                upper=value,
-                lower=value,
-                tau_star=1 + i,
-                loglog_snr=loglog,
-                ratio_upper=value / loglog,
-                ratio_lower=value / loglog,
-            )
-        )
-    return points
+        rows.append((math.exp(loglog), value, value, 1 + i, loglog, value / loglog, value / loglog))
+    return sweep_of(rows)
 
 
 class TestConfig:
@@ -156,9 +149,9 @@ class TestRunSweep:
             seed=1,
             output_format="csv",
         )
-        points, metadata = run_sweep(small)
-        assert len(points) == 2
-        assert points[0].log_snr < points[1].log_snr
+        sweep, metadata = run_sweep(small)
+        assert len(sweep) == 2
+        assert sweep.log_snr[0] < sweep.log_snr[1]
         assert metadata["constants_certified"] is False
         assert metadata["config"]["grid"]["points"] == 2
 
@@ -176,55 +169,53 @@ class TestRunSweep:
 
     def test_demo_grid_frozen_bands_at_top(self):
         # bands frozen from the first evaluation of the implemented formulas
-        points, _ = run_sweep(DEMO)
-        top = points[-1]
-        assert top.tau_star == 4
-        assert 1.30 <= top.ratio_upper <= 1.34
-        assert 0.31 <= top.ratio_lower <= 0.34
+        sweep, _ = run_sweep(DEMO)
+        assert sweep.tau_star[-1] == 4
+        assert 1.30 <= sweep.ratio_upper[-1] <= 1.34
+        assert 0.31 <= sweep.ratio_lower[-1] <= 0.34
 
     def test_upper_dominates_lower_everywhere(self):
-        points, _ = run_sweep(DEMO)
-        assert all(p.upper >= p.lower for p in points)
+        sweep, _ = run_sweep(DEMO)
+        assert all(u >= l for u, l in zip(sweep.upper, sweep.lower))
 
     def test_gap_ratios_shrink_along_the_grid(self):
-        points, _ = run_sweep(DEMO)
-        upper_excess = [p.ratio_upper - 1.0 for p in points]
-        lower_deficit = [1.0 - p.ratio_lower for p in points]
+        sweep, _ = run_sweep(DEMO)
+        upper_excess = [r - 1.0 for r in sweep.ratio_upper]
+        lower_deficit = [1.0 - r for r in sweep.ratio_lower]
         assert all(b < a for a, b in zip(upper_excess, upper_excess[1:]))
         assert all(b < a for a, b in zip(lower_deficit, lower_deficit[1:]))
 
     def test_sweep_only_orchestrates_the_bound_modules(self):
         # every emitted value must equal a direct call into converse/direct
-        points, _ = run_sweep(DEMO)
+        sweep, _ = run_sweep(DEMO)
         cstats = ConverseStats.from_config(DEMO.channel)
         dstats = DirectStats.from_config(DEMO.channel)
-        for p in points[:: len(points) // 4]:
-            assert p.upper == upper_bound(p.log_snr, cstats, DEMO.bound_params)
-            tau_star, lower = optimize_tau(p.log_snr, dstats, DEMO.tau_max)
-            assert (p.tau_star, p.lower) == (tau_star, lower)
-            assert p.loglog_snr == math.log(p.log_snr)
-            assert p.ratio_upper == p.upper / p.loglog_snr
+        for log_snr, upper, lower, tau, loglog, ratio_upper, ratio_lower in list(sweep.rows())[:: len(sweep) // 4]:
+            assert upper == upper_bound(log_snr, cstats, DEMO.bound_params)
+            assert (tau, lower) == optimize_tau(log_snr, dstats, DEMO.tau_max)
+            assert loglog == math.log(log_snr)
+            assert (ratio_upper, ratio_lower) == (upper / loglog, lower / loglog)
 
 
 class TestSlopeFit:
     def test_exact_linear_data(self):
-        fit = fit_preloglog_slope(synthetic_points(slope=1.0, intercept=0.3), "upper")
+        fit = fit_preloglog_slope(synthetic_sweep(slope=1.0, intercept=0.3), "upper")
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
         assert fit.intercept == pytest.approx(0.3, abs=1e-12)
         assert fit.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 3"):
-            fit_preloglog_slope(synthetic_points(num=2), "upper")
+            fit_preloglog_slope(synthetic_sweep(num=2), "upper")
 
     def test_degenerate_grid(self):
-        p = synthetic_points(num=1)[0]
+        (row,) = synthetic_sweep(num=1).rows()
         with pytest.raises(ValueError, match="degenerate"):
-            fit_preloglog_slope([p, p, p], "upper")
+            fit_preloglog_slope(sweep_of([row, row, row]), "upper")
 
     def test_unknown_series_name(self):
         with pytest.raises(ValueError):
-            fit_preloglog_slope(synthetic_points(), "middle")
+            fit_preloglog_slope(synthetic_sweep(), "middle")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -232,25 +223,25 @@ class TestSlopeFit:
         intercept=st.floats(min_value=-10.0, max_value=10.0),
     )
     def test_property_recovers_planted_line(self, slope, intercept):
-        fit = fit_preloglog_slope(synthetic_points(num=7, slope=slope, intercept=intercept), "lower")
+        fit = fit_preloglog_slope(synthetic_sweep(num=7, slope=slope, intercept=intercept), "lower")
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.residual < 1e-9
 
 
 class TestEmission:
     def test_single_point_csv_has_two_lines(self):
-        text = emit(synthetic_points(num=1) * 1, "csv")
+        text = emit(synthetic_sweep(num=1), "csv")
         assert len(text.strip().splitlines()) == 2
         assert text.splitlines()[0] == cli.CSV_HEADER
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
-            emit([], "csv")
+            emit(sweep_of([]), "csv")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_bit_exact(self, fmt):
-        points, _ = run_sweep(DEMO)
-        assert parse_emitted(emit(points, fmt), fmt) == points
+        sweep, _ = run_sweep(DEMO)
+        assert same_bits(parse_emitted(emit(sweep, fmt), fmt), sweep)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
@@ -265,42 +256,37 @@ class TestEmission:
     @example(1e16)  # integral, written in exponent form
     def test_property_csv_floats_round_trip(self, value):
         """CSV round-trips every float; JSON is json.dumps' text byte for byte."""
-        point = SweepPoint(
-            log_snr=max(value, 1e-300) if value > 0 else 3.0,
-            upper=value,
-            lower=value / 3.0,
-            tau_star=7,
-            loglog_snr=1.25,
-            ratio_upper=value,
-            ratio_lower=-value,
-        )
-        (back,) = parse_emitted(emit([point], "csv"), "csv")
-        assert back == point
-        points = [point, dataclasses.replace(point, upper=-value, tau_star=1024)]
-        expected = json.dumps([dataclasses.asdict(p) for p in points], indent=2, sort_keys=True) + "\n"
-        assert emit(points, "json") == expected
-        assert parse_emitted(emit(points, "json"), "json") == points
+        log_snr = max(value, 1e-300) if value > 0 else 3.0
+        row = (log_snr, value, value / 3.0, 7, 1.25, value, -value)
+        sweep = sweep_of([row])
+        assert same_bits(parse_emitted(emit(sweep, "csv"), "csv"), sweep)
+        rows = [row, (log_snr, -value, value / 3.0, 1024, 1.25, value, -value)]
+        expected = json.dumps([dict(zip(COLUMNS, r)) for r in rows], indent=2, sort_keys=True) + "\n"
+        sweep = sweep_of(rows)
+        assert emit(sweep, "json") == expected
+        assert same_bits(parse_emitted(emit(sweep, "json"), "json"), sweep)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_rejects_non_finite_and_writes_nothing(self, bad, tmp_path):
         # in the last point the bad value arrives after the other rows were written
         for index in (0, 3, 5):
-            points = synthetic_points()
-            points[index] = dataclasses.replace(points[index], lower=bad)
-            with pytest.raises(ValueError, match="non-finite"):
-                emit(points, "json")
-            with pytest.raises(ValueError, match="non-finite"):
-                write_outputs(points, {"schema": 1}, tmp_path / "sweep.json", "json")
+            sweep = synthetic_sweep()
+            sweep.lower[index] = bad
+            message = f"^cannot write a non-finite value as JSON: row {index}, lower = {bad!r}$"
+            with pytest.raises(ValueError, match=message):
+                emit(sweep, "json")
+            with pytest.raises(ValueError, match=message):
+                write_outputs(sweep, {"schema": 1}, tmp_path / "sweep.json", "json")
             assert list(tmp_path.iterdir()) == [], index
 
     def test_json_output_validates_against_documented_schema(self):
-        points, _ = run_sweep(DEMO)
-        jsonschema.validate(json.loads(emit(points, "json")), OUTPUT_SCHEMA)
+        sweep, _ = run_sweep(DEMO)
+        jsonschema.validate(json.loads(emit(sweep, "json")), OUTPUT_SCHEMA)
 
     def test_write_outputs_and_sidecar(self, tmp_path):
-        points, metadata = run_sweep(DEMO)
+        sweep, metadata = run_sweep(DEMO)
         out = tmp_path / "sweep.csv"
-        sidecar = write_outputs(points, metadata, out, "csv")
+        sidecar = write_outputs(sweep, metadata, out, "csv")
         assert out.exists() and sidecar.name == "sweep.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert meta["constants_certified"] is False
@@ -309,22 +295,39 @@ class TestEmission:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_write_memory_does_not_grow_with_the_output(self, fmt, tmp_path):
         # the 100 000-row JSON text alone is 24 MB
-        points = synthetic_points(num=100_000, step=1e-4)
+        sweep = synthetic_sweep(num=100_000, step=1e-4)
         out = tmp_path / f"sweep.{fmt}"
         tracemalloc.start()
         try:
-            write_outputs(points, {"schema": 1}, out, fmt)
+            write_outputs(sweep, {"schema": 1}, out, fmt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert out.read_bytes() == emit(points, fmt).encode()
+        assert out.read_bytes() == emit(sweep, fmt).encode()
 
     def test_write_failure_carries_path_context(self, tmp_path):
-        points, metadata = run_sweep(DEMO)
+        sweep, metadata = run_sweep(DEMO)
         missing = tmp_path / "no" / "such" / "dir" / "sweep.csv"
         with pytest.raises(OSError, match="sweep.csv"):
-            write_outputs(points, metadata, missing, "csv")
+            write_outputs(sweep, metadata, missing, "csv")
+
+
+class TestSweepMemory:
+    def test_fixed_tau_sweep_peak_stays_below_the_boxed_rows(self, tmp_path):
+        # 100 000 points as one object per point held 22.9 MiB; as typed columns
+        # they take 5.6 MB, and writing streams row by row
+        grid = GridSpec(log10_snr_start=20.0, log10_snr_stop=4.34e8, points=100_000)
+        config = dataclasses.replace(DEMO, grid=grid, tau=8, output_format="json")
+        tracemalloc.start()
+        try:
+            sweep, metadata = run_sweep(config)
+            write_outputs(sweep, metadata, tmp_path / "sweep.json", "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sweep) == 100_000
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestGoldenDemoSweep:
@@ -346,6 +349,23 @@ class TestMainEntry:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.csv.meta.json").read_bytes() == (tmp_path / "b.csv.meta.json").read_bytes()
 
+    def test_printed_fits_equal_polyfit_of_the_golden_csv(self, tmp_path, capsys):
+        assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(tmp_path / "s.csv")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        header, *lines = (GOLDEN_DIR / "demo_sweep.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        x = np.array([float(row["loglog_snr"]) for row in rows])
+        sweep, _ = run_sweep(DEMO)
+        expected = []
+        for which in ("upper", "lower"):
+            y = np.array([float(row[which]) for row in rows])
+            slope, intercept = np.polyfit(x, y, 1)
+            residual = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+            expected.append(f"{which}: slope {slope:.6f}, intercept {intercept:.6f}, rms residual {residual:.3g}")
+            fit = fit_preloglog_slope(sweep, which)
+            assert (fit.slope, fit.intercept, fit.residual) == (slope, intercept, residual)
+        assert printed[:2] == expected
+
     def test_sweep_json_format_flag(self, tmp_path):
         out = tmp_path / "sweep.json"
         rc = cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out), "--format", "json"])
@@ -358,7 +378,7 @@ class TestMainEntry:
         cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out_b), "--xi", "1.0"])
         pa = parse_emitted(out_a.read_text(), "csv")
         pb = parse_emitted(out_b.read_text(), "csv")
-        assert all(b.upper > a.upper for a, b in zip(pa, pb))  # xi=1 is far off-optimum here
+        assert all(b > a for a, b in zip(pa.upper, pb.upper))  # xi=1 is far off-optimum here
 
     @pytest.mark.parametrize(
         "flag, value, echo_path",
@@ -377,8 +397,7 @@ class TestMainEntry:
         meta = json.loads((tmp_path / "flag.csv.meta.json").read_text())
         assert _at(meta["config"], echo_path) == value
         if flag == "--tau-max":
-            taus = [p.tau_star for p in parse_emitted(out.read_text(), "csv")]
-            assert max(taus) == value
+            assert max(parse_emitted(out.read_text(), "csv").tau_star) == value
         else:
             # the bound parameters only enter the upper bound
             lower = [[line.split(",")[2] for line in path.read_text().splitlines()] for path in (base, out)]
@@ -388,12 +407,12 @@ class TestMainEntry:
         out = tmp_path / "fixed.csv"
         rc = cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out), "--tau", "8"])
         assert rc == 0
-        points = parse_emitted(out.read_text(), "csv")
-        assert all(p.tau_star == 8 for p in points)
+        sweep = parse_emitted(out.read_text(), "csv")
+        assert all(tau == 8 for tau in sweep.tau_star)
         dstats = DirectStats.from_config(DEMO.channel)
         from fadecap.direct import lower_bound
 
-        assert points[-1].lower == lower_bound(points[-1].log_snr, 8, dstats)
+        assert sweep.lower[-1] == lower_bound(sweep.log_snr[-1], 8, dstats)
         meta = json.loads((tmp_path / "fixed.csv.meta.json").read_text())
         assert meta["config"]["tau"] == 8
 
