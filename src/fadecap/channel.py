@@ -125,7 +125,7 @@ def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.nd
     for ell in range(config.num_paths + 1):
         if ell >= n:
             break
-        y[..., ell:] = y[..., ell:] + realization.gains[..., ell, ell:] * x[..., : n - ell]
+        y[..., ell:] += realization.gains[..., ell, ell:] * x[..., : n - ell]
     return y
 
 

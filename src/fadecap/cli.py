@@ -264,7 +264,6 @@ def _pieces(sweep: Sweep, output_format: str) -> Iterator[str]:
             )
     elif output_format == "json":
         finite = math.isfinite
-        r = float.__repr__
         separator = "[\n"
         for i, row in enumerate(sweep.rows()):
             if not all(map(finite, row)):
@@ -272,10 +271,10 @@ def _pieces(sweep: Sweep, output_format: str) -> Iterator[str]:
                 raise ValueError(f"cannot write a non-finite value as JSON: row {i}, {name} = {value!r}")
             log_snr, upper, lower, tau, loglog, ratio_upper, ratio_lower = row
             yield (
-                f'{separator}  {{\n    "log_snr": {r(log_snr)},\n    "loglog_snr": {r(loglog)},\n'
-                f'    "lower": {r(lower)},\n    "ratio_lower": {r(ratio_lower)},\n'
-                f'    "ratio_upper": {r(ratio_upper)},\n    "tau_star": {tau:d},\n'
-                f'    "upper": {r(upper)}\n  }}'
+                f'{separator}  {{\n    "log_snr": {log_snr!r},\n    "loglog_snr": {loglog!r},\n'
+                f'    "lower": {lower!r},\n    "ratio_lower": {ratio_lower!r},\n'
+                f'    "ratio_upper": {ratio_upper!r},\n    "tau_star": {tau:d},\n'
+                f'    "upper": {upper!r}\n  }}'
             )
             separator = ",\n"
         yield "\n]\n"

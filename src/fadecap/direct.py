@@ -147,8 +147,11 @@ class DirectStats:
     """Channel statistics the achievable-rate bound consumes.
 
     ``log_sigma2`` and ``sqrt_alpha_0`` are derived once here rather than on
-    every bound evaluation; they are not constructor arguments and take no
-    part in ``repr`` or ``==``.
+    every bound evaluation.  ``xi_p_memo`` holds the last validated
+    ``(log P, Xi_P)`` pair that ``lower_bound`` computed, as one tuple in a
+    one-element list that is replaced in a single step, so a tau scan at one
+    power evaluates ``xi_p`` once.  None of the three is a constructor
+    argument or takes part in ``repr``, ``==`` or ``hash``.
     """
 
     mean_log_gain_0: float
@@ -158,6 +161,7 @@ class DirectStats:
     num_taps: int
     log_sigma2: float = field(init=False, repr=False, compare=False)
     sqrt_alpha_0: float = field(init=False, repr=False, compare=False)
+    xi_p_memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha_0 > 0.0):
@@ -170,6 +174,7 @@ class DirectStats:
             raise ValueError("mean log gain of the delay-0 path must be finite")
         object.__setattr__(self, "log_sigma2", math.log(self.sigma2))
         object.__setattr__(self, "sqrt_alpha_0", math.sqrt(self.alpha_0))
+        object.__setattr__(self, "xi_p_memo", [(math.nan, math.nan)])  # nan matches no power
 
     @classmethod
     def from_config(cls, config: ChannelConfig) -> "DirectStats":
@@ -258,14 +263,21 @@ def lower_bound(log_snr: float, tau: int, stats: DirectStats) -> float:
     """Achievable rate of the scheme, nats per channel use.
 
     R = tau/(L+tau) * [ log log(P^(1/tau)/log P) + Xi_P ]  with P = SNR * sigma^2.
-    Raises when P <= 1, log P is not finite or the slot schedule is
-    inadmissible for this (P, tau); callers should then lower tau.
+    Xi_P is reused from ``stats.xi_p_memo`` when log P equals the stored
+    power, which only a validated power can; otherwise the power is checked,
+    ``xi_p`` evaluated and the pair stored.  Raises when P <= 1, log P is not
+    finite or the slot schedule is inadmissible for this (P, tau); callers
+    should then lower tau.
     """
     log_power = log_snr + stats.log_sigma2
-    if not 0.0 < log_power < math.inf:
-        raise _power_error(log_power)
+    memo_power, xi = stats.xi_p_memo[0]
+    if log_power != memo_power:
+        if not 0.0 < log_power < math.inf:
+            raise _power_error(log_power)
+        xi = xi_p(log_power, stats)
+        stats.xi_p_memo[0] = (log_power, xi)
     weight = tau / (stats.num_taps + tau)
-    return weight * (log_log_ratio(log_power, tau) + xi_p(log_power, stats))
+    return weight * (log_log_ratio(log_power, tau) + xi)
 
 
 def _power_error(log_power: float) -> ValueError:

@@ -112,7 +112,11 @@ def stats_of(spec: PathGainSpec) -> PathStats:
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples with E|Z|^2 = variance."""
     z = rng.standard_normal(size=(2,) + tuple(np.atleast_1d(shape)))
-    return math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])
+    z *= math.sqrt(variance / 2.0)
+    out = np.empty(z.shape[1:], dtype=complex)
+    out.real = z[0]
+    out.imag = z[1]
+    return out
 
 
 def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator) -> np.ndarray:

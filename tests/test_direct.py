@@ -1,7 +1,10 @@
 """Block scheme and achievable rate: schedule identities, power, bounds."""
 
+import copy
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fadecap.direct
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
@@ -21,6 +25,7 @@ from fadecap.direct import (
     optimize_tau,
     schedule_is_valid,
     sharp_slot_bound,
+    _power_error,
     xi_p,
 )
 from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E
@@ -303,13 +308,17 @@ class TestDirectStats:
     def test_derived_fields_not_arguments_repr_or_equality(self):
         init_names = {f.name for f in dataclasses.fields(DirectStats) if f.init}
         assert init_names == {"mean_log_gain_0", "alpha_0", "alpha_total", "sigma2", "num_taps"}
-        with pytest.raises(TypeError):
-            DirectStats(-EULER_GAMMA, 1.0, 1.75, 1.0, 2, log_sigma2=0.0)
+        for derived in ("log_sigma2", "sqrt_alpha_0", "xi_p_memo"):
+            with pytest.raises(TypeError):
+                DirectStats(-EULER_GAMMA, 1.0, 1.75, 1.0, 2, **{derived: 0.0})
         stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
-        assert "log_sigma2" not in repr(stats) and "sqrt_alpha_0" not in repr(stats)
+        lower_bound(40.0, 3, stats)  # stores a (log P, Xi_P) pair
+        assert not any(derived in repr(stats) for derived in ("log_sigma2", "sqrt_alpha_0", "xi_p_memo"))
+        assert repr(stats) == repr(stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0))
         twin = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
         object.__setattr__(twin, "log_sigma2", 0.0)
         object.__setattr__(twin, "sqrt_alpha_0", 0.0)
+        assert twin.xi_p_memo != stats.xi_p_memo
         assert twin == stats and hash(twin) == hash(stats)
 
     def test_replace_recomputes_derived_fields(self):
@@ -320,6 +329,141 @@ class TestDirectStats:
         stronger = dataclasses.replace(stats, alpha_0=2.5)
         assert stronger.sqrt_alpha_0 == math.sqrt(2.5)
         assert stronger.log_sigma2 == math.log(3.0)
+
+
+def fresh_twin(stats):
+    """A new DirectStats with the same constructor arguments, so nothing is stored yet."""
+    return DirectStats(**{f.name: getattr(stats, f.name) for f in dataclasses.fields(DirectStats) if f.init})
+
+
+def reference_lower_bound(log_snr, tau, stats):
+    """``lower_bound`` with Xi_P evaluated afresh on every call."""
+    log_power = log_snr + math.log(stats.sigma2)
+    if not 0.0 < log_power < math.inf:
+        raise _power_error(log_power)
+    return tau / (stats.num_taps + tau) * (log_log_ratio(log_power, tau) + xi_p(log_power, stats))
+
+
+def outcome(bound, log_snr, tau, stats):
+    """The rate's hex digits, or the message of the ValueError raised in its place."""
+    try:
+        return bound(log_snr, tau, stats).hex()
+    except ValueError as err:
+        return f"error: {err}"
+
+
+@st.composite
+def memo_channels(draw):
+    # a shared sigma2 gives both instances the same log P at the same log SNR
+    return stats_for(
+        alpha_0=draw(st.sampled_from([0.5, 1.0])),
+        alpha_total=draw(st.sampled_from([1.0, 1.75, 4.0])),
+        sigma2=draw(st.sampled_from([1.0, 2.5])),
+        num_taps=draw(st.integers(0, 3)),
+        mean_log_gain=draw(st.sampled_from([-EULER_GAMMA, 0.25])),
+    )
+
+
+class TestXiPMemo:
+    """``lower_bound`` reuses Xi_P from ``DirectStats.xi_p_memo`` only at the stored power."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        channels=st.lists(memo_channels(), min_size=2, max_size=2),
+        log_snrs=st.lists(
+            st.one_of(
+                st.floats(-3.0, 1e12),
+                st.sampled_from([0.0, -math.log(2.5), math.nan, math.inf, -math.inf]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        calls=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(1, 40)), max_size=30),
+    )
+    def test_interleaved_powers_match_a_fresh_instance(self, channels, log_snrs, calls):
+        for which, k, tau in calls:
+            stats, log_snr = channels[which], log_snrs[k % len(log_snrs)]
+            got = outcome(lower_bound, log_snr, tau, stats)
+            assert got == outcome(lower_bound, log_snr, tau, fresh_twin(stats))
+            assert got == outcome(reference_lower_bound, log_snr, tau, stats)
+
+    @pytest.mark.parametrize("log_power", [math.nan, math.inf, -math.inf, 0.0, -1.0, -1e300])
+    def test_invalid_power_after_a_valid_one_raises_the_power_error(self, log_power):
+        stats = stats_for(sigma2=2.5)
+        valid = lower_bound(50.0, 4, stats)
+        stored = stats.xi_p_memo[0]
+        log_snr = log_power - stats.log_sigma2
+        with pytest.raises(ValueError) as raised:
+            lower_bound(log_snr, 4, stats)
+        assert str(raised.value) == str(_power_error(log_snr + stats.log_sigma2))
+        assert "\n" not in str(raised.value)
+        assert stats.xi_p_memo[0] == stored
+        assert lower_bound(50.0, 4, stats) == valid
+
+    def test_replace_and_copy_never_return_a_stale_xi_p(self):
+        stats = stats_for(alpha_0=0.5, alpha_total=1.75, sigma2=2.5)
+        log_snr = 60.0
+        lower_bound(log_snr, 5, stats)
+        # same log P, different Xi_P: a carried-over pair would be stale
+        for changed in (
+            dataclasses.replace(stats, alpha_total=4.0),
+            dataclasses.replace(stats, alpha_0=1.0),
+            dataclasses.replace(stats, mean_log_gain_0=0.25),
+            dataclasses.replace(stats, sigma2=7.0),
+        ):
+            assert lower_bound(log_snr, 5, changed).hex() == lower_bound(log_snr, 5, fresh_twin(changed)).hex()
+        for twin in (copy.copy(stats), copy.deepcopy(stats)):
+            assert twin == stats
+            for value in (log_snr, 61.0, log_snr):
+                assert lower_bound(value, 5, twin).hex() == lower_bound(value, 5, fresh_twin(stats)).hex()
+        assert lower_bound(log_snr, 5, stats).hex() == lower_bound(log_snr, 5, fresh_twin(stats)).hex()
+
+    def test_threads_sharing_one_instance_get_fresh_values(self):
+        # the threads alternate between the same two powers out of step, so the
+        # stored pair is replaced under each of them all the time
+        stats = stats_for(sigma2=2.5)
+        powers = (100.0, 1e6)
+        expected = {p: reference_lower_bound(p, 5, stats) for p in powers}
+        wrong, finished = [], []
+
+        def work(phase):
+            for i in range(phase, phase + 20000):
+                log_snr = powers[i % 2]
+                if lower_bound(log_snr, 5, stats) != expected[log_snr]:
+                    wrong.append(log_snr)
+            finished.append(phase)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(phase,)) for phase in (0, 1, 0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finished) == len(threads) and wrong == []
+
+    def test_optimize_tau_evaluates_xi_p_once_per_point(self, monkeypatch):
+        counts = {"xi_p": 0, "lower_bound": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fadecap.direct, "xi_p", counted("xi_p", fadecap.direct.xi_p))
+        monkeypatch.setattr(fadecap.direct, "lower_bound", counted("lower_bound", fadecap.direct.lower_bound))
+        stats, tau_max = stats_for(sigma2=2.5), 64
+        points = [1e4, 1e5, 1e6, 1e9, 1e5]
+        for log_snr in points:
+            assert schedule_is_valid(log_snr + stats.log_sigma2, tau_max)  # every tau is admissible
+            optimize_tau(log_snr, stats, tau_max)
+        assert counts == {"xi_p": len(points), "lower_bound": tau_max * len(points)}
 
 
 class TestRateBound:
