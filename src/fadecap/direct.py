@@ -147,10 +147,11 @@ class DirectStats:
     """Channel statistics the achievable-rate bound consumes.
 
     ``log_sigma2`` and ``sqrt_alpha_0`` are derived once here rather than on
-    every bound evaluation.  ``xi_p_memo`` holds the last validated
-    ``(log P, Xi_P)`` pair that ``lower_bound`` computed, as one tuple in a
-    one-element list that is replaced in a single step, so a tau scan at one
-    power evaluates ``xi_p`` once.  None of the three is a constructor
+    every bound evaluation.  ``power_memo`` holds the tau-independent terms
+    of the last validated power that ``lower_bound`` saw, the triple
+    ``(log P, log log P, Xi_P)``, as one tuple in a one-element list that is
+    replaced in a single step, so a tau scan at one power evaluates
+    ``log log P`` and ``xi_p`` once.  None of the three is a constructor
     argument or takes part in ``repr``, ``==`` or ``hash``.
     """
 
@@ -161,7 +162,7 @@ class DirectStats:
     num_taps: int
     log_sigma2: float = field(init=False, repr=False, compare=False)
     sqrt_alpha_0: float = field(init=False, repr=False, compare=False)
-    xi_p_memo: list = field(init=False, repr=False, compare=False)
+    power_memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha_0 > 0.0):
@@ -174,7 +175,7 @@ class DirectStats:
             raise ValueError("mean log gain of the delay-0 path must be finite")
         object.__setattr__(self, "log_sigma2", math.log(self.sigma2))
         object.__setattr__(self, "sqrt_alpha_0", math.sqrt(self.alpha_0))
-        object.__setattr__(self, "xi_p_memo", [(math.nan, math.nan)])  # nan matches no power
+        object.__setattr__(self, "power_memo", [(math.nan, math.nan, math.nan)])  # nan matches no power
 
     @classmethod
     def from_config(cls, config: ChannelConfig) -> "DirectStats":
@@ -216,12 +217,21 @@ def lemma_mi_lower_bound(
 
 
 def log_log_ratio(log_power: float, tau: int) -> float:
-    """log log(P^(1/tau) / log P), computed stably from log P."""
-    inner = log_power / tau - math.log(log_power)
+    """log log(P^(1/tau) / log P), computed stably from log P.
+
+    Raises a one-line ValueError when the schedule is inadmissible,
+    P^(1/tau) <= log P.
+    """
+    return _log_log_ratio(log_power, tau, math.log(log_power))
+
+
+def _log_log_ratio(log_power: float, tau: int, log_log_power: float) -> float:
+    """``log_log_ratio`` given log log P, which does not depend on tau."""
+    inner = log_power / tau - log_log_power
     if inner <= 0.0:
         raise ValueError(
             f"schedule inversion: P^(1/tau) <= log P "
-            f"(log P / tau = {log_power / tau:.6g} <= log log P = {math.log(log_power):.6g})"
+            f"(log P / tau = {log_power / tau:.6g} <= log log P = {log_log_power:.6g})"
         )
     return math.log(inner)
 
@@ -263,21 +273,23 @@ def lower_bound(log_snr: float, tau: int, stats: DirectStats) -> float:
     """Achievable rate of the scheme, nats per channel use.
 
     R = tau/(L+tau) * [ log log(P^(1/tau)/log P) + Xi_P ]  with P = SNR * sigma^2.
-    Xi_P is reused from ``stats.xi_p_memo`` when log P equals the stored
-    power, which only a validated power can; otherwise the power is checked,
-    ``xi_p`` evaluated and the pair stored.  Raises when P <= 1, log P is not
-    finite or the slot schedule is inadmissible for this (P, tau); callers
-    should then lower tau.
+    log log P and Xi_P are reused from ``stats.power_memo`` when log P equals
+    the stored power, which only a validated power can; otherwise the power
+    is checked, both are evaluated and the triple is stored.  A call at a
+    stored power then costs one division, one subtraction, one ``math.log``
+    and the weight.  Raises when P <= 1, log P is not finite or the slot
+    schedule is inadmissible for this (P, tau); callers should then lower tau.
     """
     log_power = log_snr + stats.log_sigma2
-    memo_power, xi = stats.xi_p_memo[0]
+    memo_power, log_log_power, xi = stats.power_memo[0]
     if log_power != memo_power:
         if not 0.0 < log_power < math.inf:
             raise _power_error(log_power)
+        log_log_power = math.log(log_power)
         xi = xi_p(log_power, stats)
-        stats.xi_p_memo[0] = (log_power, xi)
+        stats.power_memo[0] = (log_power, log_log_power, xi)
     weight = tau / (stats.num_taps + tau)
-    return weight * (log_log_ratio(log_power, tau) + xi)
+    return weight * (_log_log_ratio(log_power, tau, log_log_power) + xi)
 
 
 def _power_error(log_power: float) -> ValueError:
@@ -287,13 +299,21 @@ def _power_error(log_power: float) -> ValueError:
 def optimize_tau(
     log_snr: float, stats: DirectStats, tau_max: int
 ) -> Tuple[int, float]:
-    """Exhaustive search of the rate bound over the admissible tau in 1..tau_max.
+    """Maximize the rate bound over the admissible tau in 1..tau_max.
 
     Admissibility is monotone in tau (log P / tau never grows), so the last
     admissible tau is found by bisection on ``schedule_is_valid``; the scan
-    then evaluates ``lower_bound`` at every tau up to it.  Returns the
-    maximizing (tau, rate), ties broken toward the smaller tau.  Raises if
-    log P is not finite or no tau is admissible (P too small).
+    then evaluates ``lower_bound`` at every tau up to it, and stops at the
+    first negative rate.  No larger tau can beat that rate: the bracket
+    log log(P^(1/tau)/log P) + Xi_P never grows with tau and the weight
+    tau/(L+tau) never shrinks, so a negative bracket times a larger weight
+    is no larger.  Each floating-point step is monotone in tau as well, so
+    the stop returns the bits of the full scan.  R(1) < 0 at every
+    log P <= 1, where every tau is admissible, for a channel with
+    E log|H^(0)|^2 <= log alpha_0 (Jensen; from a config it is
+    log alpha_0 - gamma), so the scan ends at tau = 1.  Returns the maximizing
+    (tau, rate), ties broken toward the smaller tau.  Raises if log P is
+    not finite or no tau is admissible (P too small).
     """
     if tau_max < 1:
         raise ValueError(f"tau_max must be >= 1, got {tau_max}")
@@ -312,9 +332,11 @@ def optimize_tau(
             last = mid
         else:
             above = mid
-    best_tau, best = 1, lower_bound(log_snr, 1, stats)
-    for tau in range(2, last + 1):
+    best_tau, best = 1, -math.inf
+    for tau in range(1, last + 1):
         value = lower_bound(log_snr, tau, stats)
         if value > best:
             best_tau, best = tau, value
+        if value < 0.0:
+            break
     return best_tau, best

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fadecap.direct
 from fadecap import cli
 from fadecap.cli import (
     COLUMNS,
@@ -35,10 +36,11 @@ from fadecap.cli import (
     write_outputs,
 )
 from fadecap.converse import ConverseStats, upper_bound
-from fadecap.direct import DirectStats, optimize_tau
+from fadecap.direct import DirectStats, lower_bound, optimize_tau
 
 LOG10 = math.log(10.0)
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+LOW_POWER_CONFIG = REPO_CONFIG.with_name("low_power.json")
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DEMO = load_config(REPO_CONFIG)
 
@@ -195,6 +197,19 @@ class TestRunSweep:
             assert (tau, lower) == optimize_tau(log_snr, dstats, DEMO.tau_max)
             assert loglog == math.log(log_snr)
             assert (ratio_upper, ratio_lower) == (upper / loglog, lower / loglog)
+
+    def test_low_power_sweep_evaluates_one_tau_per_point(self, monkeypatch):
+        # log P runs from 0.04 to 3.9 nats, so every tau is admissible at the
+        # first points; R(1) < 0 at every point, so tau = 1 is taken at once
+        config = dataclasses.replace(load_config(LOW_POWER_CONFIG), tau_max=10**6)
+        calls = []
+        monkeypatch.setattr(fadecap.direct, "lower_bound", lambda *args: calls.append(args[1]) or lower_bound(*args))
+        sweep, _ = run_sweep(config)
+        assert calls == [1] * config.grid.points
+        dstats = DirectStats.from_config(config.channel)
+        assert list(sweep.tau_star) == [1] * config.grid.points
+        assert list(sweep.lower) == [lower_bound(log_snr, 1, dstats) for log_snr in sweep.log_snr]
+        assert min(s + dstats.log_sigma2 for s in sweep.log_snr) < 1.0
 
 
 class TestSlopeFit:

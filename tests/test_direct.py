@@ -10,10 +10,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fadecap.direct
+from fadecap.channel import ChannelConfig
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
@@ -28,7 +29,7 @@ from fadecap.direct import (
     _power_error,
     xi_p,
 )
-from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E
+from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath
 from fadecap.oracle import _scheme_inputs
 from fadecap.streams import substream
 
@@ -92,6 +93,47 @@ def search_cases(draw):
     else:
         log_power = -draw(st.floats(0.0, 5.0))
     return log_power - math.log(stats.sigma2), stats, tau_max
+
+
+@st.composite
+def config_stats(draw):
+    """``DirectStats.from_config`` of a random channel, so E log|H^(0)|^2 = log alpha_0 - gamma."""
+    alpha = st.floats(1e-3, 1e3)
+
+    def path(kinds):
+        kind = draw(st.sampled_from(kinds))
+        if kind is ZeroPath:
+            return ZeroPath()
+        if kind is IidGaussian:
+            return IidGaussian(draw(alpha))
+        return Ar1Gaussian(draw(alpha), draw(st.complex_numbers(max_magnitude=0.99)))
+
+    paths = [path([IidGaussian, Ar1Gaussian])]
+    paths += [path([IidGaussian, Ar1Gaussian, ZeroPath]) for _ in range(draw(st.integers(0, 4)))]
+    noise_variance = math.exp(draw(st.floats(-8.0, 8.0)))
+    return DirectStats.from_config(ChannelConfig(tuple(paths), noise_variance, 0.0))
+
+
+# R(1) > 0 > R(29) while every tau up to 51 is admissible: the scan stops at tau = 29
+MID_SCAN_STOP = (
+    admissibility_edge(51) * (1.0 + 1e-9) - math.log(2.5),
+    stats_for(alpha_0=0.7, alpha_total=1.9, sigma2=2.5, num_taps=3),
+    1024,
+)
+
+
+class CountingMath:
+    """The ``math`` module with a count of ``log`` calls."""
+
+    def __init__(self):
+        self.log_calls = 0
+
+    def log(self, x):
+        self.log_calls += 1
+        return math.log(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
 
 
 def reference_log_block_average_power(scheme):
@@ -308,17 +350,17 @@ class TestDirectStats:
     def test_derived_fields_not_arguments_repr_or_equality(self):
         init_names = {f.name for f in dataclasses.fields(DirectStats) if f.init}
         assert init_names == {"mean_log_gain_0", "alpha_0", "alpha_total", "sigma2", "num_taps"}
-        for derived in ("log_sigma2", "sqrt_alpha_0", "xi_p_memo"):
+        for derived in ("log_sigma2", "sqrt_alpha_0", "power_memo"):
             with pytest.raises(TypeError):
                 DirectStats(-EULER_GAMMA, 1.0, 1.75, 1.0, 2, **{derived: 0.0})
         stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
-        lower_bound(40.0, 3, stats)  # stores a (log P, Xi_P) pair
-        assert not any(derived in repr(stats) for derived in ("log_sigma2", "sqrt_alpha_0", "xi_p_memo"))
+        lower_bound(40.0, 3, stats)  # stores a (log P, log log P, Xi_P) triple
+        assert not any(derived in repr(stats) for derived in ("log_sigma2", "sqrt_alpha_0", "power_memo"))
         assert repr(stats) == repr(stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0))
         twin = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
         object.__setattr__(twin, "log_sigma2", 0.0)
         object.__setattr__(twin, "sqrt_alpha_0", 0.0)
-        assert twin.xi_p_memo != stats.xi_p_memo
+        assert twin.power_memo != stats.power_memo
         assert twin == stats and hash(twin) == hash(stats)
 
     def test_replace_recomputes_derived_fields(self):
@@ -364,8 +406,11 @@ def memo_channels(draw):
     )
 
 
+EDGES = [(e, math.nextafter(e, 0.0), math.nextafter(e, math.inf)) for e in map(admissibility_edge, (3, 51))]
+
+
 class TestXiPMemo:
-    """``lower_bound`` reuses Xi_P from ``DirectStats.xi_p_memo`` only at the stored power."""
+    """``lower_bound`` reuses log log P and Xi_P from ``DirectStats.power_memo`` only at the stored power."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -380,6 +425,19 @@ class TestXiPMemo:
         ),
         calls=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(1, 40)), max_size=30),
     )
+    # sigma2 = 1, so log P is the log SNR itself: at the edges of tau = 3 and 51,
+    # where tau is admissible 1 ulp above the edge but not 1 ulp below, and
+    # log log P of a neighbouring power differs in its last bit
+    @example(
+        channels=[stats_for(sigma2=1.0), stats_for(alpha_0=0.5, alpha_total=4.0, sigma2=1.0, num_taps=3)],
+        log_snrs=list(EDGES[0]),
+        calls=[(0, 0, 3), (0, 1, 3), (0, 0, 3), (0, 2, 3), (0, 1, 3), (1, 1, 2), (1, 0, 3), (1, 2, 3), (0, 0, 3)],
+    )
+    @example(
+        channels=[stats_for(sigma2=1.0), stats_for(sigma2=1.0, num_taps=0)],
+        log_snrs=list(EDGES[1]),
+        calls=[(0, 1, 51), (0, 0, 51), (0, 2, 51), (0, 1, 51), (1, 2, 51), (1, 1, 50), (0, 1, 51), (1, 0, 51)],
+    )
     def test_interleaved_powers_match_a_fresh_instance(self, channels, log_snrs, calls):
         for which, k, tau in calls:
             stats, log_snr = channels[which], log_snrs[k % len(log_snrs)]
@@ -391,14 +449,41 @@ class TestXiPMemo:
     def test_invalid_power_after_a_valid_one_raises_the_power_error(self, log_power):
         stats = stats_for(sigma2=2.5)
         valid = lower_bound(50.0, 4, stats)
-        stored = stats.xi_p_memo[0]
+        stored = stats.power_memo[0]
         log_snr = log_power - stats.log_sigma2
         with pytest.raises(ValueError) as raised:
             lower_bound(log_snr, 4, stats)
         assert str(raised.value) == str(_power_error(log_snr + stats.log_sigma2))
         assert "\n" not in str(raised.value)
-        assert stats.xi_p_memo[0] == stored
+        assert stats.power_memo[0] == stored
         assert lower_bound(50.0, 4, stats) == valid
+
+    @settings(max_examples=200, deadline=None)
+    @given(channel=memo_channels(), log_snr=st.floats(1e-3, 1e300), tau=st.integers(1, 40))
+    def test_stored_triple_is_log_p_log_log_p_and_xi_p_bit_for_bit(self, channel, log_snr, tau):
+        try:
+            lower_bound(log_snr, tau, channel)
+        except ValueError as err:  # an inadmissible tau still stores the validated power
+            assert str(err).startswith("schedule inversion")
+        log_power = log_snr + channel.log_sigma2
+        expected = (log_power, math.log(log_power), xi_p(log_power, channel))
+        assert [v.hex() for v in channel.power_memo[0]] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("edge_tau", [3, 8, 51])
+    def test_inadmissible_tau_at_a_stored_power_raises_the_log_log_ratio_error(self, edge_tau):
+        stats = stats_for(sigma2=2.5)
+        log_snr = admissibility_edge(edge_tau) * (1.0 - 1e-9) - stats.log_sigma2  # edge_tau - 1 is the last admissible
+        log_power = log_snr + stats.log_sigma2
+        lower_bound(log_snr, 1, stats)
+        stored = stats.power_memo[0]
+        for tau in (edge_tau, 4 * edge_tau):
+            with pytest.raises(ValueError) as expected:
+                log_log_ratio(log_power, tau)
+            with pytest.raises(ValueError) as raised:
+                lower_bound(log_snr, tau, stats)
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).startswith("schedule inversion") and "\n" not in str(raised.value)
+            assert stats.power_memo[0] is stored
 
     def test_replace_and_copy_never_return_a_stale_xi_p(self):
         stats = stats_for(alpha_0=0.5, alpha_total=1.75, sigma2=2.5)
@@ -596,8 +681,54 @@ class TestOptimizeTau:
         ref_tau, ref_rate = reference_search(log_snr, stats, tau_max)
         assert (tau, rate.hex()) == (ref_tau, ref_rate.hex())
 
+    def test_log_calls_per_point_stay_near_one_per_candidate(self, monkeypatch):
+        # log log P is taken once per point, so each candidate tau costs one log
+        stats, tau_max = stats_for(sigma2=2.5), 64
+        points = [1e4, 1e6, 1e9]
+        for log_snr in points:
+            assert schedule_is_valid(log_snr + stats.log_sigma2, tau_max)
+            assert lower_bound(log_snr, tau_max, stats) > 0.0  # so the scan runs to tau_max
+        counting = CountingMath()
+        monkeypatch.setattr(fadecap.direct, "math", counting)
+        for log_snr in points:
+            counting.log_calls = 0
+            optimize_tau(log_snr, fresh_twin(stats), tau_max)
+            assert counting.log_calls < tau_max + 2 * math.ceil(math.log2(tau_max)) + 4
+
+    def test_stops_at_the_first_negative_rate(self, monkeypatch):
+        log_snr, stats, tau_max = MID_SCAN_STOP
+        log_power = log_snr + stats.log_sigma2
+        rates = [lower_bound(log_snr, tau, stats) for tau in range(1, 52)]
+        first_negative = next(tau for tau, rate in enumerate(rates, 1) if rate < 0.0)
+        assert rates[0] > 0.0 and first_negative < 51
+        assert schedule_is_valid(log_power, 51) and not schedule_is_valid(log_power, 52)
+        calls = []
+        original = fadecap.direct.lower_bound
+        monkeypatch.setattr(fadecap.direct, "lower_bound", lambda *args: calls.append(args[1]) or original(*args))
+        tau, rate = optimize_tau(log_snr, stats, tau_max)
+        assert calls == list(range(1, first_negative + 1))
+        ref_tau, ref_rate = reference_search(log_snr, stats, tau_max)
+        assert (tau, rate.hex()) == (ref_tau, ref_rate.hex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stats=config_stats(),
+        log_power=st.floats(0.0, 1.0, exclude_min=True),
+        gap=st.one_of(st.just(EULER_GAMMA), st.floats(0.0, EULER_GAMMA)),
+    )
+    def test_config_channels_at_log_p_at_most_one_return_tau_one(self, stats, log_power, gap):
+        # every tau is admissible at 0 < log P <= 1, and R(1) < 0 there when
+        # E log|H^(0)|^2 = log alpha_0 - gap: gap = gamma from a config, 0 at Jensen's cap
+        stats = dataclasses.replace(stats, mean_log_gain_0=math.log(stats.alpha_0) - gap)
+        log_snr = log_power - stats.log_sigma2
+        assume(0.0 < log_snr + stats.log_sigma2 <= 1.0)
+        tau, rate = optimize_tau(log_snr, stats, 10**12)
+        assert (tau, rate.hex()) == (1, lower_bound(log_snr, 1, stats).hex())
+        assert rate < 0.0
+
     @settings(max_examples=300, deadline=None)
     @given(case=search_cases())
+    @example(case=MID_SCAN_STOP)
     def test_property_bit_for_bit_against_plain_scan(self, case):
         log_snr, stats, tau_max = case
         expected = reference_search(log_snr, stats, tau_max)
