@@ -94,13 +94,22 @@ class ChannelRealization:
         return self.gains.shape[-2] - 1
 
 
+def _tap_gains(config: ChannelConfig, ell: int, n: int, n_samples: int, seed: int) -> np.ndarray:
+    """Tap ``ell``'s gains at times 1..n, shape (n_samples, n), from the tap's own substream."""
+    return sample_paths(config.path_specs[ell], n, n_samples, substream(seed, 0, ell))
+
+
+def _noise(config: ChannelConfig, n: int, n_samples: int, seed: int) -> np.ndarray:
+    """The noise at times 1..n, shape (n_samples, n), from the noise substream."""
+    return complex_normal(substream(seed, 1), (n_samples, n), config.noise_variance)
+
+
 def realize_many(config: ChannelConfig, n: int, n_samples: int, seed: int) -> ChannelRealization:
     """Batch of ``n_samples`` independent realizations, gains shape (n_samples, L+1, n)."""
     gains = np.empty((n_samples, config.num_paths + 1, n), dtype=complex)
-    for ell, spec in enumerate(config.path_specs):
-        gains[:, ell, :] = sample_paths(spec, n, n_samples, substream(seed, 0, ell))
-    noise = complex_normal(substream(seed, 1), (n_samples, n), config.noise_variance)
-    return ChannelRealization(gains=gains, noise=noise)
+    for ell in range(config.num_paths + 1):
+        gains[:, ell, :] = _tap_gains(config, ell, n, n_samples, seed)
+    return ChannelRealization(gains=gains, noise=_noise(config, n, n_samples, seed))
 
 
 def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.ndarray:
@@ -126,6 +135,26 @@ def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.nd
         if ell >= n:
             break
         y[..., ell:] += realization.gains[..., ell, ell:] * x[..., : n - ell]
+    return y
+
+
+def output_at(config: ChannelConfig, x, seed: int) -> np.ndarray:
+    """The last output Y_k for a batch of inputs ``x`` of shape (n_samples, k).
+
+    Bit for bit equal to
+    ``simulate(config, x, realize_many(config, k, n_samples, seed))[:, k - 1]``:
+    the same substreams, summed in the same order (noise, then taps
+    0, 1, ...), but each tap's sample paths are held only while their
+    time-k gain is read, and taps that cannot reach time k are not drawn.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2:
+        raise ValueError(f"inputs must have shape (n_samples, k), got {x.shape}")
+    n_samples, k = x.shape
+    y = np.zeros(n_samples, dtype=complex)
+    y += _noise(config, k, n_samples, seed)[:, k - 1]
+    for ell in range(min(k, config.num_paths + 1)):
+        y += _tap_gains(config, ell, k, n_samples, seed)[:, k - 1] * x[:, k - 1 - ell]
     return y
 
 

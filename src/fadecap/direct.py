@@ -20,6 +20,7 @@ be analyzed far beyond floating-point power ranges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -28,6 +29,19 @@ import numpy as np
 
 from .channel import ChannelConfig, aggregate_gain
 from .fading import LOG_PI, LOG_PI_E, stats_of
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], built once per n.
+
+    ``leggauss(512)`` costs tens of milliseconds, and every caller shares the
+    cached arrays, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -86,7 +100,7 @@ class LogUniformX2:
         a, b = self.log_min, self.log_max
         if b == a:
             return np.array([a]), np.array([1.0])
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = _legendre_rule(n)
         return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * weights
 
     def sample_log_x2(self, rng: np.random.Generator, size=None) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015329
 LOG_PI = math.log(math.pi)
 LOG_PI_E = LOG_PI + 1.0
+_BLOCK = 65536  # normals per draw in complex_normal
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,22 @@ def stats_of(spec: PathGainSpec) -> PathStats:
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian samples with E|Z|^2 = variance."""
-    z = rng.standard_normal(size=(2,) + tuple(np.atleast_1d(shape)))
-    z *= math.sqrt(variance / 2.0)
-    out = np.empty(z.shape[1:], dtype=complex)
-    out.real = z[0]
-    out.imag = z[1]
+    """Circularly-symmetric complex Gaussian samples with E|Z|^2 = variance.
+
+    The draws are those of one ``rng.standard_normal((2,) + shape)`` call,
+    real parts first, but they are made _BLOCK normals at a time into one
+    reused buffer, so memory is the result plus one block.
+    """
+    out = np.empty(tuple(np.atleast_1d(shape)), dtype=complex)
+    flat = out.reshape(-1)
+    scale = math.sqrt(variance / 2.0)
+    buf = np.empty(min(_BLOCK, flat.size))
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, _BLOCK):
+            block = buf[: min(_BLOCK, flat.size - start)]
+            rng.standard_normal(out=block)
+            block *= scale
+            part[start : start + block.size] = block
     return out
 
 

@@ -3,8 +3,9 @@
 Everything here is independent of the closed forms it checks: mutual
 information on scalar fading instances is estimated from the exact
 conditional Gaussian density (bias-controlled, with quantifiable standard
-errors), log-moment inequalities are audited by direct channel simulation,
-and per-path statistics by plain sample means.
+errors), log-moment inequalities are audited by direct channel simulation
+(``channel.output_at``, which draws only the output the audit reads), and
+per-path statistics by plain sample means.
 
 All estimators are deterministic given (seed, n_samples, n_workers).  The
 sample budget is sharded across ``n_workers`` independent substreams (the
@@ -23,7 +24,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelConfig, realize_many, simulate
+# realize_many and simulate are the reference that output_at is tested
+# against; they stay bound here, where perfbench/tracing.py wraps them.
+from .channel import ChannelConfig, output_at, realize_many, simulate  # noqa: F401
 from .direct import LogUniformX2, SchemeParams
 from .fading import Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath, complex_normal
 from .streams import substream
@@ -85,7 +88,9 @@ class _Accumulator:
         mean_b = float(np.mean(values))
         n = self.n + n_b
         delta = mean_b - self.mean
-        self.m2 += float(np.sum(np.square(values - mean_b))) + delta * delta * (self.n * n_b / n)
+        dev = values - mean_b
+        np.square(dev, out=dev)
+        self.m2 += float(np.sum(dev)) + delta * delta * (self.n * n_b / n)
         self.mean += delta * (n_b / n)
         self.n = n
 
@@ -135,8 +140,10 @@ def mc_log_gain(
         raise TypeError(f"not a path-gain spec: {spec!r}")
     acc = _Accumulator()
     for w, size in _shards(n_samples, n_workers):
-        h = complex_normal(substream(seed, w), size, spec.alpha)
-        acc.add(np.log(np.abs(h) ** 2))
+        log_h2 = np.abs(complex_normal(substream(seed, w), size, spec.alpha))
+        np.square(log_h2, out=log_h2)
+        np.log(log_h2, out=log_h2)
+        acc.add(log_h2)
     return acc.estimate()
 
 
@@ -225,8 +232,12 @@ def mc_block_power(
         rng = substream(seed, w)
         total = np.zeros(size)
         for nu in range(1, params.tau + 1):
-            total += np.exp(params.slot_law(nu).sample_log_x2(rng, size))
-        acc.add(total / params.block_len)
+            power = params.slot_law(nu).sample_log_x2(rng, size)
+            np.exp(power, out=power)
+            total += power
+            del power
+        total /= params.block_len
+        acc.add(total)
     return acc.estimate()
 
 
@@ -270,8 +281,10 @@ def verify_log_moment_bounds(
          against the analytic slot powers via the delta method.
 
     ``scheme=None`` audits the zero-input channel (pure noise).  Both checks
-    use a 3-standard-error acceptance threshold and simulate the channel
-    output through the real channel operator.
+    use a 3-standard-error acceptance threshold.  Y_k comes from
+    ``channel.output_at``, which equals the channel operator ``simulate`` on
+    ``realize_many``'s draws bit for bit but holds one tap's sample paths at
+    a time.
     """
     if k < 1:
         raise ValueError(f"time index must be >= 1, got {k}")
@@ -300,11 +313,12 @@ def verify_log_moment_bounds(
             m = min(_CHUNK, size - start)
             chunk_id = start // _CHUNK
             x = input_batch(substream(seed, 0, w, chunk_id), m)
-            real = realize_many(config, k, m, seed=_mix(seed, 1, w, chunk_id))
-            y2 = np.abs(simulate(config, x, real)[:, k - 1]) ** 2
-            del x, real  # free this chunk's draws before the next chunk's
-            lhs.add(np.log(y2))
+            y2 = np.abs(output_at(config, x, seed=_mix(seed, 1, w, chunk_id)))
+            del x  # free this chunk's inputs before the next draws
+            np.square(y2, out=y2)
             second.add(y2)
+            np.log(y2, out=y2)
+            lhs.add(y2)
             rhs.add(np.log(weighted_input_power(input_batch(substream(seed, 2, w, chunk_id), m))))
 
     lhs, rhs, second = lhs.estimate(), rhs.estimate(), second.estimate()

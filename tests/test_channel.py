@@ -11,11 +11,12 @@ from fadecap.channel import (
     ChannelConfig,
     ChannelRealization,
     aggregate_gain,
+    output_at,
     realize_many,
     simulate,
     snr_of,
 )
-from fadecap.fading import IidGaussian, ZeroPath
+from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
@@ -160,6 +161,41 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(ChannelConfig(path_specs=(IidGaussian(1.0),), noise_variance=1.0, log_power=0.0),
                      np.zeros(8), real)
+
+
+ACTIVE_TAPS = st.one_of(
+    st.floats(0.01, 10.0).map(IidGaussian),
+    st.builds(
+        lambda alpha, mag, phase: Ar1Gaussian(alpha, mag * complex(math.cos(phase), math.sin(phase))),
+        st.floats(0.01, 10.0),
+        st.floats(0.0, 0.99),
+        st.floats(0.0, 2.0 * math.pi),
+    ),
+)
+
+
+class TestOutputAt:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first_tap=ACTIVE_TAPS,
+        later_taps=st.lists(st.one_of(ACTIVE_TAPS, st.just(ZeroPath())), max_size=3),
+        n_samples=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_is_the_last_column_of_simulate_bit_for_bit(self, first_tap, later_taps, n_samples, seed, data):
+        config = ChannelConfig(path_specs=(first_tap, *later_taps), noise_variance=0.7, log_power=0.0)
+        k = data.draw(st.integers(1, config.num_paths + 3), label="k")  # k <= L truncates the sum
+        rng = substream(seed, 9)
+        x = rng.standard_normal((n_samples, k)) + 1j * rng.standard_normal((n_samples, k))
+        want = simulate(config, x, realize_many(config, k, n_samples, seed))[:, k - 1]
+        got = output_at(config, x, seed)
+        assert got.shape == (n_samples,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_inputs_must_be_a_batch_of_sequences(self):
+        with pytest.raises(ValueError, match=r"shape \(n_samples, k\)"):
+            output_at(two_tap_config(), np.zeros(4), seed=0)
 
 
 class TestMoments:

@@ -299,6 +299,25 @@ class TestLemma:
         )
         assert abs(quad_term - np.mean(samples)) <= 3.0 * sem
 
+    def test_quadrature_builds_each_rule_once_and_keeps_its_bits(self, monkeypatch):
+        law = LogUniformX2(0.0, math.log(100.0))
+        nodes, weights = np.polynomial.legendre.leggauss(37)
+        fadecap.direct._legendre_rule.cache_clear()
+        u, w = law.quadrature(37)
+        assert u.tobytes() == (0.5 * law.spread * nodes + 0.5 * law.spread).tobytes()
+        assert w.tobytes() == (0.5 * weights).tobytes()
+        u[0] = w[0] = math.nan  # the caller's arrays are its own
+
+        def unexpected(n):
+            raise AssertionError(f"rule {n} built again")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", unexpected)
+        again_u, again_w = law.quadrature(37)
+        assert again_u.tobytes() == (0.5 * law.spread * nodes + 0.5 * law.spread).tobytes()
+        assert again_w.tobytes() == (0.5 * weights).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            fadecap.direct._legendre_rule(37)[0][0] = 0.0
+
     @pytest.mark.parametrize("sigma_h, sigma_w", [(1.0, 1.0), (0.3, 3.0)])  # the demo channel first
     @pytest.mark.parametrize(
         "log_min, log_max",

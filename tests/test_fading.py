@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadecap.fading import (
+    _BLOCK,
     EULER_GAMMA,
     LOG_PI_E,
     Ar1Gaussian,
@@ -168,6 +169,18 @@ class TestSamplers:
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
             sample_paths(IidGaussian(1.0), 0, 1, substream(0, 0))
+
+    @pytest.mark.parametrize(
+        "shape", [7, (3, 5), _BLOCK, _BLOCK + 1, (3, _BLOCK // 2 + 3), (2, 3 * _BLOCK)]
+    )
+    def test_complex_normal_draws_as_one_standard_normal_call(self, shape):
+        # real parts first, then imaginary parts, scaled to E|Z|^2 = variance
+        rng, reference = substream(8, 2), substream(8, 2)
+        got = complex_normal(rng, shape, 2.5)
+        z = reference.standard_normal((2,) + tuple(np.atleast_1d(shape))) * math.sqrt(2.5 / 2.0)
+        assert got.shape == z.shape[1:]
+        assert got.real.tobytes() == z[0].tobytes() and got.imag.tobytes() == z[1].tobytes()
+        assert rng.standard_normal() == reference.standard_normal()  # the streams are left in step
 
 
 class TestSerialization:

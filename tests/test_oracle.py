@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from fadecap.channel import ChannelConfig
 from fadecap.direct import LogUniformX2, SchemeParams
-from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, stats_of
+from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, complex_normal, stats_of
 from fadecap.oracle import (
     _CHUNK,
     _TILE,
@@ -26,6 +26,7 @@ from fadecap.oracle import (
     mi_scalar_gaussian,
     verify_log_moment_bounds,
 )
+from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
 LAW_1_100 = LogUniformX2(0.0, math.log(100.0))
@@ -186,6 +187,7 @@ class TestLogMomentChecks:
                 tracemalloc.stop()
 
         one = peak(_CHUNK)
+        assert one < 20 * 2**20  # a (65536 x L+1 x k) realization alone is 15 MiB
         assert peak(8 * _CHUNK) < one + 2 * 2**20
 
     def test_mismatched_guard_length_rejected(self):
@@ -193,6 +195,29 @@ class TestLogMomentChecks:
         scheme = SchemeParams(2, config.log_power, 1)
         with pytest.raises(ValueError):
             verify_log_moment_bounds(config, scheme, k=4, n_samples=1000, seed=0)
+
+
+class TestMemoryPerMillionSamples:
+    # One worker, 1e6 samples: the complex draws take 15.3 MiB, one float64
+    # array 7.6 MiB and complex_normal's block of normals 0.5 MiB.
+    @pytest.mark.parametrize(
+        "call, bound_mib",
+        [
+            pytest.param(lambda: complex_normal(substream(0, 0), 10**6, 1.0), 16.5, id="complex_normal"),
+            pytest.param(
+                lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0, 1), 18, id="mc_block_power"
+            ),
+            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0, 1), 26, id="mc_log_gain"),
+        ],
+    )
+    def test_peak(self, call, bound_mib):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
 
 BUDGETED = {
