@@ -22,7 +22,15 @@ from typing import Tuple
 
 import numpy as np
 
-from .fading import PathGainSpec, complex_normal, sample_paths
+from .fading import (
+    REQUIRED,
+    PathGainSpec,
+    complex_normal,
+    path_spec_from_dict,
+    path_spec_to_dict,
+    read_fields,
+    sample_paths,
+)
 from .streams import substream
 
 
@@ -159,8 +167,6 @@ def output_at(config: ChannelConfig, x, seed: int) -> np.ndarray:
 
 
 def config_to_dict(config: ChannelConfig) -> dict:
-    from .fading import path_spec_to_dict
-
     return {
         "paths": [path_spec_to_dict(spec) for spec in config.path_specs],
         "noise_variance": config.noise_variance,
@@ -169,8 +175,6 @@ def config_to_dict(config: ChannelConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ChannelConfig:
-    from .fading import REQUIRED, path_spec_from_dict, read_fields
-
     fields = read_fields(
         data,
         "channel",

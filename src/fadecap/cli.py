@@ -51,6 +51,8 @@ from .oracle import (
 
 SCHEMA_VERSION = 1
 LOG10 = math.log(10.0)
+SAMPLES_MI = 100_000  # default outer draws of the mutual-information oracle
+SAMPLES_MOMENTS = 1_000_000  # default draws of every other Monte Carlo audit
 
 CONFIG_FIELDS = {
     "schema": (int, REQUIRED),
@@ -328,8 +330,8 @@ def _write_atomically(pieces_by_target: Dict[Path, Iterable[str]], description: 
 
 def run_verification_suite(
     config: SweepConfig,
-    samples_mi: int = 100_000,
-    samples_moments: int = 1_000_000,
+    samples_mi: int = SAMPLES_MI,
+    samples_moments: int = SAMPLES_MOMENTS,
 ) -> List[CheckReport]:
     """The oracle audit behind the ``verify`` subcommand.
 
@@ -341,7 +343,6 @@ def run_verification_suite(
     chan = config.channel
     seed = config.seed
     reports: List[CheckReport] = []
-    workers = default_workers()
 
     for ell, spec in enumerate(chan.path_specs):
         if isinstance(spec, ZeroPath):
@@ -350,12 +351,8 @@ def run_verification_suite(
         est = mc_log_gain(spec, samples_moments, seed=_sub_seed(seed, "log_gain", ell))
         szego = entropy_rate_szego(spectral_density(spec), 2**16)
         reports += [
-            CheckReport.judge(
-                f"mean_log_gain_path_{ell}", est.value, "==", stats.mean_log_gain, est.std_error, workers
-            ),
-            CheckReport.judge(
-                f"entropy_rate_path_{ell}", szego, "==", stats.entropy_rate, 0.0, workers, slack=1e-5
-            ),
+            CheckReport.judge(f"mean_log_gain_path_{ell}", est.value, "==", stats.mean_log_gain, est.std_error),
+            CheckReport.judge(f"entropy_rate_path_{ell}", szego, "==", stats.entropy_rate, 0.0, slack=1e-5),
         ]
 
     log_p = chan.log_power
@@ -370,10 +367,8 @@ def run_verification_suite(
     log_block = log_block_average_power(scheme)
     block_mc = mc_block_power(scheme, samples_moments, seed=_sub_seed(seed, "block_power"))
     reports += [
-        CheckReport.judge("block_power_admissible", log_block, "<=", log_p, 0.0, workers),
-        CheckReport.judge(
-            "block_power_mc", block_mc.value, "==", math.exp(log_block), block_mc.std_error, workers
-        ),
+        CheckReport.judge("block_power_admissible", log_block, "<=", log_p, 0.0),
+        CheckReport.judge("block_power_mc", block_mc.value, "==", math.exp(log_block), block_mc.std_error),
     ]
 
     reports.extend(
@@ -404,7 +399,7 @@ def run_verification_suite(
         n_outer=samples_mi,
         seed=_sub_seed(seed, "mi"),
     )
-    reports.append(CheckReport.judge("lemma_mi_bound", mi.value, ">=", lemma, mi.std_error, workers))
+    reports.append(CheckReport.judge("lemma_mi_bound", mi.value, ">=", lemma, mi.std_error))
     return reports
 
 
@@ -451,8 +446,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     verify_p = sub.add_parser("verify", help="run the Monte Carlo oracle audit")
     verify_p.add_argument("--config", required=True)
     verify_p.add_argument("--seed", type=int, default=None)
-    verify_p.add_argument("--samples-mi", type=int, default=100_000)
-    verify_p.add_argument("--samples-moments", type=int, default=1_000_000)
+    verify_p.add_argument("--samples-mi", type=int, default=SAMPLES_MI)
+    verify_p.add_argument("--samples-moments", type=int, default=SAMPLES_MOMENTS)
     verify_p.add_argument("--output", default=None, help="write the JSON report here")
 
     stats_p = sub.add_parser("stats", help="print per-path statistics for a config")

@@ -258,8 +258,12 @@ def xi_p(log_power: float, stats: DirectStats) -> float:
     """
     if log_power <= 0.0:
         raise ValueError(f"requires P > 1, got log P = {log_power}")
-    root = math.sqrt((stats.alpha_total + stats.sigma2) / log_power)
-    return stats.mean_log_gain_0 - 1.0 - 2.0 * math.log(stats.sqrt_alpha_0 + root)
+    return _xi(stats, (stats.alpha_total + stats.sigma2) / log_power)
+
+
+def _xi(stats: DirectStats, residual_variance: float) -> float:
+    """E[log|H^(0)|^2] - 1 - 2 log(sqrt(alpha_0) + sqrt(residual_variance))."""
+    return stats.mean_log_gain_0 - 1.0 - 2.0 * math.log(stats.sqrt_alpha_0 + math.sqrt(residual_variance))
 
 
 def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float:
@@ -274,13 +278,7 @@ def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float
         raise ValueError(f"slot index must lie in 1..{params.tau}, got {nu}")
     log_p = params.log_power
     residual = stats.sigma2 * math.exp(-(nu - 1) / params.tau * log_p) / log_p
-    root = math.sqrt(stats.alpha_total / log_p + residual)
-    return (
-        log_log_ratio(log_p, params.tau)
-        + stats.mean_log_gain_0
-        - 1.0
-        - 2.0 * math.log(stats.sqrt_alpha_0 + root)
-    )
+    return log_log_ratio(log_p, params.tau) + _xi(stats, stats.alpha_total / log_p + residual)
 
 
 def lower_bound(log_snr: float, tau: int, stats: DirectStats) -> float:

@@ -7,12 +7,13 @@ errors), log-moment inequalities are audited by direct channel simulation
 (``channel.output_at``, which draws only the output the audit reads), and
 per-path statistics by plain sample means.
 
-All estimators are deterministic given (seed, n_samples, n_workers).  The
-sample budget is sharded across ``n_workers`` independent substreams (the
-default worker count comes from the ``FADECAP_WORKERS`` environment
-variable); results are reproducible for a fixed worker count, which is
-recorded in every report.  Means and standard errors are merged a chunk at
-a time, and every report is judged by the one rule of ``CheckReport.judge``.
+All estimators are deterministic given the seed, the sample budget and the
+worker count.  The budget is sharded across as many independent substreams
+as the ``FADECAP_WORKERS`` environment variable names (default 1), read by
+``default_workers`` alone; results are reproducible for a fixed worker
+count, which is recorded in every report.  Means and standard errors are
+merged a chunk at a time, and every report is judged by the one rule of
+``CheckReport.judge``.
 """
 
 from __future__ import annotations
@@ -47,14 +48,11 @@ def default_workers() -> int:
     return workers
 
 
-def _shards(n_samples: int, n_workers: Optional[int], budget: str = "n_samples") -> List[Tuple[int, int]]:
+def _shards(n_samples: int, workers: int, budget: str = "n_samples") -> List[Tuple[int, int]]:
     """The non-empty ``(worker, size)`` shards of a budget of at least 2 samples (a
-    standard error needs two) over ``n_workers >= 1`` workers (None: FADECAP_WORKERS)."""
+    standard error needs two) over ``workers >= 1`` workers."""
     if n_samples < 2:
         raise ValueError(f"{budget} must be at least 2, got {n_samples}")
-    if n_workers is not None and n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    workers = default_workers() if n_workers is None else n_workers
     base, extra = divmod(n_samples, workers)
     return [(w, base + (w < extra)) for w in range(min(workers, n_samples))]
 
@@ -107,17 +105,18 @@ class CheckReport:
     rhs: float
     std_error: float
     passed: bool
-    workers: int = 1
+    workers: int
 
     @classmethod
     def judge(
-        cls, check: str, lhs: float, relation: str, rhs: float, std_error: float, workers: int, slack: float = 0.0
+        cls, check: str, lhs: float, relation: str, rhs: float, std_error: float, slack: float = 0.0
     ) -> CheckReport:
         """The report of ``lhs relation rhs``, for ``relation`` one of ``==``,
-        ``<=`` and ``>=``: it passes within 3 standard errors plus ``slack``."""
+        ``<=`` and ``>=``: it passes within 3 standard errors plus ``slack``.
+        The report records the worker count of ``default_workers``."""
         tol = 3.0 * std_error + slack
         passed = {"==": abs(lhs - rhs) <= tol, "<=": lhs <= rhs + tol, ">=": lhs >= rhs - tol}[relation]
-        return cls(check, lhs, rhs, std_error, passed, workers)
+        return cls(check, lhs, rhs, std_error, passed, default_workers())
 
     def to_dict(self) -> dict:
         return {
@@ -130,16 +129,14 @@ class CheckReport:
         }
 
 
-def mc_log_gain(
-    spec: PathGainSpec, n_samples: int, seed: int, n_workers: Optional[int] = None
-) -> McEstimate:
+def mc_log_gain(spec: PathGainSpec, n_samples: int, seed: int) -> McEstimate:
     """Sample mean of log|H|^2 over independent stationary marginal draws."""
     if isinstance(spec, ZeroPath):
         raise ValueError("the zero tap has no log-gain statistics")
     if not isinstance(spec, (IidGaussian, Ar1Gaussian)):
         raise TypeError(f"not a path-gain spec: {spec!r}")
     acc = _Accumulator()
-    for w, size in _shards(n_samples, n_workers):
+    for w, size in _shards(n_samples, default_workers()):
         log_h2 = np.abs(complex_normal(substream(seed, w), size, spec.alpha))
         np.square(log_h2, out=log_h2)
         np.log(log_h2, out=log_h2)
@@ -175,10 +172,9 @@ def mi_scalar_gaussian(
     h_variance: float,
     w_variance: float,
     x2_law: LogUniformX2,
-    n_outer: int = 100_000,
+    n_outer: int,
+    seed: int,
     n_inner: int = 512,
-    seed: int = 0,
-    n_workers: Optional[int] = None,
 ) -> McEstimate:
     """Monte Carlo mutual information I(X; HX + W) for the scalar fading model.
 
@@ -203,7 +199,7 @@ def mi_scalar_gaussian(
         raise ValueError(f"h_variance must be positive, got {h_variance}")
     if w_variance < 0.0:
         raise ValueError(f"w_variance must be nonnegative, got {w_variance}")
-    shards = _shards(n_outer, n_workers, "n_outer")
+    shards = _shards(n_outer, default_workers(), "n_outer")
     u, weights = x2_law.quadrature(n_inner)
     s_nodes = h_variance * np.exp(u) + w_variance  # conditional variances at nodes
     # log f_Y(y) for a circularly-symmetric mixture of CN(0, s_j) is
@@ -223,12 +219,10 @@ def mi_scalar_gaussian(
     return acc.estimate()
 
 
-def mc_block_power(
-    params: SchemeParams, n_samples: int, seed: int, n_workers: Optional[int] = None
-) -> McEstimate:
+def mc_block_power(params: SchemeParams, n_samples: int, seed: int) -> McEstimate:
     """Monte Carlo block-average power of the scheme (oracle for the closed form)."""
     acc = _Accumulator()
-    for w, size in _shards(n_samples, n_workers):
+    for w, size in _shards(n_samples, default_workers()):
         rng = substream(seed, w)
         total = np.zeros(size)
         for nu in range(1, params.tau + 1):
@@ -269,9 +263,8 @@ def verify_log_moment_bounds(
     config: ChannelConfig,
     scheme: Optional[SchemeParams],
     k: int,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-    n_workers: Optional[int] = None,
+    n_samples: int,
+    seed: int,
 ) -> List[CheckReport]:
     """Audit the two output log-moment identities at time index ``k``.
 
@@ -290,8 +283,7 @@ def verify_log_moment_bounds(
         raise ValueError(f"time index must be >= 1, got {k}")
     if scheme is not None and scheme.num_taps != config.num_paths:
         raise ValueError("scheme guard length must match the channel memory")
-    shards = _shards(n_samples, n_workers)
-    workers = default_workers() if n_workers is None else n_workers
+    shards = _shards(n_samples, default_workers())
     alphas = np.asarray(config.alphas)
     sigma2 = config.noise_variance
     taps = min(k, config.num_paths + 1)  # number of input symbols reaching Y_k
@@ -330,8 +322,8 @@ def verify_log_moment_bounds(
     joint = math.hypot(lhs.std_error, rhs.std_error)
     log_sem = second.std_error / second.value  # delta method
     return [
-        CheckReport.judge("log_moment_upper", lhs.value, "<=", rhs.value, joint, workers),
-        CheckReport.judge("second_moment_identity", math.log(second.value), "==", analytic, log_sem, workers),
+        CheckReport.judge("log_moment_upper", lhs.value, "<=", rhs.value, joint),
+        CheckReport.judge("second_moment_identity", math.log(second.value), "==", analytic, log_sem),
     ]
 
 

@@ -356,6 +356,18 @@ class TestGoldenDemoSweep:
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
+class TestGoldenDemoVerify:
+    # 3 workers split the 200 002 moment draws into uneven shards of more
+    # than one chunk each, the last chunk partial.
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_demo_verify_reproduces_golden_report(self, workers, tmp_path, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", workers)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--config", str(REPO_CONFIG), "--samples-mi", "5001", "--samples-moments", "200002"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"demo_verify_workers{workers}.json").read_bytes()
+
+
 class TestMainEntry:
     def test_sweep_reproducible_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

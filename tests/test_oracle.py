@@ -69,9 +69,11 @@ class TestMcLogGain:
         b = mc_log_gain(IidGaussian(1.0), 10_000, seed=5)
         assert a == b
 
-    def test_worker_count_changes_stream_but_not_statistics(self):
-        one = mc_log_gain(IidGaussian(1.0), 100_000, seed=5, n_workers=1)
-        four = mc_log_gain(IidGaussian(1.0), 100_000, seed=5, n_workers=4)
+    def test_worker_count_changes_stream_but_not_statistics(self, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", "1")
+        one = mc_log_gain(IidGaussian(1.0), 100_000, seed=5)
+        monkeypatch.setenv("FADECAP_WORKERS", "4")
+        four = mc_log_gain(IidGaussian(1.0), 100_000, seed=5)
         assert one != four  # different stream splits
         assert abs(one.value - four.value) <= 3.0 * math.hypot(one.std_error, four.std_error)
 
@@ -104,15 +106,16 @@ class TestMiScalarGaussian:
 
     def test_bad_variances_rejected(self):
         with pytest.raises(ValueError):
-            mi_scalar_gaussian(0.0, 1.0, LAW_1_100)
+            mi_scalar_gaussian(0.0, 1.0, LAW_1_100, n_outer=100, seed=0)
         with pytest.raises(ValueError):
-            mi_scalar_gaussian(1.0, -1.0, LAW_1_100)
+            mi_scalar_gaussian(1.0, -1.0, LAW_1_100, n_outer=100, seed=0)
 
-    def test_memory_does_not_grow_with_the_draw_block(self):
+    def test_memory_does_not_grow_with_the_draw_block(self, monkeypatch):
         # a full (65536 x 512) float64 density matrix alone is 256 MiB
+        monkeypatch.setenv("FADECAP_WORKERS", "1")
         tracemalloc.start()
         try:
-            mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=100_000, seed=3, n_workers=1)
+            mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=100_000, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -166,22 +169,24 @@ class TestLogMomentChecks:
         assert [r.check for r in reports] == ["log_moment_upper", "second_moment_identity"]
         assert all(r.passed for r in reports)
 
-    def test_deterministic_and_worker_stamped(self):
+    def test_deterministic_and_worker_stamped(self, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", "2")
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(2, config.log_power, config.num_paths)
-        a = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43, n_workers=2)
-        b = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43, n_workers=2)
+        a = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43)
+        b = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43)
         assert a == b
         assert all(r.workers == 2 for r in a)
 
-    def test_memory_is_one_chunk_whatever_the_budget(self):
+    def test_memory_is_one_chunk_whatever_the_budget(self, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", "1")
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(3, config.log_power, config.num_paths)
 
         def peak(n_samples):
             tracemalloc.start()
             try:
-                verify_log_moment_bounds(config, scheme, scheme.block_len, n_samples, seed=44, n_workers=1)
+                verify_log_moment_bounds(config, scheme, scheme.block_len, n_samples, seed=44)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -204,13 +209,12 @@ class TestMemoryPerMillionSamples:
         "call, bound_mib",
         [
             pytest.param(lambda: complex_normal(substream(0, 0), 10**6, 1.0), 16.5, id="complex_normal"),
-            pytest.param(
-                lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0, 1), 18, id="mc_block_power"
-            ),
-            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0, 1), 26, id="mc_log_gain"),
+            pytest.param(lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0), 18, id="mc_block_power"),
+            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 26, id="mc_log_gain"),
         ],
     )
-    def test_peak(self, call, bound_mib):
+    def test_peak(self, call, bound_mib, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", "1")
         tracemalloc.start()
         try:
             call()
@@ -221,30 +225,28 @@ class TestMemoryPerMillionSamples:
 
 
 BUDGETED = {
-    "mc_log_gain": ("n_samples", lambda n, w: mc_log_gain(IidGaussian(1.0), n, seed=0, n_workers=w)),
-    "mc_block_power": (
-        "n_samples",
-        lambda n, w: mc_block_power(SchemeParams(3, 3 * LOG10, 2), n, seed=0, n_workers=w),
-    ),
+    "mc_log_gain": ("n_samples", lambda n: mc_log_gain(IidGaussian(1.0), n, seed=0)),
+    "mc_block_power": ("n_samples", lambda n: mc_block_power(SchemeParams(3, 3 * LOG10, 2), n, seed=0)),
     "verify_log_moment_bounds": (
         "n_samples",
-        lambda n, w: verify_log_moment_bounds(demo_channel(3 * LOG10), None, 3, n, seed=0, n_workers=w),
+        lambda n: verify_log_moment_bounds(demo_channel(3 * LOG10), None, 3, n, seed=0),
     ),
-    "mi_scalar_gaussian": (
-        "n_outer",
-        lambda n, w: mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=n, seed=0, n_workers=w),
-    ),
+    "mi_scalar_gaussian": ("n_outer", lambda n: mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=n, seed=0)),
 }
 
 
 class TestSampleBudget:
     @pytest.mark.parametrize("estimator", list(BUDGETED))
-    @pytest.mark.parametrize("budget, workers", [(0, 1), (1, 1), (100, 0), (100, -1)])
-    def test_bad_budget_or_worker_count_is_named(self, estimator, budget, workers):
+    @pytest.mark.parametrize("budget, workers", [(0, 1), (1, 1), (100, 0), (100, -1), (100, "x")])
+    def test_bad_budget_or_worker_count_is_named(self, estimator, budget, workers, monkeypatch):
+        monkeypatch.setenv("FADECAP_WORKERS", str(workers))
         name, call = BUDGETED[estimator]
-        argument, value = (name, budget) if budget < 2 else ("n_workers", workers)
-        with pytest.raises(ValueError, match=rf"^{argument} must be at least [12], got {value}$"):
-            call(budget, workers)
+        if budget < 2:
+            message = rf"^{name} must be at least 2, got {budget}$"
+        else:
+            message = rf"^FADECAP_WORKERS must be an integer >= 1, got '{workers}'$"
+        with pytest.raises(ValueError, match=message):
+            call(budget)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -289,10 +291,12 @@ class TestAcceptanceRule:
         ],
     )
     def test_passes_at_the_margin_and_fails_one_step_beyond(
-        self, relation, rhs, std_error, slack, lhs_at_margin, beyond
+        self, relation, rhs, std_error, slack, lhs_at_margin, beyond, monkeypatch
     ):
+        monkeypatch.setenv("FADECAP_WORKERS", "2")
+
         def judge(lhs):
-            return CheckReport.judge("demo", lhs, relation, rhs, std_error, workers=2, slack=slack)
+            return CheckReport.judge("demo", lhs, relation, rhs, std_error, slack=slack)
 
         at = judge(lhs_at_margin)
         assert at.passed
