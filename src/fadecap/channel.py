@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .fading import (
     REQUIRED,
@@ -32,6 +30,9 @@ from .fading import (
     sample_paths,
 )
 from .streams import substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,8 @@ def _noise(config: ChannelConfig, n: int, n_samples: int, seed: int) -> np.ndarr
 
 def realize_many(config: ChannelConfig, n: int, n_samples: int, seed: int) -> ChannelRealization:
     """Batch of ``n_samples`` independent realizations, gains shape (n_samples, L+1, n)."""
+    import numpy as np
+
     gains = np.empty((n_samples, config.num_paths + 1, n), dtype=complex)
     for ell in range(config.num_paths + 1):
         gains[:, ell, :] = _tap_gains(config, ell, n, n_samples, seed)
@@ -128,6 +131,8 @@ def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.nd
     starting tap l at output index l; no fictitious pre-history is touched.
     Pure function: safe for concurrent use.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     n = realization.n
     if x.shape[-1] != n:
@@ -155,6 +160,8 @@ def output_at(config: ChannelConfig, x, seed: int) -> np.ndarray:
     0, 1, ...), but each tap's sample paths are held only while their
     time-k gain is read, and taps that cannot reach time k are not drawn.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2:
         raise ValueError(f"inputs must have shape (n_samples, k), got {x.shape}")

@@ -8,6 +8,9 @@ runs with the same config and seed produce byte-identical files.
 Config files are JSON with a versioned ``schema`` field; unknown keys are
 rejected everywhere, and user-facing SNR/power values are base-10 logs
 (converted to nats internally).
+
+``sweep`` and ``stats`` run on the standard library alone; numpy is first
+imported by the Monte Carlo audits behind ``verify``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import __version__
 from .channel import ChannelConfig, config_from_dict, config_to_dict, snr_of
@@ -88,9 +89,23 @@ class GridSpec:
         if not math.isfinite(self.log10_snr_stop * LOG10):
             raise ValueError(f"grid stop {self.log10_snr_stop} overflows log SNR in nats")
 
-    def log_snr_values(self) -> np.ndarray:
-        """Grid in nats of log-SNR, ascending."""
-        return np.linspace(self.log10_snr_start, self.log10_snr_stop, self.points) * LOG10
+    def log_snr_values(self) -> array:
+        """Grid in nats of log-SNR, ascending.
+
+        Bit for bit ``np.linspace(start, stop, points) * LOG10``: point i is
+        ``i * step + start``, or ``(i / div) * delta + start`` when the step
+        underflows to 0 as in numpy, and the last point is ``stop`` itself.
+        """
+        start, stop, div = self.log10_snr_start, self.log10_snr_stop, self.points - 1
+        delta = stop - start
+        step = delta / div
+        if step == 0.0:
+            points = ((i / div) * delta + start for i in range(div))
+        else:
+            points = (i * step + start for i in range(div))
+        values = array("d", (point * LOG10 for point in points))
+        values.append(stop * LOG10)
+        return values
 
 
 @dataclass(frozen=True)
@@ -184,10 +199,8 @@ def run_sweep(config: SweepConfig) -> Tuple[Sweep, dict]:
         )
     cstats = ConverseStats.from_config(config.channel)
     dstats = DirectStats.from_config(config.channel)
-    log_snrs = array("d", config.grid.log_snr_values().tobytes())
+    log_snrs = config.grid.log_snr_values()
     upper, lower, loglog, tau_star = array("d"), array("d"), array("d"), array("q")
-    # Iterating an array yields Python floats, not np.float64 scalars: the
-    # same IEEE results at a fraction of the per-operation cost.
     for log_snr in log_snrs:
         upper.append(upper_bound(log_snr, cstats, config.bound_params))
         if config.tau is None:
@@ -220,24 +233,25 @@ class SlopeFit:
 def fit_preloglog_slope(sweep: Sweep, which: str) -> SlopeFit:
     """Ordinary least squares of a bound against log log SNR.
 
-    ``residual`` is the root-mean-square misfit; a perfect pre-loglog line
-    has slope 1 and residual 0.
+    The sums are taken about the means and each is rounded once
+    (``math.fsum``).  ``residual`` is the root-mean-square misfit; a perfect
+    pre-loglog line has slope 1 and residual 0.
     """
     if which not in ("upper", "lower"):
         raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
-    if len(sweep) < 3:
-        raise ValueError(f"need at least 3 points for a slope fit, got {len(sweep)}")
-    x = np.asarray(sweep.loglog_snr)  # views of the columns' doubles, not copies
-    y = np.asarray(getattr(sweep, which))
-    if np.ptp(x) == 0.0:
+    n = len(sweep)
+    if n < 3:
+        raise ValueError(f"need at least 3 points for a slope fit, got {n}")
+    x, y = sweep.loglog_snr, getattr(sweep, which)
+    if max(x) == min(x):
         raise ValueError("degenerate grid: all log log SNR values coincide")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return SlopeFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    sxx = math.fsum((u - x_mean) ** 2 for u in x)
+    sxy = math.fsum((u - x_mean) * (v - y_mean) for u, v in zip(x, y))
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    sse = math.fsum((v - (slope * u + intercept)) ** 2 for u, v in zip(x, y))
+    return SlopeFit(slope=slope, intercept=intercept, residual=math.sqrt(sse / n))
 
 
 def emit(sweep: Sweep, output_format: str) -> str:

@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .channel import ChannelConfig, aggregate_gain, snr_of
 from .fading import LOG_PI, LOG_PI_E, stats_of
 
@@ -224,6 +222,8 @@ def upsilon(
     with alpha_l = 0 beyond the last tap (the inner sum truncates at k <= L
     exactly as the channel does).
     """
+    import numpy as np
+
     powers = np.asarray(per_symbol_powers, dtype=float)
     if powers.ndim != 1 or powers.size < 1:
         raise ValueError("per-symbol powers must be a nonempty 1-D sequence")

@@ -23,12 +23,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .channel import ChannelConfig, aggregate_gain
 from .fading import LOG_PI, LOG_PI_E, stats_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @functools.lru_cache(maxsize=8)
@@ -38,6 +39,8 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     ``leggauss(512)`` costs tens of milliseconds, and every caller shares the
     cached arrays, so they are read-only.
     """
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -97,6 +100,8 @@ class LogUniformX2:
         ``w @ f(u)`` approximates the average of f over the law.  A degenerate
         slot has the single node log_min with weight 1.
         """
+        import numpy as np
+
         a, b = self.log_min, self.log_max
         if b == a:
             return np.array([a]), np.array([1.0])
@@ -107,6 +112,8 @@ class LogUniformX2:
         return rng.uniform(self.log_min, self.log_max, size=size)
 
     def sample_x(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        import numpy as np
+
         u = self.sample_log_x2(rng, size)
         phase = rng.uniform(0.0, 2.0 * math.pi, size=size)
         return np.exp(0.5 * u + 1j * phase)
@@ -219,6 +226,8 @@ def lemma_mi_lower_bound(
     512-node Gauss-Legendre quadrature over the log-uniform magnitude law
     (``LogUniformX2.quadrature``; no estimator noise on the bound side).
     """
+    import numpy as np
+
     if sigma_h <= 0.0:
         raise ValueError(f"sigma_h must be positive, got {sigma_h}")
     if sigma_w < 0.0:

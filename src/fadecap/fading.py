@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 LOG_PI = math.log(math.pi)
@@ -117,6 +118,8 @@ def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarr
     real parts first, but they are made _BLOCK normals at a time into one
     reused buffer, so memory is the result plus one block.
     """
+    import numpy as np
+
     out = np.empty(tuple(np.atleast_1d(shape)), dtype=complex)
     flat = out.reshape(-1)
     scale = math.sqrt(variance / 2.0)
@@ -132,6 +135,8 @@ def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarr
 
 def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """``n_paths`` independent stationary sample paths of length ``n``, shape (n_paths, n)."""
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if n_paths < 1:
@@ -154,6 +159,8 @@ def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Genera
 
 def spectral_density(spec: PathGainSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Power spectral density on [-pi, pi] of a non-zero gain process."""
+    import numpy as np
+
     if isinstance(spec, IidGaussian):
         alpha = spec.alpha
         return lambda lam: np.full_like(np.asarray(lam, dtype=float), alpha)
@@ -164,6 +171,8 @@ def spectral_density(spec: PathGainSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 def ar1_spectral_density(alpha: float, a: complex) -> Callable[[np.ndarray], np.ndarray]:
     """Spectral density ``alpha (1-|a|^2) / |1 - a e^{-i lam}|^2`` of the AR(1) family."""
+    import numpy as np
+
     if not abs(a) < 1.0:
         raise ValueError(f"requires |a| < 1, got {abs(a)}")
     top = alpha * (1.0 - abs(a) ** 2)
@@ -184,6 +193,8 @@ def entropy_rate_szego(
     grid converges spectrally fast for smooth densities.  Raises if the
     density is not strictly positive and finite on the grid.
     """
+    import numpy as np
+
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     lam = -math.pi + 2.0 * math.pi * np.arange(grid_points) / grid_points

@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 # realize_many and simulate are the reference that output_at is tested
 # against; they stay bound here, where perfbench/tracing.py wraps them.
@@ -31,6 +29,9 @@ from .channel import ChannelConfig, output_at, realize_many, simulate  # noqa: F
 from .direct import LogUniformX2, SchemeParams
 from .fading import Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath, complex_normal
 from .streams import substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 65536
 _TILE = 1024  # rows of the MI oracle's log-density tile (_TILE x n_inner float64)
@@ -82,6 +83,8 @@ class _Accumulator:
         self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     def add(self, values: np.ndarray) -> None:
+        import numpy as np
+
         n_b = values.size
         mean_b = float(np.mean(values))
         n = self.n + n_b
@@ -131,6 +134,8 @@ class CheckReport:
 
 def mc_log_gain(spec: PathGainSpec, n_samples: int, seed: int) -> McEstimate:
     """Sample mean of log|H|^2 over independent stationary marginal draws."""
+    import numpy as np
+
     if isinstance(spec, ZeroPath):
         raise ValueError("the zero tap has no log-gain statistics")
     if not isinstance(spec, (IidGaussian, Ar1Gaussian)):
@@ -151,6 +156,8 @@ def _log_mixture_density(y2: np.ndarray, log_c: np.ndarray, s_nodes: np.ndarray)
     rather than the sum, so the values equal a full-matrix logsumexp bit for
     bit.  One (_TILE x nodes) buffer is reused.
     """
+    import numpy as np
+
     log_fy = np.empty(y2.size)
     buf = np.empty((min(_TILE, y2.size), s_nodes.size))
     for start in range(0, y2.size, _TILE):
@@ -195,6 +202,8 @@ def mi_scalar_gaussian(
     O(_TILE * n_inner) whatever n_outer is.  The tiling does not touch the
     draws, so the estimate does not depend on _TILE.
     """
+    import numpy as np
+
     if h_variance <= 0.0:
         raise ValueError(f"h_variance must be positive, got {h_variance}")
     if w_variance < 0.0:
@@ -221,6 +230,8 @@ def mi_scalar_gaussian(
 
 def mc_block_power(params: SchemeParams, n_samples: int, seed: int) -> McEstimate:
     """Monte Carlo block-average power of the scheme (oracle for the closed form)."""
+    import numpy as np
+
     acc = _Accumulator()
     for w, size in _shards(n_samples, default_workers()):
         rng = substream(seed, w)
@@ -237,6 +248,8 @@ def mc_block_power(params: SchemeParams, n_samples: int, seed: int) -> McEstimat
 
 def _scheme_inputs(params: SchemeParams, n: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """(n_draws, n) input matrix of IID scheme blocks truncated at length n."""
+    import numpy as np
+
     x = np.zeros((n_draws, n), dtype=complex)
     block = params.block_len
     for start in range(0, n, block):
@@ -250,6 +263,8 @@ def _scheme_inputs(params: SchemeParams, n: int, n_draws: int, rng: np.random.Ge
 
 def _slot_mean_powers(params: SchemeParams, n: int) -> np.ndarray:
     """Analytic E|X_k|^2 of the scheme at times 1..n."""
+    import numpy as np
+
     powers = np.zeros(n)
     block = params.block_len
     for t in range(n):
@@ -279,6 +294,8 @@ def verify_log_moment_bounds(
     ``realize_many``'s draws bit for bit but holds one tap's sample paths at
     a time.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError(f"time index must be >= 1, got {k}")
     if scheme is not None and scheme.num_taps != config.num_paths:
@@ -329,5 +346,7 @@ def verify_log_moment_bounds(
 
 def _mix(seed: int, *key: int) -> int:
     """Stable derived master seed for components that take a seed, not a stream."""
+    import numpy as np
+
     mixed = np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(2)
     return int(mixed[0]) | (int(mixed[1]) << 32)

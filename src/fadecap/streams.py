@@ -9,10 +9,15 @@ result is reproducible from the master seed alone.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Return an independent Philox generator for ``(master_seed, key)``."""
+    import numpy as np
+
     seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))

@@ -18,7 +18,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fadecap.direct
@@ -39,6 +39,7 @@ from fadecap.converse import ConverseStats, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
 
 LOG10 = math.log(10.0)
+MAX_GRID_STOP = math.nextafter(sys.float_info.max / LOG10, 0.0)  # the largest stop GridSpec accepts
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 LOW_POWER_CONFIG = REPO_CONFIG.with_name("low_power.json")
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -140,6 +141,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             GridSpec(log10_snr_start=1.0, log10_snr_stop=2.0, points=1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True),
+        points=st.integers(min_value=2, max_value=2000),
+    )
+    @example(ends=[1.0, 2.0], points=2)
+    @example(ends=[3.0, 6.0], points=100_000)
+    @example(ends=[1.0, MAX_GRID_STOP], points=1000)
+    @example(ends=[-MAX_GRID_STOP, MAX_GRID_STOP], points=5)  # stop - start overflows
+    @example(ends=[0.0, 5e-324], points=4)  # the step underflows to 0
+    def test_grid_equals_numpy_linspace_bit_for_bit(self, ends, points):
+        start, stop = sorted(ends)
+        assume(math.isfinite(stop * LOG10))
+        grid = GridSpec(log10_snr_start=start, log10_snr_stop=stop, points=points)
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, points) * LOG10
+        assert grid.log_snr_values().tobytes() == expected.tobytes()
+
 
 class TestRunSweep:
     def test_two_point_grid(self):
@@ -227,6 +246,27 @@ class TestSlopeFit:
         (row,) = synthetic_sweep(num=1).rows()
         with pytest.raises(ValueError, match="degenerate"):
             fit_preloglog_slope(sweep_of([row, row, row]), "upper")
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            run_sweep(DEMO)[0],
+            synthetic_sweep(),
+            synthetic_sweep(num=7, slope=-2.5, intercept=7.25),
+            synthetic_sweep(num=100_000, step=1e-4),
+        ],
+        ids=["demo", "line", "planted", "100k"],
+    )
+    @pytest.mark.parametrize("which", ["upper", "lower"])
+    def test_matches_polyfit(self, sweep, which):
+        x, y = np.asarray(sweep.loglog_snr), np.asarray(getattr(sweep, which))
+        slope, intercept = np.polyfit(x, y, 1)
+        residual = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+        fit = fit_preloglog_slope(sweep, which)
+        scale = 1e-12 * np.abs(y).max()  # floor for a value that is 0 on an exact line
+        assert fit.slope == pytest.approx(slope, rel=1e-12, abs=scale)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=scale)
+        assert fit.residual == pytest.approx(residual, rel=1e-12, abs=scale)
 
     def test_unknown_series_name(self):
         with pytest.raises(ValueError):
@@ -390,8 +430,13 @@ class TestMainEntry:
             residual = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
             expected.append(f"{which}: slope {slope:.6f}, intercept {intercept:.6f}, rms residual {residual:.3g}")
             fit = fit_preloglog_slope(sweep, which)
-            assert (fit.slope, fit.intercept, fit.residual) == (slope, intercept, residual)
-        assert printed[:2] == expected
+            assert fit.slope == pytest.approx(slope, rel=1e-12)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+            assert fit.residual == pytest.approx(residual, rel=1e-12)
+        assert printed[:2] == expected == [
+            "upper: slope 0.891954, intercept 2.600276, rms residual 0.0217",
+            "lower: slope 0.629546, intercept -1.917210, rms residual 0.0271",
+        ]
 
     def test_sweep_json_format_flag(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -479,17 +524,27 @@ class TestMainEntry:
 
     def test_import_leaves_unused_scipy_subpackages_out(self, tmp_path):
         # scipy is a test-only reference: importing fadecap loads none of it,
-        # and a sweep and an audit run with every scipy import blocked
+        # and a sweep and an audit run with every scipy import blocked.
+        # numpy is loaded only by the audit: importing fadecap.cli loads none
+        # of it, sweep and stats run with numpy blocked too, and verify then
+        # imports it once it is unblocked.
         probe = (
             "import json, sys\n"
             "import fadecap.cli as cli\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "sys.modules['scipy'] = None\n"
-            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
+            "no_numpy, audit = json.loads(sys.argv[1])\n"
+            "codes = [cli.main(argv) for argv in no_numpy]\n"
+            "del sys.modules['numpy']\n"
+            "codes.append(cli.main(audit))\n"
             "print(json.dumps({'loaded': loaded, 'codes': codes}))\n"
         )
         runs = [
-            ["sweep", "--config", str(REPO_CONFIG), "--output", str(tmp_path / "sweep.csv")],
+            [
+                ["sweep", "--config", str(REPO_CONFIG), "--output", str(tmp_path / "sweep.csv")],
+                ["sweep", "--config", str(REPO_CONFIG), "--output", str(tmp_path / "sweep.json"), "--format", "json"],
+                ["stats", "--config", str(REPO_CONFIG)],
+            ],
             ["verify", "--config", str(REPO_CONFIG), "--samples-mi", "200", "--samples-moments", "200"],
         ]
         src = str(Path(cli.__file__).resolve().parent.parent)
@@ -498,7 +553,7 @@ class TestMainEntry:
             [sys.executable, "-c", probe, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
         )
         result = json.loads(run.stdout.splitlines()[-1])
-        assert result == {"loaded": [], "codes": [0, 0]}, run.stderr
+        assert result == {"loaded": [], "codes": [0, 0, 0, 0]}, run.stderr
 
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
