@@ -78,7 +78,6 @@ class ConverseStats:
 
     inf_gap: float
     alpha_total: float
-    mean_log_gain_0: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.inf_gap):
@@ -88,13 +87,8 @@ class ConverseStats:
 
     @classmethod
     def from_config(cls, config: ChannelConfig) -> "ConverseStats":
-        per_path = [stats_of(spec) for spec in config.path_specs]
-        gaps = [s.entropy_rate - s.alpha for s in per_path if s.active]
-        return cls(
-            inf_gap=min(gaps),
-            alpha_total=aggregate_gain(config),
-            mean_log_gain_0=per_path[0].mean_log_gain,
-        )
+        gaps = [s.entropy_rate - s.alpha for s in map(stats_of, config.path_specs) if s.active]
+        return cls(inf_gap=min(gaps), alpha_total=aggregate_gain(config))
 
 
 def _lgam(x: float) -> float:
@@ -194,8 +188,6 @@ def upper_bound(log_snr: float, stats: ConverseStats, params: BoundParams) -> fl
     """Capacity upper bound in nats per channel use at the given log-SNR."""
     log1p_snr = log1p_alpha_snr(log_snr, stats.alpha_total)
     xi = params.xi if params.xi is not None else _xi_of(log1p_snr)
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
     bracket = 1.0 + log1p_snr + psi(params, stats.inf_gap)
     return (
         -stats.inf_gap

@@ -211,8 +211,6 @@ class DirectStats:
 
 
 def lemma_mi_lower_bound(
-    h_x: float,
-    mean_log_x2: float,
     mean_log_h2: float,
     sigma_h: float,
     sigma_w: float,
@@ -220,9 +218,9 @@ def lemma_mi_lower_bound(
 ) -> float:
     """Mutual-information lower bound for the scalar model Y = H*X + W.
 
-    Returns  h(X) - E[log|X|^2] + E[log|H|^2] - E[log(pi e (sigma_h + sigma_w/|X|)^2)],
-    valid whenever X is independent of (H, W), X -- H -- W is Markov, and all
-    second moments are finite.  The last expectation is a deterministic
+    Returns  h(X) - E[log|X|^2] + E[log|H|^2] - E[log(pi e (sigma_h + sigma_w/|X|)^2)]
+    for X of law ``x2_law``, valid whenever X is independent of (H, W),
+    X -- H -- W is Markov, and all second moments are finite.  The last expectation is a deterministic
     512-node Gauss-Legendre quadrature over the log-uniform magnitude law
     (``LogUniformX2.quadrature``; no estimator noise on the bound side).
     """
@@ -236,7 +234,7 @@ def lemma_mi_lower_bound(
     # log(sigma_h + sigma_w e^(-u/2)) in log form, finite however small |X| gets
     log_sigma_w = math.log(sigma_w) if sigma_w > 0.0 else -math.inf
     last_term = LOG_PI_E + 2.0 * float(w @ np.logaddexp(math.log(sigma_h), log_sigma_w - 0.5 * u))
-    return h_x - mean_log_x2 + mean_log_h2 - last_term
+    return x2_law.entropy_x - x2_law.mean_log_x2 + mean_log_h2 - last_term
 
 
 def log_log_ratio(log_power: float, tau: int) -> float:

@@ -13,8 +13,8 @@ supported:
 Each non-zero family has a closed-form variance, differential entropy rate
 and mean log-magnitude, all in nats.  ``entropy_rate_szego`` provides an
 independent quadrature oracle for the entropy rate from the spectral
-density (entropy rate of a stationary complex Gaussian process equals
-``log(pi*e)`` plus the mean log spectral density).
+density on a fixed 2^16-point grid (entropy rate of a stationary complex
+Gaussian process equals ``log(pi*e)`` plus the mean log spectral density).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EULER_GAMMA = 0.5772156649015329
 LOG_PI = math.log(math.pi)
 LOG_PI_E = LOG_PI + 1.0
 _BLOCK = 65536  # normals per draw in complex_normal
+_SZEGO_GRID = 2**16  # points of entropy_rate_szego's quadrature grid
 
 
 @dataclass(frozen=True)
@@ -184,20 +185,16 @@ def ar1_spectral_density(alpha: float, a: complex) -> Callable[[np.ndarray], np.
     return density
 
 
-def entropy_rate_szego(
-    spectral_density: Callable[[np.ndarray], np.ndarray], grid_points: int
-) -> float:
+def entropy_rate_szego(spectral_density: Callable[[np.ndarray], np.ndarray]) -> float:
     """Entropy rate ``log(pi e) + (1/2 pi) int log S`` by periodic composite quadrature.
 
-    The integrand is 2*pi-periodic, so the equal-weight rule on a uniform
-    grid converges spectrally fast for smooth densities.  Raises if the
-    density is not strictly positive and finite on the grid.
+    The integrand is 2*pi-periodic, so the equal-weight rule on the uniform
+    ``_SZEGO_GRID``-point grid converges spectrally fast for smooth densities.
+    Raises if the density is not strictly positive and finite on the grid.
     """
     import numpy as np
 
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    lam = -math.pi + 2.0 * math.pi * np.arange(grid_points) / grid_points
+    lam = -math.pi + 2.0 * math.pi * np.arange(_SZEGO_GRID) / _SZEGO_GRID
     values = np.asarray(spectral_density(lam), dtype=float)
     if values.shape != lam.shape:
         raise ValueError("spectral density must evaluate elementwise on the grid")

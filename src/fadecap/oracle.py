@@ -3,9 +3,10 @@
 Everything here is independent of the closed forms it checks: mutual
 information on scalar fading instances is estimated from the exact
 conditional Gaussian density (bias-controlled, with quantifiable standard
-errors), log-moment inequalities are audited by direct channel simulation
-(``channel.output_at``, which draws only the output the audit reads), and
-per-path statistics by plain sample means.
+errors), the output log-moment inequalities are audited at the last slot of
+one scheme block by direct channel simulation (``channel.output_at``, which
+draws only the output the audit reads), and per-path statistics by plain
+sample means.
 
 All estimators are deterministic given the seed, the sample budget and the
 worker count.  The budget is sharded across as many independent substreams
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 # realize_many and simulate are the reference that output_at is tested
 # against; they stay bound here, where perfbench/tracing.py wraps them.
@@ -246,74 +247,48 @@ def mc_block_power(params: SchemeParams, n_samples: int, seed: int) -> McEstimat
     return acc.estimate()
 
 
-def _scheme_inputs(params: SchemeParams, n: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_draws, n) input matrix of IID scheme blocks truncated at length n."""
+def _scheme_inputs(params: SchemeParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_draws, L+tau) inputs of one scheme block: L guard zeros, then slots 1..tau."""
     import numpy as np
 
-    x = np.zeros((n_draws, n), dtype=complex)
-    block = params.block_len
-    for start in range(0, n, block):
-        for nu in range(1, params.tau + 1):
-            t = start + params.num_taps + nu - 1  # 0-based time of slot nu
-            if t >= n:
-                break
-            x[:, t] = params.slot_law(nu).sample_x(rng, n_draws)
+    x = np.zeros((n_draws, params.block_len), dtype=complex)
+    for nu in range(1, params.tau + 1):
+        x[:, params.num_taps + nu - 1] = params.slot_law(nu).sample_x(rng, n_draws)
     return x
-
-
-def _slot_mean_powers(params: SchemeParams, n: int) -> np.ndarray:
-    """Analytic E|X_k|^2 of the scheme at times 1..n."""
-    import numpy as np
-
-    powers = np.zeros(n)
-    block = params.block_len
-    for t in range(n):
-        pos = t % block
-        if pos >= params.num_taps:
-            powers[t] = math.exp(params.slot_law(pos - params.num_taps + 1).log_mean_power)
-    return powers
 
 
 def verify_log_moment_bounds(
     config: ChannelConfig,
-    scheme: Optional[SchemeParams],
-    k: int,
+    scheme: SchemeParams,
     n_samples: int,
     seed: int,
 ) -> List[CheckReport]:
-    """Audit the two output log-moment identities at time index ``k``.
+    """Audit the two output log-moment identities at the last slot k = L + tau of one scheme block.
 
     (a)  E[log|Y_k|^2]  <=  E[log(sigma^2 + sum_l alpha_l |X_{k-l}|^2)], checked
          from two independently seeded sample sets with a joint standard error;
     (b)  log E|Y_k|^2  ==  log(sigma^2 + sum_l alpha_l E|X_{k-l}|^2), checked
          against the analytic slot powers via the delta method.
 
-    ``scheme=None`` audits the zero-input channel (pure noise).  Both checks
-    use a 3-standard-error acceptance threshold.  Y_k comes from
+    Y_k is fed by the L+1 inputs X_{tau}, ..., X_{L+tau} of the block.  Both
+    checks use a 3-standard-error acceptance threshold.  Y_k comes from
     ``channel.output_at``, which equals the channel operator ``simulate`` on
     ``realize_many``'s draws bit for bit but holds one tap's sample paths at
     a time.
     """
     import numpy as np
 
-    if k < 1:
-        raise ValueError(f"time index must be >= 1, got {k}")
-    if scheme is not None and scheme.num_taps != config.num_paths:
+    if scheme.num_taps != config.num_paths:
         raise ValueError("scheme guard length must match the channel memory")
     shards = _shards(n_samples, default_workers())
     alphas = np.asarray(config.alphas)
     sigma2 = config.noise_variance
-    taps = min(k, config.num_paths + 1)  # number of input symbols reaching Y_k
-
-    def input_batch(rng: np.random.Generator, m: int) -> np.ndarray:
-        if scheme is None:
-            return np.zeros((m, k), dtype=complex)
-        return _scheme_inputs(scheme, k, m, rng)
+    k, taps = scheme.block_len, config.num_paths + 1  # Y_k and the input symbols reaching it
 
     def weighted_input_power(x: np.ndarray) -> np.ndarray:
-        """sigma^2 + sum_{l=0}^{min(k-1,L)} alpha_l |x_{k-l}|^2 per draw."""
+        """sigma^2 + sum_{l=0}^{L} alpha_l |x_{k-l}|^2 per draw."""
         window = np.abs(x[:, k - taps : k][:, ::-1]) ** 2  # column l is |x_{k-l}|^2
-        return sigma2 + window @ alphas[:taps]
+        return sigma2 + window @ alphas
 
     # (a) LHS and RHS from disjoint seeds so their errors combine independently.
     lhs, rhs, second = _Accumulator(), _Accumulator(), _Accumulator()
@@ -321,21 +296,20 @@ def verify_log_moment_bounds(
         for start in range(0, size, _CHUNK):
             m = min(_CHUNK, size - start)
             chunk_id = start // _CHUNK
-            x = input_batch(substream(seed, 0, w, chunk_id), m)
+            x = _scheme_inputs(scheme, m, substream(seed, 0, w, chunk_id))
             y2 = np.abs(output_at(config, x, seed=_mix(seed, 1, w, chunk_id)))
             del x  # free this chunk's inputs before the next draws
             np.square(y2, out=y2)
             second.add(y2)
             np.log(y2, out=y2)
             lhs.add(y2)
-            rhs.add(np.log(weighted_input_power(input_batch(substream(seed, 2, w, chunk_id), m))))
+            rhs.add(np.log(weighted_input_power(_scheme_inputs(scheme, m, substream(seed, 2, w, chunk_id)))))
 
     lhs, rhs, second = lhs.estimate(), rhs.estimate(), second.estimate()
-    if scheme is None:
-        analytic = math.log(sigma2)
-    else:
-        powers = _slot_mean_powers(scheme, k)
-        analytic = math.log(sigma2 + float(powers[k - taps : k][::-1] @ alphas[:taps]))
+    powers = np.zeros(k)  # analytic E|X_t|^2 over the block
+    for nu in range(1, scheme.tau + 1):
+        powers[scheme.num_taps + nu - 1] = math.exp(scheme.slot_law(nu).log_mean_power)
+    analytic = math.log(sigma2 + float(powers[k - taps : k][::-1] @ alphas))
     joint = math.hypot(lhs.std_error, rhs.std_error)
     log_sem = second.std_error / second.value  # delta method
     return [

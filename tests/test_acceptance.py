@@ -181,8 +181,6 @@ class TestCriterion3LemmaOracle:
             [(1.0, 0.01), (1.0, 1.0), (4.0, 0.01), (4.0, 1.0)]
         ):
             bound = lemma_mi_lower_bound(
-                h_x=law.entropy_x,
-                mean_log_x2=law.mean_log_x2,
                 mean_log_h2=math.log(alpha_0) - EULER_GAMMA,
                 sigma_h=math.sqrt(alpha_0),
                 sigma_w=math.sqrt(w_var),
@@ -214,7 +212,7 @@ class TestCriterion4ClosedFormStats:
         szego_pairs = [(1.0, 0.5), (2.0, 0.5), (1.0, 0.9)]
         szego_err = []
         for alpha, a in szego_pairs:
-            got = entropy_rate_szego(ar1_spectral_density(alpha, a), 2**16)
+            got = entropy_rate_szego(ar1_spectral_density(alpha, a))
             szego_err.append(abs(got - stats_of(Ar1Gaussian(alpha, a)).entropy_rate))
         elapsed = time.monotonic() - t0
         ok = all(gain_ok) and all(e < 1e-5 for e in szego_err) and elapsed < 30.0
@@ -318,9 +316,7 @@ class TestCriterion6InequalityAudit:
             )
             tau = max(t for t in range(1, 9) if schedule_is_valid(config.log_power, t))
             scheme = SchemeParams(tau, config.log_power, config.num_paths)
-            reports = verify_log_moment_bounds(
-                config, scheme, k=scheme.block_len, n_samples=1_000_000, seed=600 + int(log10_p)
-            )
+            reports = verify_log_moment_bounds(config, scheme, n_samples=1_000_000, seed=600 + int(log10_p))
             results.append((log10_p, tau, reports))
         moment_ok = all(r.passed for _, _, reps in results for r in reps)
 

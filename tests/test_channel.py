@@ -16,7 +16,7 @@ from fadecap.channel import (
     simulate,
     snr_of,
 )
-from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
@@ -196,6 +196,19 @@ class TestOutputAt:
     def test_inputs_must_be_a_batch_of_sequences(self):
         with pytest.raises(ValueError, match=r"shape \(n_samples, k\)"):
             output_at(two_tap_config(), np.zeros(4), seed=0)
+
+    def test_zero_input_log_moment_gap_is_euler_gamma(self):
+        # with no input Y_k is the noise, CN(0, sigma^2): E|Y|^2 = sigma^2 and
+        # E log|Y|^2 = log sigma^2 - gamma
+        config = ChannelConfig(
+            path_specs=(Ar1Gaussian(1.0, 0.5), Ar1Gaussian(0.5, 0.5), Ar1Gaussian(0.25, 0.5)),
+            noise_variance=2.0,
+            log_power=3 * LOG10,
+        )
+        y2 = np.abs(output_at(config, np.zeros((200_000, 3)), seed=41)) ** 2
+        for values, expected in ((np.log(y2), math.log(2.0) - EULER_GAMMA), (y2, 2.0)):
+            sem = np.std(values, ddof=1) / math.sqrt(values.size)
+            assert abs(np.mean(values) - expected) <= 3.0 * sem
 
 
 class TestMoments:

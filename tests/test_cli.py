@@ -526,18 +526,21 @@ class TestMainEntry:
         # scipy is a test-only reference: importing fadecap loads none of it,
         # and a sweep and an audit run with every scipy import blocked.
         # numpy is loaded only by the audit: importing fadecap.cli loads none
-        # of it, sweep and stats run with numpy blocked too, and verify then
-        # imports it once it is unblocked.
+        # of it, and sweep and stats run with numpy blocked too. verify with
+        # numpy blocked is a one-line error that writes no report, and verify
+        # imports numpy once it is unblocked.
         probe = (
-            "import json, sys\n"
+            "import contextlib, io, json, sys\n"
             "import fadecap.cli as cli\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
             "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
-            "no_numpy, audit = json.loads(sys.argv[1])\n"
+            "no_numpy, audit, report = json.loads(sys.argv[1])\n"
             "codes = [cli.main(argv) for argv in no_numpy]\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    codes.append(cli.main(audit + ['--output', report]))\n"
             "del sys.modules['numpy']\n"
             "codes.append(cli.main(audit))\n"
-            "print(json.dumps({'loaded': loaded, 'codes': codes}))\n"
+            "print(json.dumps({'loaded': loaded, 'codes': codes, 'stderr': err.getvalue()}))\n"
         )
         runs = [
             [
@@ -546,6 +549,7 @@ class TestMainEntry:
                 ["stats", "--config", str(REPO_CONFIG)],
             ],
             ["verify", "--config", str(REPO_CONFIG), "--samples-mi", "200", "--samples-moments", "200"],
+            str(tmp_path / "report.json"),
         ]
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -553,7 +557,10 @@ class TestMainEntry:
             [sys.executable, "-c", probe, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
         )
         result = json.loads(run.stdout.splitlines()[-1])
-        assert result == {"loaded": [], "codes": [0, 0, 0, 0]}, run.stderr
+        stderr = result.pop("stderr").splitlines()
+        assert result == {"loaded": [], "codes": [0, 0, 0, 1, 0]}, run.stderr
+        assert len(stderr) == 1 and stderr[0].startswith("error: verify needs numpy"), stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

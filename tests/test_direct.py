@@ -198,7 +198,7 @@ class TestSchedule:
 class TestSampling:
     def test_guard_zeros_and_slot_support(self):
         scheme = SchemeParams(3, 6 * LOG10, 2)
-        blocks = _scheme_inputs(scheme, scheme.block_len, 200, substream(21, 0))
+        blocks = _scheme_inputs(scheme, 200, substream(21, 0))
         assert blocks.shape == (200, 5)
         assert np.all(blocks[:, :2] == 0.0)
         for nu in range(1, 4):
@@ -261,8 +261,6 @@ class TestLemma:
     def test_noiseless_case_drops_magnitude_dependence(self):
         law = LogUniformX2(0.0, math.log(100.0))
         got = lemma_mi_lower_bound(
-            h_x=law.entropy_x,
-            mean_log_x2=law.mean_log_x2,
             mean_log_h2=-EULER_GAMMA,
             sigma_h=2.0,
             sigma_w=0.0,
@@ -289,8 +287,6 @@ class TestLemma:
             - law.mean_log_x2
             - EULER_GAMMA
             - lemma_mi_lower_bound(
-                h_x=law.entropy_x,
-                mean_log_x2=law.mean_log_x2,
                 mean_log_h2=-EULER_GAMMA,
                 sigma_h=sigma_h,
                 sigma_w=sigma_w,
@@ -331,7 +327,8 @@ class TestLemma:
 
         law = LogUniformX2(log_min, log_max)
         integral, _ = quad(integrand, log_min, log_max, epsabs=1e-12, epsrel=1e-12, limit=200)
-        got = -lemma_mi_lower_bound(0.0, 0.0, 0.0, sigma_h, sigma_w, law)  # the averaged term alone
+        lemma = lemma_mi_lower_bound(0.0, sigma_h, sigma_w, law)
+        got = law.entropy_x - law.mean_log_x2 - lemma  # the averaged term alone
         assert got == pytest.approx(integral / law.spread, rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("sigma_h, sigma_w", [(1.0, 1.0), (0.3, 3.0), (2.0, 0.0)])
@@ -341,7 +338,8 @@ class TestLemma:
         law = LogUniformX2(log_min, log_max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = -lemma_mi_lower_bound(0.0, 0.0, 0.0, sigma_h, sigma_w, law)  # the averaged term alone
+            lemma = lemma_mi_lower_bound(0.0, sigma_h, sigma_w, law)
+        got = law.entropy_x - law.mean_log_x2 - lemma  # the averaged term alone
         with mpmath.workdps(60):
             sh, sw = mpmath.mpf(sigma_h), mpmath.mpf(sigma_w)
             a, b = mpmath.mpf(log_min), mpmath.mpf(log_max)
@@ -352,7 +350,7 @@ class TestLemma:
     def test_nonpositive_sigma_h_rejected(self):
         law = LogUniformX2(0.0, 1.0)
         with pytest.raises(ValueError):
-            lemma_mi_lower_bound(1.0, 0.5, 0.0, 0.0, 1.0, law)
+            lemma_mi_lower_bound(0.0, 0.0, 1.0, law)
 
 
 class TestDirectStats:

@@ -25,9 +25,6 @@ from fadecap.fading import (
 )
 from fadecap.streams import substream
 
-SZEGO_GRID = 2**16
-
-
 class TestClosedForms:
     def test_unit_iid_gaussian(self):
         stats = stats_of(IidGaussian(1.0))
@@ -65,12 +62,12 @@ class TestClosedForms:
 
 class TestSzegoOracle:
     def test_flat_spectrum(self):
-        assert entropy_rate_szego(lambda lam: np.ones_like(lam), SZEGO_GRID) == pytest.approx(
+        assert entropy_rate_szego(lambda lam: np.ones_like(lam)) == pytest.approx(
             LOG_PI_E, abs=1e-12
         )
 
     def test_constant_scaling(self):
-        got = entropy_rate_szego(lambda lam: 3.0 * np.ones_like(lam), SZEGO_GRID)
+        got = entropy_rate_szego(lambda lam: 3.0 * np.ones_like(lam))
         assert got == pytest.approx(LOG_PI_E + math.log(3.0), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -79,16 +76,16 @@ class TestSzegoOracle:
     )
     def test_ar1_matches_closed_form(self, alpha, a):
         # the pole factor integrates to zero, leaving the innovation variance
-        got = entropy_rate_szego(ar1_spectral_density(alpha, a), SZEGO_GRID)
+        got = entropy_rate_szego(ar1_spectral_density(alpha, a))
         assert abs(got - stats_of(Ar1Gaussian(alpha, a)).entropy_rate) < 1e-6
 
     def test_iid_spectral_density_matches(self):
-        got = entropy_rate_szego(spectral_density(IidGaussian(2.0)), SZEGO_GRID)
+        got = entropy_rate_szego(spectral_density(IidGaussian(2.0)))
         assert abs(got - stats_of(IidGaussian(2.0)).entropy_rate) < 1e-10
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(ValueError):
-            entropy_rate_szego(lambda lam: np.cos(lam), 1024)
+            entropy_rate_szego(lambda lam: np.cos(lam))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -99,7 +96,7 @@ class TestSzegoOracle:
     def test_property_szego_agrees_for_random_ar1(self, alpha, a_mag, a_phase):
         a = a_mag * complex(math.cos(a_phase), math.sin(a_phase))
         spec = Ar1Gaussian(alpha, a)
-        got = entropy_rate_szego(spectral_density(spec), SZEGO_GRID)
+        got = entropy_rate_szego(spectral_density(spec))
         assert abs(got - stats_of(spec).entropy_rate) < 1e-5
 
 

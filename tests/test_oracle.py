@@ -1,5 +1,6 @@
 """Monte Carlo oracles: correctness, determinism, worker sharding."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from fadecap.channel import ChannelConfig
+import fadecap.oracle
+from fadecap.channel import ChannelConfig, output_at
 from fadecap.direct import LogUniformX2, SchemeParams
-from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, complex_normal, stats_of
+from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath, complex_normal, stats_of
 from fadecap.oracle import (
     _CHUNK,
     _TILE,
@@ -151,30 +153,48 @@ class TestBlockPowerOracle:
         assert abs(est.value - math.exp(log_block_average_power(scheme))) <= 3.0 * est.std_error
 
 
-class TestLogMomentChecks:
-    def test_zero_input_gap_is_euler_gamma(self):
-        # with no input, E log|Y|^2 = log sigma^2 - gamma sits below log sigma^2
-        config = demo_channel(log_power=3 * LOG10)
-        rep_a, rep_b = verify_log_moment_bounds(config, None, k=3, n_samples=200_000, seed=41)
-        assert rep_a.passed
-        assert rep_a.lhs == pytest.approx(math.log(config.noise_variance) - EULER_GAMMA, abs=0.02)
-        assert rep_a.rhs == pytest.approx(math.log(config.noise_variance), abs=1e-12)
-        assert rep_b.passed
-        assert rep_b.rhs == pytest.approx(math.log(config.noise_variance), abs=1e-12)
+def lagged_output_at(config, x, seed):
+    """Y_k with the inputs shifted one step, so tap l acts at lag l + 1."""
+    shifted = np.zeros_like(x)
+    shifted[:, 1:] = x[:, :-1]
+    return output_at(config, shifted, seed)
 
+
+def louder_output_at(config, x, seed):
+    """Y_k drawn from a channel whose every tap variance alpha_l is 4 times the config's."""
+    louder = [dataclasses.replace(spec, alpha=4.0 * spec.alpha) for spec in config.path_specs]
+    return output_at(dataclasses.replace(config, path_specs=tuple(louder)), x, seed)
+
+
+class TestLogMomentChecks:
     def test_scheme_checks_pass(self):
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(3, config.log_power, config.num_paths)
-        reports = verify_log_moment_bounds(config, scheme, k=scheme.block_len, n_samples=150_000, seed=42)
+        reports = verify_log_moment_bounds(config, scheme, n_samples=150_000, seed=42)
         assert [r.check for r in reports] == ["log_moment_upper", "second_moment_identity"]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize(
+        "channel, passed",
+        [
+            pytest.param(output_at, [True, True], id="clean"),
+            pytest.param(lagged_output_at, [True, False], id="wrong_lag"),
+            pytest.param(louder_output_at, [False, False], id="wrong_tap_variance"),
+        ],
+    )
+    def test_each_check_can_fail(self, channel, passed, monkeypatch):
+        monkeypatch.setattr(fadecap.oracle, "output_at", channel)
+        config = demo_channel(log_power=3 * LOG10)
+        scheme = SchemeParams(3, config.log_power, config.num_paths)
+        reports = verify_log_moment_bounds(config, scheme, n_samples=200_000, seed=7)
+        assert [r.passed for r in reports] == passed, reports
 
     def test_deterministic_and_worker_stamped(self, monkeypatch):
         monkeypatch.setenv("FADECAP_WORKERS", "2")
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(2, config.log_power, config.num_paths)
-        a = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43)
-        b = verify_log_moment_bounds(config, scheme, k=4, n_samples=50_000, seed=43)
+        a = verify_log_moment_bounds(config, scheme, n_samples=50_000, seed=43)
+        b = verify_log_moment_bounds(config, scheme, n_samples=50_000, seed=43)
         assert a == b
         assert all(r.workers == 2 for r in a)
 
@@ -186,7 +206,7 @@ class TestLogMomentChecks:
         def peak(n_samples):
             tracemalloc.start()
             try:
-                verify_log_moment_bounds(config, scheme, scheme.block_len, n_samples, seed=44)
+                verify_log_moment_bounds(config, scheme, n_samples, seed=44)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -199,7 +219,7 @@ class TestLogMomentChecks:
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(2, config.log_power, 1)
         with pytest.raises(ValueError):
-            verify_log_moment_bounds(config, scheme, k=4, n_samples=1000, seed=0)
+            verify_log_moment_bounds(config, scheme, n_samples=1000, seed=0)
 
 
 class TestMemoryPerMillionSamples:
@@ -229,7 +249,7 @@ BUDGETED = {
     "mc_block_power": ("n_samples", lambda n: mc_block_power(SchemeParams(3, 3 * LOG10, 2), n, seed=0)),
     "verify_log_moment_bounds": (
         "n_samples",
-        lambda n: verify_log_moment_bounds(demo_channel(3 * LOG10), None, 3, n, seed=0),
+        lambda n: verify_log_moment_bounds(demo_channel(3 * LOG10), SchemeParams(3, 3 * LOG10, 2), n, seed=0),
     ),
     "mi_scalar_gaussian": ("n_outer", lambda n: mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=n, seed=0)),
 }
