@@ -42,8 +42,8 @@ from .direct import (
 )
 from .fading import REQUIRED, ZeroPath, entropy_rate_szego, read_fields, spectral_density, stats_of
 from .oracle import (
+    _SHARDS,
     CheckReport,
-    default_workers,
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
@@ -217,7 +217,9 @@ def run_sweep(config: SweepConfig) -> Tuple[Sweep, dict]:
         "version": __version__,
         "seed": config.seed,
         "constants_certified": CONSTANTS_CERTIFIED,
-        "workers": default_workers(),
+        # perfbench/golden.json pins this sidecar's SHA-256, recorded with the
+        # audit's fixed shard count here; ROADMAP items 1 and 3 drop the key.
+        "workers": _SHARDS,
         "config": sweep_config_to_dict(config),
     }
     return sweep, metadata

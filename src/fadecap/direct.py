@@ -194,6 +194,11 @@ class DirectStats:
             raise ValueError("total variance cannot be smaller than alpha_0")
         if not math.isfinite(self.mean_log_gain_0):
             raise ValueError("mean log gain of the delay-0 path must be finite")
+        if self.mean_log_gain_0 > math.log(self.alpha_0):
+            raise ValueError(
+                f"mean log gain of the delay-0 path ({self.mean_log_gain_0}) exceeds "
+                f"Jensen's cap log alpha_0 = {math.log(self.alpha_0)}"
+            )
         object.__setattr__(self, "log_sigma2", math.log(self.sigma2))
         object.__setattr__(self, "sqrt_alpha_0", math.sqrt(self.alpha_0))
         object.__setattr__(self, "power_memo", [(math.nan, math.nan, math.nan)])  # nan matches no power

@@ -46,12 +46,19 @@ def stats_for(alpha_0=1.0, alpha_total=1.75, sigma2=1.0, num_taps=2, mean_log_ga
     )
 
 
+SCAN_CAP = 4096  # candidates the reference scans where every tau is admissible
+
+
 def reference_search(log_snr, stats, tau_max):
-    """The plain scan: every tau until the first inadmissible one, first strict maximum kept."""
+    """The plain scan: every tau until the first inadmissible one, first strict maximum kept.
+
+    At log P <= 1 every tau is admissible, so the scan ends after SCAN_CAP
+    candidates; there every rate is negative and none beats R(1).
+    """
     log_power = log_snr + math.log(stats.sigma2)
     best = None
     for tau in range(1, tau_max + 1):
-        if not schedule_is_valid(log_power, tau):
+        if not schedule_is_valid(log_power, tau) or (log_power <= 1.0 and tau > SCAN_CAP):
             break
         value = lower_bound(log_snr, tau, stats)
         if best is None or value > best[1]:
@@ -69,7 +76,10 @@ def admissibility_edge(tau):
 
 @st.composite
 def search_cases(draw):
-    """(log_snr, stats, tau_max) with sigma2 != 1 and alpha_0 != 1, log P on both sides of an admissibility edge."""
+    """(log_snr, stats, tau_max) with sigma2 != 1 and alpha_0 != 1, log P on both sides of an admissibility edge.
+
+    E log|H^(0)|^2 is drawn at or below Jensen's cap log alpha_0.
+    """
     tau_max = draw(st.sampled_from([1, 2, 3, 7, 50, 1024, 10**12]))
     alpha_0 = draw(st.floats(0.05, 5.0).filter(lambda a: a != 1.0))
     stats = stats_for(
@@ -77,7 +87,7 @@ def search_cases(draw):
         alpha_total=alpha_0 + draw(st.floats(0.0, 5.0)),
         sigma2=math.exp(draw(st.floats(-4.0, 4.0).filter(lambda v: v != 0.0))),
         num_taps=draw(st.integers(0, 6)),
-        mean_log_gain=draw(st.floats(-3.0, 1.0)),
+        mean_log_gain=math.log(alpha_0) - draw(st.floats(0.0, 4.0)),
     )
     kind = draw(st.sampled_from(["edge", "edge", "small", "nonpositive"]))
     if kind == "edge":
@@ -88,8 +98,8 @@ def search_cases(draw):
             log_power = math.nextafter(log_power, math.inf if ulps > 0 else 0.0)
         log_power *= 1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-2, -1e-2]))
     elif kind == "small":
-        # log P <= 1 admits every tau; keep the range finite when tau_max is huge
-        log_power = draw(st.floats(1.5 if tau_max > 1024 else 0.01, 3.0))
+        # log P <= 1 admits every tau
+        log_power = draw(st.floats(0.01, 3.0))
     else:
         log_power = -draw(st.floats(0.0, 5.0))
     return log_power - math.log(stats.sigma2), stats, tau_max
@@ -360,7 +370,7 @@ class TestDirectStats:
         alpha_0=st.floats(1e-300, 1e300),
     )
     def test_derived_fields_bit_for_bit(self, sigma2, alpha_0):
-        stats = stats_for(alpha_0=alpha_0, alpha_total=alpha_0, sigma2=sigma2)
+        stats = stats_for(alpha_0=alpha_0, alpha_total=alpha_0, sigma2=sigma2, mean_log_gain=math.log(alpha_0))
         assert stats.log_sigma2.hex() == math.log(sigma2).hex()
         assert stats.sqrt_alpha_0.hex() == math.sqrt(alpha_0).hex()
 
@@ -379,6 +389,13 @@ class TestDirectStats:
         object.__setattr__(twin, "sqrt_alpha_0", 0.0)
         assert twin.power_memo != stats.power_memo
         assert twin == stats and hash(twin) == hash(stats)
+
+    def test_mean_log_gain_above_jensens_cap_rejected(self):
+        # E log|H|^2 <= log E|H|^2 for every channel; with these stats the rate
+        # stays positive at 0 < log P <= 1, where every tau up to tau_max is admissible
+        with pytest.raises(ValueError, match=r"^mean log gain of the delay-0 path \(4\.0\) exceeds Jensen's cap"):
+            DirectStats(4.0, 1.0, 1.75, 1.0, 2)
+        assert DirectStats(0.0, 1.0, 1.75, 1.0, 2).mean_log_gain_0 == 0.0  # the cap itself is allowed
 
     def test_replace_recomputes_derived_fields(self):
         stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
@@ -414,12 +431,13 @@ def outcome(bound, log_snr, tau, stats):
 @st.composite
 def memo_channels(draw):
     # a shared sigma2 gives both instances the same log P at the same log SNR
+    alpha_0 = draw(st.sampled_from([0.5, 1.0]))
     return stats_for(
-        alpha_0=draw(st.sampled_from([0.5, 1.0])),
+        alpha_0=alpha_0,
         alpha_total=draw(st.sampled_from([1.0, 1.75, 4.0])),
         sigma2=draw(st.sampled_from([1.0, 2.5])),
         num_taps=draw(st.integers(0, 3)),
-        mean_log_gain=draw(st.sampled_from([-EULER_GAMMA, 0.25])),
+        mean_log_gain=math.log(alpha_0) - draw(st.sampled_from([EULER_GAMMA, 0.0])),
     )
 
 
@@ -446,7 +464,7 @@ class TestXiPMemo:
     # where tau is admissible 1 ulp above the edge but not 1 ulp below, and
     # log log P of a neighbouring power differs in its last bit
     @example(
-        channels=[stats_for(sigma2=1.0), stats_for(alpha_0=0.5, alpha_total=4.0, sigma2=1.0, num_taps=3)],
+        channels=[stats_for(sigma2=1.0), stats_for(alpha_0=0.5, alpha_total=4.0, sigma2=1.0, num_taps=3, mean_log_gain=math.log(0.5) - EULER_GAMMA)],
         log_snrs=list(EDGES[0]),
         calls=[(0, 0, 3), (0, 1, 3), (0, 0, 3), (0, 2, 3), (0, 1, 3), (1, 1, 2), (1, 0, 3), (1, 2, 3), (0, 0, 3)],
     )
@@ -503,7 +521,7 @@ class TestXiPMemo:
             assert stats.power_memo[0] is stored
 
     def test_replace_and_copy_never_return_a_stale_xi_p(self):
-        stats = stats_for(alpha_0=0.5, alpha_total=1.75, sigma2=2.5)
+        stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=2.5)
         log_snr = 60.0
         lower_bound(log_snr, 5, stats)
         # same log P, different Xi_P: a carried-over pair would be stale

@@ -1,4 +1,4 @@
-"""Monte Carlo oracles: correctness, determinism, worker sharding."""
+"""Monte Carlo oracles: correctness, determinism, sharding and chunked merges."""
 
 import dataclasses
 import json
@@ -17,12 +17,12 @@ from fadecap.direct import LogUniformX2, SchemeParams
 from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath, complex_normal, stats_of
 from fadecap.oracle import (
     _CHUNK,
+    _SHARDS,
     _TILE,
     CheckReport,
     McEstimate,
     _Accumulator,
     _log_mixture_density,
-    _shards,
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
@@ -71,14 +71,6 @@ class TestMcLogGain:
         b = mc_log_gain(IidGaussian(1.0), 10_000, seed=5)
         assert a == b
 
-    def test_worker_count_changes_stream_but_not_statistics(self, monkeypatch):
-        monkeypatch.setenv("FADECAP_WORKERS", "1")
-        one = mc_log_gain(IidGaussian(1.0), 100_000, seed=5)
-        monkeypatch.setenv("FADECAP_WORKERS", "4")
-        four = mc_log_gain(IidGaussian(1.0), 100_000, seed=5)
-        assert one != four  # different stream splits
-        assert abs(one.value - four.value) <= 3.0 * math.hypot(one.std_error, four.std_error)
-
 
 class TestMiScalarGaussian:
     def test_degenerate_magnitude_carries_no_information(self):
@@ -112,9 +104,8 @@ class TestMiScalarGaussian:
         with pytest.raises(ValueError):
             mi_scalar_gaussian(1.0, -1.0, LAW_1_100, n_outer=100, seed=0)
 
-    def test_memory_does_not_grow_with_the_draw_block(self, monkeypatch):
+    def test_memory_does_not_grow_with_the_draw_block(self):
         # a full (65536 x 512) float64 density matrix alone is 256 MiB
-        monkeypatch.setenv("FADECAP_WORKERS", "1")
         tracemalloc.start()
         try:
             mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=100_000, seed=3)
@@ -189,17 +180,14 @@ class TestLogMomentChecks:
         reports = verify_log_moment_bounds(config, scheme, n_samples=200_000, seed=7)
         assert [r.passed for r in reports] == passed, reports
 
-    def test_deterministic_and_worker_stamped(self, monkeypatch):
-        monkeypatch.setenv("FADECAP_WORKERS", "2")
+    def test_deterministic_given_seed(self):
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(2, config.log_power, config.num_paths)
         a = verify_log_moment_bounds(config, scheme, n_samples=50_000, seed=43)
         b = verify_log_moment_bounds(config, scheme, n_samples=50_000, seed=43)
         assert a == b
-        assert all(r.workers == 2 for r in a)
 
-    def test_memory_is_one_chunk_whatever_the_budget(self, monkeypatch):
-        monkeypatch.setenv("FADECAP_WORKERS", "1")
+    def test_memory_is_one_chunk_whatever_the_budget(self):
         config = demo_channel(log_power=3 * LOG10)
         scheme = SchemeParams(3, config.log_power, config.num_paths)
 
@@ -211,7 +199,7 @@ class TestLogMomentChecks:
             finally:
                 tracemalloc.stop()
 
-        one = peak(_CHUNK)
+        one = peak(_SHARDS * _CHUNK)  # one full chunk per shard
         assert one < 20 * 2**20  # a (65536 x L+1 x k) realization alone is 15 MiB
         assert peak(8 * _CHUNK) < one + 2 * 2**20
 
@@ -223,18 +211,18 @@ class TestLogMomentChecks:
 
 
 class TestMemoryPerMillionSamples:
-    # One worker, 1e6 samples: the complex draws take 15.3 MiB, one float64
-    # array 7.6 MiB and complex_normal's block of normals 0.5 MiB.
+    # 1e6 samples: the complex draws take 15.3 MiB, one float64 array 7.6 MiB
+    # and complex_normal's block of normals 0.5 MiB; the estimators draw each
+    # of their two shards whole, half of that at a time.
     @pytest.mark.parametrize(
         "call, bound_mib",
         [
             pytest.param(lambda: complex_normal(substream(0, 0), 10**6, 1.0), 16.5, id="complex_normal"),
-            pytest.param(lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0), 18, id="mc_block_power"),
-            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 26, id="mc_log_gain"),
+            pytest.param(lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0), 10, id="mc_block_power"),
+            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 18, id="mc_log_gain"),
         ],
     )
-    def test_peak(self, call, bound_mib, monkeypatch):
-        monkeypatch.setenv("FADECAP_WORKERS", "1")
+    def test_peak(self, call, bound_mib):
         tracemalloc.start()
         try:
             call()
@@ -257,38 +245,32 @@ BUDGETED = {
 
 class TestSampleBudget:
     @pytest.mark.parametrize("estimator", list(BUDGETED))
-    @pytest.mark.parametrize("budget, workers", [(0, 1), (1, 1), (100, 0), (100, -1), (100, "x")])
-    def test_bad_budget_or_worker_count_is_named(self, estimator, budget, workers, monkeypatch):
-        monkeypatch.setenv("FADECAP_WORKERS", str(workers))
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_bad_budget_is_named(self, estimator, budget):
         name, call = BUDGETED[estimator]
-        if budget < 2:
-            message = rf"^{name} must be at least 2, got {budget}$"
-        else:
-            message = rf"^FADECAP_WORKERS must be an integer >= 1, got '{workers}'$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 2, got {budget}$"):
             call(budget)
 
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(2, 400),
-        workers=st.integers(1, 500),
+        parts=st.integers(1, 500),
         chunk=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=2, workers=5, chunk=1, seed=0)
-    @example(n=400, workers=1, chunk=1, seed=1)
-    @example(n=397, workers=3, chunk=64, seed=2)
-    def test_accumulator_matches_numpy_of_the_concatenation(self, n, workers, chunk, seed):
+    @example(n=2, parts=5, chunk=1, seed=0)
+    @example(n=400, parts=1, chunk=1, seed=1)
+    @example(n=397, parts=3, chunk=64, seed=2)
+    def test_accumulator_matches_numpy_of_the_concatenation(self, n, parts, chunk, seed):
         # The common offset is 1000 standard deviations, where E[x^2] - E[x]^2
         # loses about 6 of its 16 digits to cancellation.  A merged M2 carries
         # the rounding of the stored mean to first order, about offset * 1e-16
         # relative, so at an offset of 1e8 it is off by up to 8e-9.
         values = 1e3 + np.random.default_rng(seed).standard_normal(n)
-        shards = _shards(n, workers)
-        assert [w for w, _ in shards] == list(range(len(shards)))
-        assert sum(size for _, size in shards) == n and min(size for _, size in shards) >= 1
+        base, extra = divmod(n, parts)
+        sizes = [base + (p < extra) for p in range(min(parts, n))]  # min(parts, n) non-empty parts
         acc, offset = _Accumulator(), 0
-        for _, size in shards:
+        for size in sizes:
             for start in range(0, size, chunk):
                 acc.add(values[offset + start : offset + min(start + chunk, size)])
             offset += size
@@ -311,22 +293,20 @@ class TestAcceptanceRule:
         ],
     )
     def test_passes_at_the_margin_and_fails_one_step_beyond(
-        self, relation, rhs, std_error, slack, lhs_at_margin, beyond, monkeypatch
+        self, relation, rhs, std_error, slack, lhs_at_margin, beyond
     ):
-        monkeypatch.setenv("FADECAP_WORKERS", "2")
-
         def judge(lhs):
             return CheckReport.judge("demo", lhs, relation, rhs, std_error, slack=slack)
 
         at = judge(lhs_at_margin)
         assert at.passed
-        assert (at.lhs, at.rhs, at.std_error, at.workers) == (lhs_at_margin, rhs, std_error, 2)
+        assert (at.lhs, at.rhs, at.std_error) == (lhs_at_margin, rhs, std_error)
         assert not judge(math.nextafter(lhs_at_margin, beyond)).passed
 
 
 class TestReportSerialization:
     def test_json_fields(self):
-        report = CheckReport(check="demo", lhs=1.0, rhs=2.0, std_error=0.1, passed=True, workers=3)
+        report = CheckReport(check="demo", lhs=1.0, rhs=2.0, std_error=0.1, passed=True)
         decoded = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert decoded == {
             "check": "demo",
@@ -334,7 +314,6 @@ class TestReportSerialization:
             "rhs": 2.0,
             "std_error": 0.1,
             "pass": True,
-            "workers": 3,
         }
 
     def test_estimate_validation(self):
