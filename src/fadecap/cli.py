@@ -44,6 +44,7 @@ from .fading import REQUIRED, ZeroPath, entropy_rate_szego, read_fields, spectra
 from .oracle import (
     _SHARDS,
     CheckReport,
+    check_audit_power,
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
@@ -356,16 +357,19 @@ def run_verification_suite(
     and the scalar mutual-information bound, at the channel's configured
     transmit power.
     """
-    chan = config.channel
-    seed = config.seed
+    chan, seed = config.channel, config.seed
     reports: List[CheckReport] = []
+    check_audit_power(chan, samples_moments)
 
     for ell, spec in enumerate(chan.path_specs):
         if isinstance(spec, ZeroPath):
             continue
         stats = stats_of(spec)
+        try:
+            szego = entropy_rate_szego(spectral_density(spec))
+        except ValueError as err:
+            raise ValueError(f"entropy_rate_path_{ell}: {err}") from err
         est = mc_log_gain(spec, samples_moments, seed=_sub_seed(seed, "log_gain", ell))
-        szego = entropy_rate_szego(spectral_density(spec))
         reports += [
             CheckReport.judge(f"mean_log_gain_path_{ell}", est.value, "==", stats.mean_log_gain, est.std_error),
             CheckReport.judge(f"entropy_rate_path_{ell}", szego, "==", stats.entropy_rate, 0.0, slack=1e-5),
@@ -440,20 +444,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep_p = sub.add_parser("sweep", help="evaluate both bounds over an SNR grid")
-    sweep_p.add_argument("--config", required=True, help="JSON config path")
-    sweep_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sweep_p.add_argument("--output", default=None, help="output data file (default: sweep.<format>)")
-    sweep_p.add_argument("--format", choices=("csv", "json"), default=None, help="override output format")
-    sweep_p.add_argument("--delta", type=float, default=None)
-    sweep_p.add_argument("--eta", type=float, default=None)
-    sweep_p.add_argument("--eps-const", type=float, default=None)
-    sweep_p.add_argument("--xi", type=float, default=None, help="fixed xi instead of the closed-form choice")
-    sweep_p.add_argument("--tau", type=int, default=None, help="fixed block length instead of searching")
-    sweep_p.add_argument("--tau-max", type=int, default=None)
+    sweep_p.add_argument("--config", required=True, help="JSON config path; every setting comes from it")
+    sweep_p.add_argument("--output", default=None, help="output data file (default: sweep.<output_format>)")
 
     verify_p = sub.add_parser("verify", help="run the Monte Carlo oracle audit")
     verify_p.add_argument("--config", required=True)
-    verify_p.add_argument("--seed", type=int, default=None)
     verify_p.add_argument("--samples-mi", type=int, default=SAMPLES_MI)
     verify_p.add_argument("--samples-moments", type=int, default=SAMPLES_MOMENTS)
     verify_p.add_argument("--output", default=None, help="write the JSON report here")
@@ -465,16 +460,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = load_config(args.config)
-        if getattr(args, "seed", None) is not None:  # the stats subcommand takes no seed
-            config = dataclasses.replace(config, seed=args.seed)
-
         if args.command == "sweep":
-            params = _overridden(
-                config.bound_params, delta=args.delta, eta=args.eta, eps_const=args.eps_const, xi=args.xi
-            )
-            config = _overridden(
-                config, bound_params=params, tau=args.tau, tau_max=args.tau_max, output_format=args.format
-            )
             sweep, metadata = run_sweep(config)
             fits = {which: fit_preloglog_slope(sweep, which) for which in ("upper", "lower")}
             out_path = args.output or f"sweep.{config.output_format}"
@@ -508,18 +494,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _write_atomically({Path(args.output): [report_text]}, f"verify report {args.output}")
             return 0 if all(r.passed for r in reports) else 2
 
-        if args.command == "stats":
-            print(json.dumps(_stats_payload(config), indent=2, sort_keys=True))
-            return 0
+        print(json.dumps(_stats_payload(config), indent=2, sort_keys=True))  # stats
+        return 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
-
-
-def _overridden(obj, **changes):
-    """``obj`` with every change that is not None applied (fields re-validated)."""
-    return dataclasses.replace(obj, **{k: v for k, v in changes.items() if v is not None})
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ supported:
 Each non-zero family has a closed-form variance, differential entropy rate
 and mean log-magnitude, all in nats.  ``entropy_rate_szego`` provides an
 independent quadrature oracle for the entropy rate from the spectral
-density on a fixed 2^16-point grid (entropy rate of a stationary complex
-Gaussian process equals ``log(pi*e)`` plus the mean log spectral density).
+density on a uniform grid of at least 2^16 points, doubled until it converges
+(entropy rate of a stationary complex Gaussian process equals ``log(pi*e)``
+plus the mean log spectral density).
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ EULER_GAMMA = 0.5772156649015329
 LOG_PI = math.log(math.pi)
 LOG_PI_E = LOG_PI + 1.0
 _BLOCK = 65536  # normals per draw in complex_normal
-_SZEGO_GRID = 2**16  # points of entropy_rate_szego's quadrature grid
+_SZEGO_GRID = 2**16  # points of entropy_rate_szego's first grid, and of each block it evaluates
+_SZEGO_MAX_GRID = 2**23  # its finest grid
+_SZEGO_TOL = 1e-7  # successive grids' estimates that differ by more are refined
 
 
 @dataclass(frozen=True)
@@ -188,19 +191,40 @@ def ar1_spectral_density(alpha: float, a: complex) -> Callable[[np.ndarray], np.
 def entropy_rate_szego(spectral_density: Callable[[np.ndarray], np.ndarray]) -> float:
     """Entropy rate ``log(pi e) + (1/2 pi) int log S`` by periodic composite quadrature.
 
-    The integrand is 2*pi-periodic, so the equal-weight rule on the uniform
-    ``_SZEGO_GRID``-point grid converges spectrally fast for smooth densities.
-    Raises if the density is not strictly positive and finite on the grid.
+    The integrand is 2*pi-periodic, so the equal-weight rule on a uniform grid
+    converges spectrally fast for smooth densities, but only once the grid
+    resolves the density's narrowest peak (width about 1 - |a| for AR(1)).
+    The grid starts at ``_SZEGO_GRID`` points and is doubled, adding the
+    midpoints, while two successive estimates differ by more than
+    ``_SZEGO_TOL``; the estimate of the first grid that agrees with the next
+    is returned.  Raises if that takes more than ``_SZEGO_MAX_GRID`` points,
+    or if the density is not strictly positive and finite on the grid.
     """
     import numpy as np
 
-    lam = -math.pi + 2.0 * math.pi * np.arange(_SZEGO_GRID) / _SZEGO_GRID
-    values = np.asarray(spectral_density(lam), dtype=float)
-    if values.shape != lam.shape:
-        raise ValueError("spectral density must evaluate elementwise on the grid")
-    if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-        raise ValueError("spectral density must be strictly positive and finite on the grid")
-    return LOG_PI_E + float(np.mean(np.log(values)))
+    def mean_log(lam: np.ndarray) -> float:
+        values = np.asarray(spectral_density(lam), dtype=float)
+        if values.shape != lam.shape:
+            raise ValueError("spectral density must evaluate elementwise on the grid")
+        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+            raise ValueError("spectral density must be strictly positive and finite on the grid")
+        return float(np.mean(np.log(values)))
+
+    points = _SZEGO_GRID
+    estimate = LOG_PI_E + mean_log(-math.pi + 2.0 * math.pi * np.arange(points) / points)
+    odd = 2.0 * np.arange(_SZEGO_GRID) + 1.0
+    while points < _SZEGO_MAX_GRID:
+        # the 2 * points grid's new nodes are the old grid's midpoints, _SZEGO_GRID at a time
+        midpoints = [
+            mean_log(-math.pi + math.pi * (odd + 2.0 * start) / points) for start in range(0, points, _SZEGO_GRID)
+        ]
+        finer = 0.5 * (estimate + LOG_PI_E + math.fsum(midpoints) / len(midpoints))
+        if abs(finer - estimate) <= _SZEGO_TOL:
+            return estimate
+        points, estimate = 2 * points, finer
+    raise ValueError(
+        f"the Szego quadrature did not converge to {_SZEGO_TOL:g} within {_SZEGO_MAX_GRID} grid points"
+    )
 
 
 def path_spec_to_dict(spec: PathGainSpec) -> dict:

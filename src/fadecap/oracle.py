@@ -17,6 +17,7 @@ rule of ``CheckReport.judge``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Tuple
 
@@ -35,6 +36,7 @@ _TILE = 1024  # rows of the MI oracle's log-density tile (_TILE x n_inner float6
 # The split the recorded audit values (perfbench/golden.json) were drawn with;
 # ROADMAP item 3 removes it together with one re-pin of those values.
 _SHARDS = 2
+_HEADROOM = 1000.0  # check_audit_power's factor between its bound on the largest sum and float max
 
 
 def _shards(n_samples: int, budget: str = "n_samples") -> List[Tuple[int, int]]:
@@ -44,6 +46,30 @@ def _shards(n_samples: int, budget: str = "n_samples") -> List[Tuple[int, int]]:
         raise ValueError(f"{budget} must be at least 2, got {n_samples}")
     base, extra = divmod(n_samples, _SHARDS)
     return [(w, base + (w < extra)) for w in range(_SHARDS)]
+
+
+def check_audit_power(config: ChannelConfig, n_samples: int) -> None:
+    """Raise unless the channel's power keeps every audit of ``n_samples`` draws finite in float64.
+
+    The largest value the audits form is the sum of squared deviations of
+    |Y_k|^2, the log-moment audit's output power, which is at most the sum of
+    |Y_k|^4.  Given the inputs, Y_k is CN(0, s) with s = sigma^2 + sum_l
+    alpha_l |X_{k-l}|^2, and no symbol has |X|^2 above P, so that sum has mean
+    2n E[s^2] <= 2n (sigma^2 + alpha_total P)^2.  The block-power audit's sum
+    of squares is at most n P^2.  The larger bound is held ``_HEADROOM``
+    times below the largest float, so by Markov's inequality the sum
+    overflows with probability below 1 / ``_HEADROOM``.
+    """
+    n = max(n_samples, 2)  # a smaller budget is each audit's own error
+    half = 0.5 * (math.log(sys.float_info.max) - math.log(2.0 * _HEADROOM * n))  # log of the largest s or P
+    room = 1.0 - config.noise_variance * math.exp(-half)
+    limit = min(half, half + math.log(room) - math.log(sum(config.alphas))) if room > 0.0 else -math.inf
+    if config.log_power > limit:
+        log10 = math.log(10.0)
+        raise ValueError(
+            f"log10_power {config.log_power / log10:.6g} is too large to audit with {n_samples} draws: "
+            f"their sums of squares can overflow float64 above log10_power {limit / log10:.6g}"
+        )
 
 
 @dataclass(frozen=True)

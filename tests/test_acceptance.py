@@ -387,20 +387,17 @@ class TestCriterion7SchemeAdmissibility:
 
 class TestCriterion8Reproducibility:
     def test_sweep_outputs_byte_identical(self, tmp_path):
-        config_path = tmp_path / "demo.json"
         import json
 
-        config_path.write_text(
-            json.dumps(cli.sweep_config_to_dict(DEMO), indent=2, sort_keys=True)
-        )
         pairs = []
         for fmt in ("csv", "json"):
+            config_path = tmp_path / f"demo_{fmt}.json"
+            config = replace(DEMO, output_format=fmt)
+            config_path.write_text(json.dumps(cli.sweep_config_to_dict(config), indent=2, sort_keys=True))
             out_a = tmp_path / f"a.{fmt}"
             out_b = tmp_path / f"b.{fmt}"
             for out in (out_a, out_b):
-                rc = cli.main(
-                    ["sweep", "--config", str(config_path), "--output", str(out), "--format", fmt]
-                )
+                rc = cli.main(["sweep", "--config", str(config_path), "--output", str(out)])
                 assert rc == 0
             pairs.append(out_a.read_bytes() == out_b.read_bytes())
             pairs.append(

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +45,7 @@ REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 LOW_POWER_CONFIG = REPO_CONFIG.with_name("low_power.json")
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DEMO = load_config(REPO_CONFIG)
+DEMO_RAW = json.loads(REPO_CONFIG.read_text())
 
 # JSON sweep output: an array of per-grid-point objects with exactly these keys.
 OUTPUT_SCHEMA = {
@@ -96,6 +98,15 @@ def parse_emitted(text, output_format):
     entries = json.loads(text)
     assert all(entry.keys() == set(COLUMNS) for entry in entries)
     return sweep_of([tuple(entry[name] for name in COLUMNS) for entry in entries])
+
+
+def demo_config_with(path, changes):
+    """Write configs/demo.json to ``path`` with each key path of ``changes`` set to its value."""
+    raw = copy.deepcopy(DEMO_RAW)
+    for key_path, value in changes.items():
+        _at(raw, key_path[:-1])[key_path[-1]] = value
+    path.write_text(json.dumps(raw, indent=2, sort_keys=True))
+    return path
 
 
 def synthetic_sweep(num=6, slope=1.0, intercept=0.0, step=0.5):
@@ -388,9 +399,9 @@ class TestSweepMemory:
 class TestGoldenDemoSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_demo_sweep_reproduces_golden_bytes(self, fmt, tmp_path):
+        config = demo_config_with(tmp_path / "config.json", {("output_format",): fmt})
         out = tmp_path / f"demo_sweep.{fmt}"
-        argv = ["sweep", "--config", str(REPO_CONFIG), "--output", str(out), "--format", fmt]
-        assert cli.main(argv) == 0
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
         for name in (out.name, out.name + ".meta.json"):
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
@@ -440,8 +451,9 @@ class TestNoEnvironmentKnob:
         monkeypatch.setattr(os, "environ", environ)
         config = ["--config", str(REPO_CONFIG)]
         for fmt in ("csv", "json"):
+            fmt_config = demo_config_with(tmp_path / f"{fmt}.config.json", {("output_format",): fmt})
             out = tmp_path / f"demo_sweep.{fmt}"
-            assert cli.main(["sweep", *config, "--format", fmt, "--output", str(out)]) == 0
+            assert cli.main(["sweep", "--config", str(fmt_config), "--output", str(out)]) == 0
             for name in (out.name, out.name + ".meta.json"):
                 assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
         assert cli.main(["stats", *config]) == 0
@@ -479,16 +491,19 @@ class TestMainEntry:
             "lower: slope 0.629546, intercept -1.917210, rms residual 0.0271",
         ]
 
+    # The next four tests set a config key in a copy of the demo config; their
+    # names and ids, which say "flag", are kept so that test ids stay stable.
     def test_sweep_json_format_flag(self, tmp_path):
+        config = demo_config_with(tmp_path / "config.json", {("output_format",): "json"})
         out = tmp_path / "sweep.json"
-        rc = cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out), "--format", "json"])
-        assert rc == 0
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
         jsonschema.validate(json.loads(out.read_text()), OUTPUT_SCHEMA)
 
     def test_sweep_xi_override_flag_changes_bound(self, tmp_path):
+        config = demo_config_with(tmp_path / "config.json", {("bounds", "xi"): 1.0})
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out_a)])
-        cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out_b), "--xi", "1.0"])
+        assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out_a)]) == 0
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out_b)]) == 0
         pa = parse_emitted(out_a.read_text(), "csv")
         pb = parse_emitted(out_b.read_text(), "csv")
         assert all(b > a for a, b in zip(pa.upper, pb.upper))  # xi=1 is far off-optimum here
@@ -504,12 +519,13 @@ class TestMainEntry:
         ],
     )
     def test_sweep_override_flag_is_echoed_and_applied(self, tmp_path, flag, value, echo_path):
-        base, out = tmp_path / "base.csv", tmp_path / "flag.csv"
+        config = demo_config_with(tmp_path / "config.json", {echo_path: value})
+        base, out = tmp_path / "base.csv", tmp_path / "key.csv"
         assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(base)]) == 0
-        assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out), flag, str(value)]) == 0
-        meta = json.loads((tmp_path / "flag.csv.meta.json").read_text())
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
+        meta = json.loads((tmp_path / "key.csv.meta.json").read_text())
         assert _at(meta["config"], echo_path) == value
-        if flag == "--tau-max":
+        if echo_path == ("tau_max",):
             assert max(parse_emitted(out.read_text(), "csv").tau_star) == value
         else:
             # the bound parameters only enter the upper bound
@@ -517,9 +533,9 @@ class TestMainEntry:
             assert lower[0] == lower[1]
 
     def test_sweep_fixed_tau_flag(self, tmp_path):
+        config = demo_config_with(tmp_path / "config.json", {("tau",): 8})
         out = tmp_path / "fixed.csv"
-        rc = cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out), "--tau", "8"])
-        assert rc == 0
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
         sweep = parse_emitted(out.read_text(), "csv")
         assert all(tau == 8 for tau in sweep.tau_star)
         dstats = DirectStats.from_config(DEMO.channel)
@@ -583,10 +599,11 @@ class TestMainEntry:
             "codes.append(cli.main(audit))\n"
             "print(json.dumps({'loaded': loaded, 'codes': codes, 'stderr': err.getvalue()}))\n"
         )
+        json_config = demo_config_with(tmp_path / "config.json", {("output_format",): "json"})
         runs = [
             [
                 ["sweep", "--config", str(REPO_CONFIG), "--output", str(tmp_path / "sweep.csv")],
-                ["sweep", "--config", str(REPO_CONFIG), "--output", str(tmp_path / "sweep.json"), "--format", "json"],
+                ["sweep", "--config", str(json_config), "--output", str(tmp_path / "sweep.json")],
                 ["stats", "--config", str(REPO_CONFIG)],
             ],
             ["verify", "--config", str(REPO_CONFIG), "--samples-mi", "200", "--samples-moments", "200"],
@@ -610,7 +627,68 @@ class TestMainEntry:
         assert "error:" in capsys.readouterr().err
 
 
-DEMO_RAW = json.loads(REPO_CONFIG.read_text())
+class TestOptionSets:
+    # every setting of a run comes from --config; the options left are the
+    # output path and verify's sample sizes
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("sweep", {"--config", "--output"}),
+            ("verify", {"--config", "--samples-mi", "--samples-moments", "--output"}),
+            ("stats", {"--config"}),
+        ],
+    )
+    def test_each_subcommand_takes_only_its_options(self, command, options, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == options | {"--help"}
+
+
+def verify_config(tmp_path, changes):
+    """The demo config with ``changes``, written to ``tmp_path`` and loaded."""
+    return load_config(demo_config_with(tmp_path / "config.json", changes))
+
+
+class TestAuditPowerRange:
+    # Unchecked, the sums of squares of |Y_k|^2 over 20 000 draws overflow
+    # float64 from about log10 P = 153: std_error comes out inf (a vacuous
+    # pass) or nan (a fail), and at 400 math.exp(log P) overflows.
+    @pytest.mark.parametrize("log10_power", [154.0, 160.0, 400.0])
+    def test_unrepresentable_power_fails_cleanly(self, log10_power, tmp_path, capsys):
+        config = demo_config_with(tmp_path / "config.json", {("channel", "log10_power"): log10_power})
+        report = tmp_path / "report.json"
+        argv = ["verify", "--config", str(config), "--samples-mi", "200", "--samples-moments", "20000"]
+        assert cli.main(argv + ["--output", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: log10_power") and err.count("\n") == 1 and "20000 draws" in err, err
+        assert not report.exists()
+
+    def test_power_below_the_limit_gives_finite_reports(self, tmp_path):
+        config = verify_config(tmp_path, {("channel", "log10_power"): 150.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in the sums would warn
+            reports = cli.run_verification_suite(config, samples_mi=200, samples_moments=20000)
+        values = [v for r in reports for v in (r.lhs, r.rhs, r.std_error)]
+        assert all(map(math.isfinite, values)) and all(r.passed for r in reports)
+
+
+class TestSlowFadingEntropyRate:
+    def test_slow_fading_path_passes(self, tmp_path):
+        # the fixed 2^16-point grid was 2.2e-5 off here, beyond the check's 1e-5
+        config = verify_config(tmp_path, {("channel", "paths", 0, "a_re"): 0.99999})
+        reports = cli.run_verification_suite(config, samples_mi=200, samples_moments=200)
+        (entropy,) = [r for r in reports if r.check == "entropy_rate_path_0"]
+        assert entropy.passed and abs(entropy.lhs - entropy.rhs) < 1e-6
+
+    def test_unresolvable_peak_names_the_path(self, tmp_path, capsys):
+        config = demo_config_with(tmp_path / "config.json", {("channel", "paths", 1, "a_re"): 0.9999999})
+        argv = ["verify", "--config", str(config), "--samples-mi", "200", "--samples-moments", "200"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: entropy_rate_path_1:") and err.count("\n") == 1, err
+
+
 RAW_1E400 = "__raw_1e400__"  # written into the config text as the literal 1e400
 
 

@@ -83,6 +83,22 @@ class TestSzegoOracle:
         got = entropy_rate_szego(spectral_density(IidGaussian(2.0)))
         assert abs(got - stats_of(IidGaussian(2.0)).entropy_rate) < 1e-10
 
+    def test_fast_fading_keeps_the_first_grid(self):
+        # the first grid agrees with the next, so its estimate is returned as is
+        density = ar1_spectral_density(1.0, 0.5)
+        lam = -math.pi + 2.0 * math.pi * np.arange(2**16) / 2**16
+        assert entropy_rate_szego(density) == LOG_PI_E + float(np.mean(np.log(density(lam))))
+
+    @pytest.mark.parametrize("a", [0.99999, 0.999999])
+    def test_slow_fading_refines_the_grid(self, a):
+        # the 2^16-point grid's error is 2.2e-5 at |a| = 0.99999
+        got = entropy_rate_szego(ar1_spectral_density(1.0, a))
+        assert abs(got - stats_of(Ar1Gaussian(1.0, a)).entropy_rate) < 1e-7
+
+    def test_unresolved_peak_raises(self):
+        with pytest.raises(ValueError, match="did not converge"):
+            entropy_rate_szego(ar1_spectral_density(1.0, 0.9999999))
+
     def test_nonpositive_density_rejected(self):
         with pytest.raises(ValueError):
             entropy_rate_szego(lambda lam: np.cos(lam))
