@@ -46,7 +46,6 @@ from .fading import (
     IidGaussian,
     PathStats,
     ZeroPath,
-    ar1_spectral_density,
     entropy_rate_szego,
     sample_paths,
     stats_of,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .fading import (
+    LOG10,
     REQUIRED,
     PathGainSpec,
     complex_normal,
@@ -177,7 +178,7 @@ def config_to_dict(config: ChannelConfig) -> dict:
     return {
         "paths": [path_spec_to_dict(spec) for spec in config.path_specs],
         "noise_variance": config.noise_variance,
-        "log10_power": config.log_power / math.log(10.0),
+        "log10_power": config.log_power / LOG10,
     }
 
 
@@ -194,5 +195,5 @@ def config_from_dict(data: dict) -> ChannelConfig:
             path_spec_from_dict(p, f"channel.paths[{i}]") for i, p in enumerate(fields["paths"])
         ),
         noise_variance=fields["noise_variance"],
-        log_power=fields["log10_power"] * math.log(10.0),
+        log_power=fields["log10_power"] * LOG10,
     )

@@ -40,7 +40,7 @@ from .direct import (
     optimize_tau,
     schedule_is_valid,
 )
-from .fading import REQUIRED, ZeroPath, entropy_rate_szego, read_fields, spectral_density, stats_of
+from .fading import LOG10, REQUIRED, entropy_rate_szego, read_fields, spectral_density, stats_of
 from .oracle import (
     _SHARDS,
     CheckReport,
@@ -52,7 +52,6 @@ from .oracle import (
 )
 
 SCHEMA_VERSION = 1
-LOG10 = math.log(10.0)
 SAMPLES_MI = 100_000  # default outer draws of the mutual-information oracle
 SAMPLES_MOMENTS = 1_000_000  # default draws of every other Monte Carlo audit
 
@@ -362,9 +361,9 @@ def run_verification_suite(
     check_audit_power(chan, samples_moments)
 
     for ell, spec in enumerate(chan.path_specs):
-        if isinstance(spec, ZeroPath):
-            continue
         stats = stats_of(spec)
+        if not stats.active:
+            continue
         try:
             szego = entropy_rate_szego(spectral_density(spec))
         except ValueError as err:
@@ -396,16 +395,15 @@ def run_verification_suite(
     )
 
     law = LogUniformX2(0.0, math.log(100.0))
-    alpha_0 = chan.path_specs[0].alpha
     stats0 = stats_of(chan.path_specs[0])
     lemma = lemma_mi_lower_bound(
         mean_log_h2=stats0.mean_log_gain,
-        sigma_h=math.sqrt(alpha_0),
+        sigma_h=math.sqrt(stats0.alpha),
         sigma_w=math.sqrt(chan.noise_variance),
         x2_law=law,
     )
     mi = mi_scalar_gaussian(
-        h_variance=alpha_0,
+        h_variance=stats0.alpha,
         w_variance=chan.noise_variance,
         x2_law=law,
         n_outer=samples_mi,
@@ -478,19 +476,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if count < 2:  # a mean and its standard error need two samples
                     raise ValueError(f"{flag} must be at least 2, got {count}")
             try:
-                reports = run_verification_suite(
-                    config, samples_mi=args.samples_mi, samples_moments=args.samples_moments
-                )
+                reports = run_verification_suite(config, args.samples_mi, args.samples_moments)
             except ModuleNotFoundError as err:  # numpy, which only the audit imports
                 raise ValueError(f"verify needs {err.name}: {err}") from err
-            for report in reports:
-                status = "PASS" if report.passed else "FAIL"
-                print(
-                    f"[{status}] {report.check}: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
-                    f"std_error={report.std_error:.3g}"
-                )
+            for r in reports:
+                values = f"lhs={r.lhs:.6g} rhs={r.rhs:.6g} std_error={r.std_error:.3g}"
+                print(f"[{'PASS' if r.passed else 'FAIL'}] {r.check}: {values}")
             if args.output:
-                report_text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+                rows = [r.to_dict() for r in reports]
+                try:
+                    report_text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+                except ValueError:  # JSON has no NaN or Infinity
+                    bad = next(r.check for r in reports if not all(map(math.isfinite, (r.lhs, r.rhs, r.std_error))))
+                    raise ValueError(f"cannot write a non-finite value as JSON: check {bad}") from None
                 _write_atomically({Path(args.output): [report_text]}, f"verify report {args.output}")
             return 0 if all(r.passed for r in reports) else 2
 

@@ -3,15 +3,18 @@
 Three families of zero-mean, circularly-symmetric gain processes are
 supported:
 
-* ``IidGaussian(alpha)``    -- white complex Gaussian, variance ``alpha``;
 * ``Ar1Gaussian(alpha, a)`` -- first-order Gauss-Markov recursion
   ``H[k] = a * H[k-1] + sqrt(alpha * (1 - |a|^2)) * U[k]`` with ``|a| < 1``
   and IID standard circularly-symmetric innovations ``U[k]``, initialised
   from the stationary marginal ``CN(0, alpha)``;
+* ``IidGaussian(alpha)``    -- white complex Gaussian, variance ``alpha``:
+  the pole-0 case ``a = 0`` of the Gauss-Markov family in every closed form
+  (only its sampler and config kind are its own);
 * ``ZeroPath()``            -- the identically-zero tap.
 
-Each non-zero family has a closed-form variance, differential entropy rate
-and mean log-magnitude, all in nats.  ``entropy_rate_szego`` provides an
+The Gaussian families share one closed form each for the variance,
+differential entropy rate, mean log-magnitude (all in nats) and spectral
+density.  ``entropy_rate_szego`` provides an
 independent quadrature oracle for the entropy rate from the spectral
 density on a uniform grid of at least 2^16 points, doubled until it converges
 (entropy rate of a stationary complex Gaussian process equals ``log(pi*e)``
@@ -30,6 +33,7 @@ if TYPE_CHECKING:
 EULER_GAMMA = 0.5772156649015329
 LOG_PI = math.log(math.pi)
 LOG_PI_E = LOG_PI + 1.0
+LOG10 = math.log(10.0)
 _BLOCK = 65536  # normals per draw in complex_normal
 _SZEGO_GRID = 2**16  # points of entropy_rate_szego's first grid, and of each block it evaluates
 _SZEGO_MAX_GRID = 2**23  # its finest grid
@@ -38,9 +42,13 @@ _SZEGO_TOL = 1e-7  # successive grids' estimates that differ by more are refined
 
 @dataclass(frozen=True)
 class IidGaussian:
-    """White circularly-symmetric complex Gaussian gains with variance ``alpha``."""
+    """White circularly-symmetric complex Gaussian gains with variance ``alpha``.
+
+    The pole-0 Gauss-Markov process: ``a = 0`` in every closed form.
+    """
 
     alpha: float
+    a = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < math.inf):
@@ -92,21 +100,15 @@ class PathStats:
 def stats_of(spec: PathGainSpec) -> PathStats:
     """Closed-form variance, entropy rate and mean log squared magnitude.
 
-    The marginal of every non-zero family is ``CN(0, alpha)``, so
+    The marginal of every Gaussian family is ``CN(0, alpha)``, so
     ``E[log|H|^2] = log(alpha) - gamma`` (Euler's constant enters through
-    the log of a unit-mean exponential).  Entropy rates: ``log(pi*e*alpha)``
-    for the white family, ``log(pi*e*alpha*(1-|a|^2))`` for the Gauss-Markov
-    family (the innovation variance is the one-step prediction error).
+    the log of a unit-mean exponential).  The entropy rate is
+    ``log(pi*e*alpha*(1-|a|^2))``, the innovation variance being the
+    one-step prediction error; the white family is its ``a = 0`` case.
     """
     if isinstance(spec, ZeroPath):
         return PathStats(alpha=0.0, entropy_rate=None, mean_log_gain=None)
-    if isinstance(spec, IidGaussian):
-        return PathStats(
-            alpha=spec.alpha,
-            entropy_rate=LOG_PI_E + math.log(spec.alpha),
-            mean_log_gain=math.log(spec.alpha) - EULER_GAMMA,
-        )
-    if isinstance(spec, Ar1Gaussian):
+    if isinstance(spec, (IidGaussian, Ar1Gaussian)):
         return PathStats(
             alpha=spec.alpha,
             entropy_rate=LOG_PI_E + math.log(spec.alpha) + math.log1p(-abs(spec.a) ** 2),
@@ -162,28 +164,16 @@ def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Genera
 
 
 def spectral_density(spec: PathGainSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Power spectral density on [-pi, pi] of a non-zero gain process."""
+    """Power spectral density ``alpha (1-|a|^2) / |1 - a e^{-i lam}|^2`` on [-pi, pi]
+    of a Gaussian gain process (flat for the white family, ``a = 0``)."""
     import numpy as np
 
-    if isinstance(spec, IidGaussian):
-        alpha = spec.alpha
-        return lambda lam: np.full_like(np.asarray(lam, dtype=float), alpha)
-    if isinstance(spec, Ar1Gaussian):
-        return ar1_spectral_density(spec.alpha, spec.a)
-    raise ValueError(f"no spectral density for {spec!r}")
-
-
-def ar1_spectral_density(alpha: float, a: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """Spectral density ``alpha (1-|a|^2) / |1 - a e^{-i lam}|^2`` of the AR(1) family."""
-    import numpy as np
-
-    if not abs(a) < 1.0:
-        raise ValueError(f"requires |a| < 1, got {abs(a)}")
-    top = alpha * (1.0 - abs(a) ** 2)
+    if not isinstance(spec, (IidGaussian, Ar1Gaussian)):
+        raise ValueError(f"no spectral density for {spec!r}")
+    top, a = spec.alpha * (1.0 - abs(spec.a) ** 2), spec.a
 
     def density(lam: np.ndarray) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        return top / np.abs(1.0 - a * np.exp(-1j * lam)) ** 2
+        return top / np.abs(1.0 - a * np.exp(-1j * np.asarray(lam, dtype=float))) ** 2
 
     return density
 
@@ -234,12 +224,7 @@ def path_spec_to_dict(spec: PathGainSpec) -> dict:
     if isinstance(spec, IidGaussian):
         return {"kind": "iid", "alpha": spec.alpha}
     if isinstance(spec, Ar1Gaussian):
-        return {
-            "kind": "ar1",
-            "alpha": spec.alpha,
-            "a_re": spec.a.real,
-            "a_im": spec.a.imag,
-        }
+        return {"kind": "ar1", "alpha": spec.alpha, "a_re": spec.a.real, "a_im": spec.a.imag}
     raise TypeError(f"not a path-gain spec: {spec!r}")
 
 
@@ -311,8 +296,8 @@ def path_spec_from_dict(data: dict, where: str = "path") -> PathGainSpec:
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object, got {data!r}")
     kind = data.get("kind")
-    if kind not in ("iid", "ar1", "zero"):
-        raise ValueError(f"{where}.kind must be 'iid', 'ar1' or 'zero', got {kind!r}")
+    if not isinstance(kind, str) or kind not in _PATH_FIELDS:
+        raise ValueError(f"{where}.kind must be one of {sorted(_PATH_FIELDS)}, got {kind!r}")
     fields = read_fields(data, where, {"kind": (str, REQUIRED), **_PATH_FIELDS[kind]})
     if kind == "zero":
         return ZeroPath()

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Tuple
 # against; they stay bound here, where perfbench/tracing.py wraps them.
 from .channel import ChannelConfig, output_at, realize_many, simulate  # noqa: F401
 from .direct import LogUniformX2, SchemeParams
-from .fading import Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath, complex_normal
+from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, complex_normal, stats_of
 from .streams import substream
 
 if TYPE_CHECKING:
@@ -65,10 +65,9 @@ def check_audit_power(config: ChannelConfig, n_samples: int) -> None:
     room = 1.0 - config.noise_variance * math.exp(-half)
     limit = min(half, half + math.log(room) - math.log(sum(config.alphas))) if room > 0.0 else -math.inf
     if config.log_power > limit:
-        log10 = math.log(10.0)
         raise ValueError(
-            f"log10_power {config.log_power / log10:.6g} is too large to audit with {n_samples} draws: "
-            f"their sums of squares can overflow float64 above log10_power {limit / log10:.6g}"
+            f"log10_power {config.log_power / LOG10:.6g} is too large to audit with {n_samples} draws: "
+            f"their sums of squares can overflow float64 above log10_power {limit / LOG10:.6g}"
         )
 
 
@@ -128,10 +127,11 @@ class CheckReport:
         cls, check: str, lhs: float, relation: str, rhs: float, std_error: float, slack: float = 0.0
     ) -> CheckReport:
         """The report of ``lhs relation rhs``, for ``relation`` one of ``==``,
-        ``<=`` and ``>=``: it passes within 3 standard errors plus ``slack``."""
+        ``<=`` and ``>=``: it passes within 3 standard errors plus ``slack``,
+        and fails whenever a side or the tolerance is not finite."""
         tol = 3.0 * std_error + slack
-        passed = {"==": abs(lhs - rhs) <= tol, "<=": lhs <= rhs + tol, ">=": lhs >= rhs - tol}[relation]
-        return cls(check, lhs, rhs, std_error, passed)
+        holds = {"==": abs(lhs - rhs) <= tol, "<=": lhs <= rhs + tol, ">=": lhs >= rhs - tol}[relation]
+        return cls(check, lhs, rhs, std_error, holds and all(map(math.isfinite, (lhs, rhs, tol))))
 
     def to_dict(self) -> dict:
         return {
@@ -147,10 +147,8 @@ def mc_log_gain(spec: PathGainSpec, n_samples: int, seed: int) -> McEstimate:
     """Sample mean of log|H|^2 over independent stationary marginal draws."""
     import numpy as np
 
-    if isinstance(spec, ZeroPath):
+    if not stats_of(spec).active:
         raise ValueError("the zero tap has no log-gain statistics")
-    if not isinstance(spec, (IidGaussian, Ar1Gaussian)):
-        raise TypeError(f"not a path-gain spec: {spec!r}")
     acc = _Accumulator()
     for w, size in _shards(n_samples):
         log_h2 = np.abs(complex_normal(substream(seed, w), size, spec.alpha))
@@ -224,7 +222,7 @@ def mi_scalar_gaussian(
     s_nodes = h_variance * np.exp(u) + w_variance  # conditional variances at nodes
     # log f_Y(y) for a circularly-symmetric mixture of CN(0, s_j) is
     # logsumexp_j(log_c_j - |y|^2 / s_j)
-    log_c = np.log(weights) - math.log(math.pi) - np.log(s_nodes)
+    log_c = np.log(weights) - LOG_PI - np.log(s_nodes)
 
     acc = _Accumulator()
     for w, size in shards:
@@ -235,7 +233,7 @@ def mi_scalar_gaussian(
             s_draw = h_variance * np.exp(u_draw) + w_variance
             y2 = s_draw * rng.exponential(size=m)  # |Y|^2 | X is exponential(mean s)
             log_fy = _log_mixture_density(y2, log_c, s_nodes)
-            acc.add(-log_fy - (math.log(math.pi) + 1.0 + np.log(s_draw)))
+            acc.add(-log_fy - (LOG_PI_E + np.log(s_draw)))
     return acc.estimate()
 
 

@@ -38,10 +38,13 @@ from fadecap.cli import (
 )
 from fadecap.converse import ConverseStats, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
+from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.oracle import CheckReport
 
 LOG10 = math.log(10.0)
 MAX_GRID_STOP = math.nextafter(sys.float_info.max / LOG10, 0.0)  # the largest stop GridSpec accepts
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+README = REPO_CONFIG.parent.parent / "README.md"
 LOW_POWER_CONFIG = REPO_CONFIG.with_name("low_power.json")
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DEMO = load_config(REPO_CONFIG)
@@ -491,15 +494,14 @@ class TestMainEntry:
             "lower: slope 0.629546, intercept -1.917210, rms residual 0.0271",
         ]
 
-    # The next four tests set a config key in a copy of the demo config; their
-    # names and ids, which say "flag", are kept so that test ids stay stable.
-    def test_sweep_json_format_flag(self, tmp_path):
+    # The next four tests set a config key in a copy of the demo config.
+    def test_sweep_json_output_format_key(self, tmp_path):
         config = demo_config_with(tmp_path / "config.json", {("output_format",): "json"})
         out = tmp_path / "sweep.json"
         assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
         jsonschema.validate(json.loads(out.read_text()), OUTPUT_SCHEMA)
 
-    def test_sweep_xi_override_flag_changes_bound(self, tmp_path):
+    def test_sweep_xi_key_changes_bound(self, tmp_path):
         config = demo_config_with(tmp_path / "config.json", {("bounds", "xi"): 1.0})
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(out_a)]) == 0
@@ -509,16 +511,17 @@ class TestMainEntry:
         assert all(b > a for a, b in zip(pa.upper, pb.upper))  # xi=1 is far off-optimum here
 
     @pytest.mark.parametrize(
-        "flag, value, echo_path",
+        "value, echo_path",
         [
-            ("--delta", 0.5, ("bounds", "delta")),
-            ("--eta", 0.8, ("bounds", "eta")),
-            ("--eps-const", 0.1, ("bounds", "eps_const")),
-            ("--xi", 1.0, ("bounds", "xi")),
-            ("--tau-max", 2, ("tau_max",)),  # the demo grid's tau* reaches 4, so 2 binds
+            (0.5, ("bounds", "delta")),
+            (0.8, ("bounds", "eta")),
+            (0.1, ("bounds", "eps_const")),
+            (1.0, ("bounds", "xi")),
+            (2, ("tau_max",)),  # the demo grid's tau* reaches 4, so 2 binds
         ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else None,
     )
-    def test_sweep_override_flag_is_echoed_and_applied(self, tmp_path, flag, value, echo_path):
+    def test_sweep_config_key_is_echoed_and_applied(self, tmp_path, value, echo_path):
         config = demo_config_with(tmp_path / "config.json", {echo_path: value})
         base, out = tmp_path / "base.csv", tmp_path / "key.csv"
         assert cli.main(["sweep", "--config", str(REPO_CONFIG), "--output", str(base)]) == 0
@@ -532,7 +535,7 @@ class TestMainEntry:
             lower = [[line.split(",")[2] for line in path.read_text().splitlines()] for path in (base, out)]
             assert lower[0] == lower[1]
 
-    def test_sweep_fixed_tau_flag(self, tmp_path):
+    def test_sweep_fixed_tau_key(self, tmp_path):
         config = demo_config_with(tmp_path / "config.json", {("tau",): 8})
         out = tmp_path / "fixed.csv"
         assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
@@ -577,6 +580,16 @@ class TestMainEntry:
         assert cli.main(argv + ["--output", str(report_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "report.json" in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_non_finite_report_value_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # JSON has no NaN: the report is not written, and the error names the check
+        reports = [CheckReport("finite", 1.0, 1.0, 0.0, True), CheckReport("not_finite", 1.0, 1.0, math.nan, False)]
+        monkeypatch.setattr(cli, "run_verification_suite", lambda *args: reports)
+        report_path = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", str(REPO_CONFIG), "--output", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot write a non-finite value as JSON: check not_finite\n", err
         assert list(tmp_path.iterdir()) == []
 
     def test_import_leaves_unused_scipy_subpackages_out(self, tmp_path):
@@ -673,6 +686,24 @@ class TestAuditPowerRange:
         assert all(map(math.isfinite, values)) and all(r.passed for r in reports)
 
 
+class TestReadmeExampleChannel:
+    # the README schema example's channel has one tap of each kind
+    def test_every_path_kind_through_verify_and_stats(self, tmp_path, capsys):
+        example = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
+        config_path = tmp_path / "readme.json"
+        config_path.write_text(example)
+        config = load_config(config_path)
+        assert [type(spec) for spec in config.channel.path_specs] == [Ar1Gaussian, IidGaussian, ZeroPath]
+        reports = cli.run_verification_suite(config, samples_mi=5000, samples_moments=20000)
+        checks = [r.check for r in reports]
+        assert {"mean_log_gain_path_1", "entropy_rate_path_1", "mean_log_gain_path_0"} <= set(checks)
+        assert not [check for check in checks if check.endswith("_path_2")], checks
+        assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+        assert cli.main(["stats", "--config", str(config_path)]) == 0
+        paths = json.loads(capsys.readouterr().out)["paths"]
+        assert [path["active"] for path in paths] == [True, True, False]
+
+
 class TestSlowFadingEntropyRate:
     def test_slow_fading_path_passes(self, tmp_path):
         # the fixed 2^16-point grid was 2.2e-5 off here, beyond the check's 1e-5
@@ -758,6 +789,7 @@ class TestMalformedConfig:
             ((RAW_1E400, ("grid", "log10_snr_stop")), "grid.log10_snr_stop"),
             (("x", ("grid",)), "config.grid"),
             ((True, ("tau",)), "config.tau"),
+            (([], ("channel", "paths", 1, "kind")), "channel.paths[1].kind"),  # unhashable
         ],
     )
     def test_named_probe_fails_cleanly(self, mutation, field):

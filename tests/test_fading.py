@@ -14,7 +14,6 @@ from fadecap.fading import (
     Ar1Gaussian,
     IidGaussian,
     ZeroPath,
-    ar1_spectral_density,
     complex_normal,
     entropy_rate_szego,
     path_spec_from_dict,
@@ -32,6 +31,12 @@ class TestClosedForms:
         assert stats.mean_log_gain == pytest.approx(-EULER_GAMMA, abs=1e-12)
         assert stats.alpha == 1.0
         assert stats.active
+        # the white family is the a = 0 case of the Gauss-Markov formulas,
+        # whose pole term log1p(-0.0) adds nothing
+        for alpha in (1e-300, 0.3, 1.0, 2.0, math.e, 1e300):
+            stats = stats_of(IidGaussian(alpha))
+            assert stats.entropy_rate.hex() == (LOG_PI_E + math.log(alpha)).hex()
+            assert stats.mean_log_gain.hex() == (math.log(alpha) - EULER_GAMMA).hex()
 
     def test_ar1_with_zero_pole_degenerates_to_iid(self):
         assert stats_of(Ar1Gaussian(1.0, 0.0)) == stats_of(IidGaussian(1.0))
@@ -76,28 +81,37 @@ class TestSzegoOracle:
     )
     def test_ar1_matches_closed_form(self, alpha, a):
         # the pole factor integrates to zero, leaving the innovation variance
-        got = entropy_rate_szego(ar1_spectral_density(alpha, a))
+        got = entropy_rate_szego(spectral_density(Ar1Gaussian(alpha, a)))
         assert abs(got - stats_of(Ar1Gaussian(alpha, a)).entropy_rate) < 1e-6
 
     def test_iid_spectral_density_matches(self):
         got = entropy_rate_szego(spectral_density(IidGaussian(2.0)))
         assert abs(got - stats_of(IidGaussian(2.0)).entropy_rate) < 1e-10
+        # flat: the a = 0 case of the Gauss-Markov density, bit for bit
+        lam = np.linspace(-math.pi, math.pi, 2**17)
+        for alpha in (1e-300, 0.3, 2.0, 1e300):
+            density = spectral_density(IidGaussian(alpha))(lam)
+            assert density.tobytes() == np.full_like(lam, alpha).tobytes()
+
+    def test_zero_path_has_no_spectral_density(self):
+        with pytest.raises(ValueError, match="no spectral density"):
+            spectral_density(ZeroPath())
 
     def test_fast_fading_keeps_the_first_grid(self):
         # the first grid agrees with the next, so its estimate is returned as is
-        density = ar1_spectral_density(1.0, 0.5)
+        density = spectral_density(Ar1Gaussian(1.0, 0.5))
         lam = -math.pi + 2.0 * math.pi * np.arange(2**16) / 2**16
         assert entropy_rate_szego(density) == LOG_PI_E + float(np.mean(np.log(density(lam))))
 
     @pytest.mark.parametrize("a", [0.99999, 0.999999])
     def test_slow_fading_refines_the_grid(self, a):
         # the 2^16-point grid's error is 2.2e-5 at |a| = 0.99999
-        got = entropy_rate_szego(ar1_spectral_density(1.0, a))
+        got = entropy_rate_szego(spectral_density(Ar1Gaussian(1.0, a)))
         assert abs(got - stats_of(Ar1Gaussian(1.0, a)).entropy_rate) < 1e-7
 
     def test_unresolved_peak_raises(self):
         with pytest.raises(ValueError, match="did not converge"):
-            entropy_rate_szego(ar1_spectral_density(1.0, 0.9999999))
+            entropy_rate_szego(spectral_density(Ar1Gaussian(1.0, 0.9999999)))
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(ValueError):

@@ -306,6 +306,22 @@ class TestAcceptanceRule:
         assert (at.lhs, at.rhs, at.std_error) == (lhs_at_margin, rhs, std_error)
         assert not judge(math.nextafter(lhs_at_margin, beyond)).passed
 
+    @pytest.mark.parametrize("relation", ["==", "<=", ">="])
+    @pytest.mark.parametrize(
+        "lhs, rhs, std_error, slack",
+        [
+            (1.0, 2.0, math.inf, 0.0),  # an infinite tolerance would hold any lhs
+            (1.0, 1.0, 0.0, math.inf),
+            (1.0, 1.0, math.nan, 0.0),
+            (math.inf, math.inf, 0.0, 0.0),
+            (-math.inf, 1.0, 0.0, 0.0),
+            (1.0, math.inf, 0.0, 0.0),
+            (math.nan, 1.0, 0.0, 0.0),
+        ],
+    )
+    def test_a_non_finite_side_or_tolerance_fails(self, relation, lhs, rhs, std_error, slack):
+        assert not CheckReport.judge("demo", lhs, relation, rhs, std_error, slack=slack).passed
+
 
 class TestReportSerialization:
     def test_json_fields(self):
