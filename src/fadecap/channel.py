@@ -25,10 +25,12 @@ from .fading import (
     REQUIRED,
     PathGainSpec,
     complex_normal,
+    complex_normal_last,
     path_spec_from_dict,
     path_spec_to_dict,
     read_fields,
     sample_paths,
+    sample_paths_last,
 )
 from .streams import substream
 
@@ -104,24 +106,18 @@ class ChannelRealization:
         return self.gains.shape[-2] - 1
 
 
-def _tap_gains(config: ChannelConfig, ell: int, n: int, n_samples: int, seed: int) -> np.ndarray:
-    """Tap ``ell``'s gains at times 1..n, shape (n_samples, n), from the tap's own substream."""
-    return sample_paths(config.path_specs[ell], n, n_samples, substream(seed, 0, ell))
-
-
-def _noise(config: ChannelConfig, n: int, n_samples: int, seed: int) -> np.ndarray:
-    """The noise at times 1..n, shape (n_samples, n), from the noise substream."""
-    return complex_normal(substream(seed, 1), (n_samples, n), config.noise_variance)
-
-
 def realize_many(config: ChannelConfig, n: int, n_samples: int, seed: int) -> ChannelRealization:
-    """Batch of ``n_samples`` independent realizations, gains shape (n_samples, L+1, n)."""
+    """Batch of ``n_samples`` independent realizations, gains shape (n_samples, L+1, n).
+
+    Tap l's gains come from substream ``(seed, 0, l)``, the noise from ``(seed, 1)``.
+    """
     import numpy as np
 
     gains = np.empty((n_samples, config.num_paths + 1, n), dtype=complex)
     for ell in range(config.num_paths + 1):
-        gains[:, ell, :] = _tap_gains(config, ell, n, n_samples, seed)
-    return ChannelRealization(gains=gains, noise=_noise(config, n, n_samples, seed))
+        gains[:, ell, :] = sample_paths(config.path_specs[ell], n, n_samples, substream(seed, 0, ell))
+    noise = complex_normal(substream(seed, 1), (n_samples, n), config.noise_variance)
+    return ChannelRealization(gains=gains, noise=noise)
 
 
 def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.ndarray:
@@ -157,20 +153,21 @@ def output_at(config: ChannelConfig, x, seed: int) -> np.ndarray:
 
     Bit for bit equal to
     ``simulate(config, x, realize_many(config, k, n_samples, seed))[:, k - 1]``:
-    the same substreams, summed in the same order (noise, then taps
-    0, 1, ...), but each tap's sample paths are held only while their
-    time-k gain is read, and taps that cannot reach time k are not drawn.
+    the same substreams and the same draws, summed in the same order (noise,
+    then taps 0, 1, ...), but only the time-k column of the noise and of each
+    tap's gains is held (``complex_normal_last``, ``sample_paths_last``), and
+    taps that cannot reach time k are not drawn.
     """
     import numpy as np
 
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 2:
-        raise ValueError(f"inputs must have shape (n_samples, k), got {x.shape}")
+    if x.ndim != 2 or 0 in x.shape:
+        raise ValueError(f"inputs must have shape (n_samples, k) with n_samples, k >= 1, got {x.shape}")
     n_samples, k = x.shape
     y = np.zeros(n_samples, dtype=complex)
-    y += _noise(config, k, n_samples, seed)[:, k - 1]
+    y += complex_normal_last(substream(seed, 1), (n_samples, k), config.noise_variance)
     for ell in range(min(k, config.num_paths + 1)):
-        y += _tap_gains(config, ell, k, n_samples, seed)[:, k - 1] * x[:, k - 1 - ell]
+        y += sample_paths_last(config.path_specs[ell], k, n_samples, substream(seed, 0, ell)) * x[:, k - 1 - ell]
     return y
 
 

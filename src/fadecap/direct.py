@@ -111,12 +111,14 @@ class LogUniformX2:
     def sample_log_x2(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return rng.uniform(self.log_min, self.log_max, size=size)
 
-    def sample_x(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def sample_x(self, rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+        """Symbols ``exp(u / 2 + i phase)``, u from ``sample_log_x2`` and the phase
+        uniform on [0, 2 pi), exponentiated straight into ``out`` when given."""
         import numpy as np
 
         u = self.sample_log_x2(rng, size)
         phase = rng.uniform(0.0, 2.0 * math.pi, size=size)
-        return np.exp(0.5 * u + 1j * phase)
+        return np.exp(0.5 * u + 1j * phase, out=out)
 
 
 @dataclass(frozen=True)

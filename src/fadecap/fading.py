@@ -117,6 +117,28 @@ def stats_of(spec: PathGainSpec) -> PathStats:
     raise TypeError(f"not a path-gain spec: {spec!r}")
 
 
+def fill_normals(rng: np.random.Generator, dest: np.ndarray, scale: float, row_len: int = 1) -> None:
+    """Fill ``dest``, shape (rows, width), with ``scale`` times the last ``width``
+    of each run of ``row_len`` standard normals, row after row.
+
+    The draws are those of one ``rng.standard_normal(rows * row_len)`` call,
+    made whole rows at a time, about _BLOCK normals per draw, into one reused
+    buffer; normals outside ``dest`` are drawn and dropped.
+    """
+    import numpy as np
+
+    rows, width = dest.shape
+    per_draw = max(1, _BLOCK // row_len)
+    buf = np.empty(min(per_draw, rows) * row_len)
+    for start in range(0, rows, per_draw):
+        stop = min(start + per_draw, rows)
+        block = buf[: (stop - start) * row_len]
+        rng.standard_normal(out=block)
+        kept = block.reshape(stop - start, row_len)[:, row_len - width :]
+        kept *= scale
+        dest[start:stop] = kept
+
+
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples with E|Z|^2 = variance.
 
@@ -128,38 +150,84 @@ def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarr
 
     out = np.empty(tuple(np.atleast_1d(shape)), dtype=complex)
     flat = out.reshape(-1)
-    scale = math.sqrt(variance / 2.0)
-    buf = np.empty(min(_BLOCK, flat.size))
     for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, _BLOCK):
-            block = buf[: min(_BLOCK, flat.size - start)]
-            rng.standard_normal(out=block)
-            block *= scale
-            part[start : start + block.size] = block
+        fill_normals(rng, part[:, None], math.sqrt(variance / 2.0))
     return out
+
+
+def complex_normal_last(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+    """``complex_normal(rng, shape, variance)[:, -1]`` for a 2-D ``shape``, bit for bit.
+
+    Every normal of the full draw is drawn, in the same order, so ``rng`` is
+    left where the full draw leaves it; but only the last column is held.
+    """
+    import numpy as np
+
+    rows, row_len = shape
+    if row_len < 1:
+        raise ValueError(f"rows must have at least one column, got shape {tuple(shape)}")
+    out = np.empty(rows, dtype=complex)
+    for part in (out.real, out.imag):
+        fill_normals(rng, part[:, None], math.sqrt(variance / 2.0), row_len)
+    return out
+
+
+def _check_lengths(n: int, n_paths: int) -> None:
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+
+
+def _ar1_columns(spec: Ar1Gaussian, n: int, n_paths: int, rng: np.random.Generator):
+    """The AR(1) paths' gains at times 1..n, one (n_paths,) column at a time."""
+    h = complex_normal(rng, n_paths, spec.alpha)
+    yield h
+    if n > 1:
+        innovations = complex_normal(rng, (n_paths, n - 1), spec.alpha * (1.0 - abs(spec.a) ** 2))
+        for t in range(1, n):
+            # not in place: np.multiply(spec.a, h, out=h) rounds differently
+            # when n_paths is 1
+            h = innovations[:, t - 1] + spec.a * h
+            yield h
 
 
 def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """``n_paths`` independent stationary sample paths of length ``n``, shape (n_paths, n)."""
     import numpy as np
 
-    if n < 1:
-        raise ValueError(f"path length must be >= 1, got {n}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _check_lengths(n, n_paths)
     if isinstance(spec, ZeroPath):
         return np.zeros((n_paths, n), dtype=complex)
     if isinstance(spec, IidGaussian):
         return complex_normal(rng, (n_paths, n), spec.alpha)
     if isinstance(spec, Ar1Gaussian):
         out = np.empty((n_paths, n), dtype=complex)
-        out[:, 0] = complex_normal(rng, n_paths, spec.alpha)
-        if n > 1:
-            innovation_var = spec.alpha * (1.0 - abs(spec.a) ** 2)
-            innovations = complex_normal(rng, (n_paths, n - 1), innovation_var)
-            for t in range(1, n):
-                out[:, t] = innovations[:, t - 1] + spec.a * out[:, t - 1]
+        for t, column in enumerate(_ar1_columns(spec, n, n_paths, rng)):
+            out[:, t] = column
         return out
+    raise TypeError(f"not a path-gain spec: {spec!r}")
+
+
+def sample_paths_last(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_paths(spec, n, n_paths, rng)[:, n - 1]``, the gains at time n, bit for bit.
+
+    The same draws are made in the same order, so ``rng`` is left where
+    ``sample_paths`` leaves it, but no (n_paths, n) array is held: white
+    gains are drawn whole rows at a time, and the AR(1) recursion runs on
+    one column (its (n_paths, n - 1) innovations are still drawn whole).
+    """
+    import numpy as np
+
+    _check_lengths(n, n_paths)
+    if isinstance(spec, ZeroPath):
+        return np.zeros(n_paths, dtype=complex)
+    if isinstance(spec, IidGaussian):
+        return complex_normal_last(rng, (n_paths, n), spec.alpha)
+    if isinstance(spec, Ar1Gaussian):
+        for column in _ar1_columns(spec, n, n_paths, rng):
+            pass
+        return column
     raise TypeError(f"not a path-gain spec: {spec!r}")
 
 

@@ -5,8 +5,8 @@ information on scalar fading instances is estimated from the exact
 conditional Gaussian density (bias-controlled, with quantifiable standard
 errors), the output log-moment inequalities are audited at the last slot of
 one scheme block by direct channel simulation (``channel.output_at``, which
-draws only the output the audit reads), and per-path statistics by plain
-sample means.
+makes the channel's draws but holds only the output the audit reads), and
+per-path statistics by plain sample means.
 
 All estimators are deterministic given the seed and the sample budget.  The
 budget is split over ``_SHARDS`` independent substreams; means and standard
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Tuple
 # against; they stay bound here, where perfbench/tracing.py wraps them.
 from .channel import ChannelConfig, output_at, realize_many, simulate  # noqa: F401
 from .direct import LogUniformX2, SchemeParams
-from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, complex_normal, stats_of
+from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, fill_normals, stats_of
 from .streams import substream
 
 if TYPE_CHECKING:
@@ -143,18 +143,41 @@ class CheckReport:
         }
 
 
-def mc_log_gain(spec: PathGainSpec, n_samples: int, seed: int) -> McEstimate:
-    """Sample mean of log|H|^2 over independent stationary marginal draws."""
+def _log_abs2(rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
+    """``log|complex_normal(rng, size, variance)|^2``, bit for bit.
+
+    Every real part is drawn into the result; the imaginary parts, which
+    the generator yields after them, then meet them _CHUNK at a time, and
+    ``log|H|^2`` is written back in place.
+    """
     import numpy as np
 
+    scale = math.sqrt(variance / 2.0)
+    out = np.empty(size)
+    fill_normals(rng, out[:, None], scale)
+    h = np.empty(min(_CHUNK, size), dtype=complex)
+    for start in range(0, size, _CHUNK):
+        chunk = out[start : start + _CHUNK]
+        part = h[: chunk.size]
+        part.real = chunk
+        fill_normals(rng, part.imag[:, None], scale)
+        np.abs(part, out=chunk)
+    np.square(out, out=out)
+    np.log(out, out=out)
+    return out
+
+
+def mc_log_gain(spec: PathGainSpec, n_samples: int, seed: int) -> McEstimate:
+    """Sample mean of log|H|^2 over independent stationary marginal draws.
+
+    Each shard's draws are those of ``complex_normal``, but only one float
+    per gain is held (``_log_abs2``).
+    """
     if not stats_of(spec).active:
         raise ValueError("the zero tap has no log-gain statistics")
     acc = _Accumulator()
     for w, size in _shards(n_samples):
-        log_h2 = np.abs(complex_normal(substream(seed, w), size, spec.alpha))
-        np.square(log_h2, out=log_h2)
-        np.log(log_h2, out=log_h2)
-        acc.add(log_h2)
+        acc.add(_log_abs2(substream(seed, w), size, spec.alpha))
     return acc.estimate()
 
 
@@ -261,7 +284,7 @@ def _scheme_inputs(params: SchemeParams, n_draws: int, rng: np.random.Generator)
 
     x = np.zeros((n_draws, params.block_len), dtype=complex)
     for nu in range(1, params.tau + 1):
-        x[:, params.num_taps + nu - 1] = params.slot_law(nu).sample_x(rng, n_draws)
+        params.slot_law(nu).sample_x(rng, n_draws, out=x[:, params.num_taps + nu - 1])
     return x
 
 
@@ -284,8 +307,9 @@ def verify_log_moment_bounds(
     slack on clean draws, and it passes with every alpha_l x 1.1; (b) is the
     check that sees small tap-variance errors.  Y_k comes from
     ``channel.output_at``, which equals the channel operator ``simulate`` on
-    ``realize_many``'s draws bit for bit but holds one tap's sample paths at
-    a time.
+    ``realize_many``'s draws bit for bit but holds only the time-k column of
+    the noise and of each tap's gains.  Each chunk's inputs are exponentiated
+    straight into their columns.
     """
     import numpy as np
 
@@ -314,6 +338,7 @@ def verify_log_moment_bounds(
             second.add(y2)
             np.log(y2, out=y2)
             lhs.add(y2)
+            del y2  # and its outputs
             rhs.add(np.log(weighted_input_power(_scheme_inputs(scheme, m, substream(seed, 2, w, chunk_id)))))
 
     lhs, rhs, second = lhs.estimate(), rhs.estimate(), second.estimate()

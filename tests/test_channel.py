@@ -197,6 +197,11 @@ class TestOutputAt:
         with pytest.raises(ValueError, match=r"shape \(n_samples, k\)"):
             output_at(two_tap_config(), np.zeros(4), seed=0)
 
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)], ids=["no_times", "no_samples", "neither"])
+    def test_empty_inputs_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"n_samples, k >= 1"):
+            output_at(two_tap_config(), np.zeros(shape), seed=0)
+
     def test_zero_input_log_moment_gap_is_euler_gamma(self):
         # with no input Y_k is the noise, CN(0, sigma^2): E|Y|^2 = sigma^2 and
         # E log|Y|^2 = log sigma^2 - gamma

@@ -222,6 +222,14 @@ class TestSampling:
         sem = np.std(u, ddof=1) / 1000.0
         assert abs(np.mean(u) - law.mean_log_x2) <= 3.0 * sem
 
+    def test_symbols_drawn_into_a_column_equal_those_returned(self):
+        law = LogUniformX2(0.0, 1.0)
+        x = np.zeros((1000, 3), dtype=complex)
+        column = x[:, 1]
+        assert law.sample_x(substream(24, 0), 1000, out=column) is column
+        assert column.tobytes() == law.sample_x(substream(24, 0), 1000).tobytes()
+        assert not x[:, [0, 2]].any()
+
     def test_phases_cover_circle(self):
         law = LogUniformX2(0.0, 1.0)
         x = law.sample_x(substream(23, 0), 200_000)

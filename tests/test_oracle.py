@@ -22,6 +22,7 @@ from fadecap.oracle import (
     CheckReport,
     McEstimate,
     _Accumulator,
+    _log_abs2,
     _log_mixture_density,
     mc_block_power,
     mc_log_gain,
@@ -65,6 +66,16 @@ class TestMcLogGain:
     def test_zero_path_rejected(self):
         with pytest.raises(ValueError):
             mc_log_gain(ZeroPath(), 100, seed=0)
+
+    @pytest.mark.parametrize("size", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_log_gains_are_those_of_the_complex_draws_bit_for_bit(self, size):
+        rng, reference = substream(3, 1), substream(3, 1)
+        got = _log_abs2(rng, size, math.e)
+        want = np.abs(complex_normal(reference, size, math.e))
+        np.square(want, out=want)
+        np.log(want, out=want)
+        assert got.tobytes() == want.tobytes()
+        assert rng.standard_normal() == reference.standard_normal()
 
     def test_deterministic_given_seed(self):
         a = mc_log_gain(IidGaussian(1.0), 10_000, seed=5)
@@ -200,7 +211,9 @@ class TestLogMomentChecks:
                 tracemalloc.stop()
 
         one = peak(_SHARDS * _CHUNK)  # one full chunk per shard
-        assert one < 20 * 2**20  # a (65536 x L+1 x k) realization alone is 15 MiB
+        # 12.0 MiB: the chunk's (65536 x k) inputs take 5 MiB and an AR(1)
+        # tap's innovations 4 MiB; holding each tap's whole sample paths took 16.5 MiB
+        assert one < 14 * 2**20
         assert peak(8 * _CHUNK) < one + 2 * 2**20
 
     def test_mismatched_guard_length_rejected(self):
@@ -212,14 +225,16 @@ class TestLogMomentChecks:
 
 class TestMemoryPerMillionSamples:
     # 1e6 samples: the complex draws take 15.3 MiB, one float64 array 7.6 MiB
-    # and complex_normal's block of normals 0.5 MiB; the estimators draw each
-    # of their two shards whole, half of that at a time.
+    # and complex_normal's block of normals 0.5 MiB.  The estimators hold one
+    # float64 array per shard, half of that, and form its deviations from the
+    # mean in another (7.6 MiB in all); mc_log_gain held a shard's complex
+    # draws whole (15.3 MiB).
     @pytest.mark.parametrize(
         "call, bound_mib",
         [
             pytest.param(lambda: complex_normal(substream(0, 0), 10**6, 1.0), 16.5, id="complex_normal"),
             pytest.param(lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0), 10, id="mc_block_power"),
-            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 18, id="mc_log_gain"),
+            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 11, id="mc_log_gain"),
         ],
     )
     def test_peak(self, call, bound_mib):
