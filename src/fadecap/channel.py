@@ -25,12 +25,10 @@ from .fading import (
     REQUIRED,
     PathGainSpec,
     complex_normal,
-    complex_normal_last,
     path_spec_from_dict,
     path_spec_to_dict,
     read_fields,
     sample_paths,
-    sample_paths_last,
 )
 from .streams import substream
 
@@ -155,8 +153,8 @@ def output_at(config: ChannelConfig, x, seed: int) -> np.ndarray:
     ``simulate(config, x, realize_many(config, k, n_samples, seed))[:, k - 1]``:
     the same substreams and the same draws, summed in the same order (noise,
     then taps 0, 1, ...), but only the time-k column of the noise and of each
-    tap's gains is held (``complex_normal_last``, ``sample_paths_last``), and
-    taps that cannot reach time k are not drawn.
+    tap's gains is held (``last=True``), and taps that cannot reach time k are
+    not drawn.
     """
     import numpy as np
 
@@ -165,9 +163,10 @@ def output_at(config: ChannelConfig, x, seed: int) -> np.ndarray:
         raise ValueError(f"inputs must have shape (n_samples, k) with n_samples, k >= 1, got {x.shape}")
     n_samples, k = x.shape
     y = np.zeros(n_samples, dtype=complex)
-    y += complex_normal_last(substream(seed, 1), (n_samples, k), config.noise_variance)
+    y += complex_normal(substream(seed, 1), (n_samples, k), config.noise_variance, last=True)
     for ell in range(min(k, config.num_paths + 1)):
-        y += sample_paths_last(config.path_specs[ell], k, n_samples, substream(seed, 0, ell)) * x[:, k - 1 - ell]
+        rng = substream(seed, 0, ell)
+        y += sample_paths(config.path_specs[ell], k, n_samples, rng, last=True) * x[:, k - 1 - ell]
     return y
 
 

@@ -139,95 +139,66 @@ def fill_normals(rng: np.random.Generator, dest: np.ndarray, scale: float, row_l
         dest[start:stop] = kept
 
 
-def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, variance: float, last: bool = False) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples with E|Z|^2 = variance.
 
     The draws are those of one ``rng.standard_normal((2,) + shape)`` call,
     real parts first, but they are made _BLOCK normals at a time into one
     reused buffer, so memory is the result plus one block.
+
+    With ``last=True`` only the last entry along ``shape``'s last axis is
+    held: ``complex_normal(rng, shape, variance)[..., -1]``, bit for bit.
+    Every normal of the full draw is still drawn, in the same order, so
+    ``rng`` is left where the full draw leaves it.
     """
     import numpy as np
 
-    out = np.empty(tuple(np.atleast_1d(shape)), dtype=complex)
+    shape = tuple(np.atleast_1d(shape).tolist())
+    row_len = shape[-1] if last else 1
+    if row_len < 1:
+        raise ValueError(f"rows must have at least one column, got shape {shape}")
+    out = np.empty(shape[:-1] if last else shape, dtype=complex)
     flat = out.reshape(-1)
     for part in (flat.real, flat.imag):
-        fill_normals(rng, part[:, None], math.sqrt(variance / 2.0))
-    return out
-
-
-def complex_normal_last(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    """``complex_normal(rng, shape, variance)[:, -1]`` for a 2-D ``shape``, bit for bit.
-
-    Every normal of the full draw is drawn, in the same order, so ``rng`` is
-    left where the full draw leaves it; but only the last column is held.
-    """
-    import numpy as np
-
-    rows, row_len = shape
-    if row_len < 1:
-        raise ValueError(f"rows must have at least one column, got shape {tuple(shape)}")
-    out = np.empty(rows, dtype=complex)
-    for part in (out.real, out.imag):
         fill_normals(rng, part[:, None], math.sqrt(variance / 2.0), row_len)
     return out
 
 
-def _check_lengths(n: int, n_paths: int) -> None:
+def sample_paths(
+    spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator, last: bool = False
+) -> np.ndarray:
+    """``n_paths`` independent stationary sample paths of length ``n``, shape (n_paths, n).
+
+    With ``last=True`` only the gains at time n are returned, shape
+    (n_paths,): the full draw's column n - 1, bit for bit.  The same draws
+    are made in the same order, so ``rng`` is left where the full draw
+    leaves it, but no (n_paths, n) array is held: white gains are drawn
+    whole rows at a time, and the AR(1) recursion runs on one column (its
+    (n_paths, n - 1) innovations are still drawn whole).
+    """
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-
-
-def _ar1_columns(spec: Ar1Gaussian, n: int, n_paths: int, rng: np.random.Generator):
-    """The AR(1) paths' gains at times 1..n, one (n_paths,) column at a time."""
-    h = complex_normal(rng, n_paths, spec.alpha)
-    yield h
-    if n > 1:
+    if isinstance(spec, ZeroPath):
+        return np.zeros((n_paths,) if last else (n_paths, n), dtype=complex)
+    if isinstance(spec, IidGaussian):
+        return complex_normal(rng, (n_paths, n), spec.alpha, last=last)
+    if isinstance(spec, Ar1Gaussian):
+        h = complex_normal(rng, n_paths, spec.alpha)
         innovations = complex_normal(rng, (n_paths, n - 1), spec.alpha * (1.0 - abs(spec.a) ** 2))
+        if not last:
+            out = np.empty((n_paths, n), dtype=complex)
+            out[:, 0] = h
         for t in range(1, n):
             # not in place: np.multiply(spec.a, h, out=h) rounds differently
             # when n_paths is 1
             h = innovations[:, t - 1] + spec.a * h
-            yield h
-
-
-def sample_paths(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """``n_paths`` independent stationary sample paths of length ``n``, shape (n_paths, n)."""
-    import numpy as np
-
-    _check_lengths(n, n_paths)
-    if isinstance(spec, ZeroPath):
-        return np.zeros((n_paths, n), dtype=complex)
-    if isinstance(spec, IidGaussian):
-        return complex_normal(rng, (n_paths, n), spec.alpha)
-    if isinstance(spec, Ar1Gaussian):
-        out = np.empty((n_paths, n), dtype=complex)
-        for t, column in enumerate(_ar1_columns(spec, n, n_paths, rng)):
-            out[:, t] = column
-        return out
-    raise TypeError(f"not a path-gain spec: {spec!r}")
-
-
-def sample_paths_last(spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """``sample_paths(spec, n, n_paths, rng)[:, n - 1]``, the gains at time n, bit for bit.
-
-    The same draws are made in the same order, so ``rng`` is left where
-    ``sample_paths`` leaves it, but no (n_paths, n) array is held: white
-    gains are drawn whole rows at a time, and the AR(1) recursion runs on
-    one column (its (n_paths, n - 1) innovations are still drawn whole).
-    """
-    import numpy as np
-
-    _check_lengths(n, n_paths)
-    if isinstance(spec, ZeroPath):
-        return np.zeros(n_paths, dtype=complex)
-    if isinstance(spec, IidGaussian):
-        return complex_normal_last(rng, (n_paths, n), spec.alpha)
-    if isinstance(spec, Ar1Gaussian):
-        for column in _ar1_columns(spec, n, n_paths, rng):
-            pass
-        return column
+            if not last:
+                out[:, t] = h
+        return h if last else out
     raise TypeError(f"not a path-gain spec: {spec!r}")
 
 

@@ -257,6 +257,7 @@ def mi_scalar_gaussian(
             y2 = s_draw * rng.exponential(size=m)  # |Y|^2 | X is exponential(mean s)
             log_fy = _log_mixture_density(y2, log_c, s_nodes)
             acc.add(-log_fy - (LOG_PI_E + np.log(s_draw)))
+            del u_draw, s_draw, y2, log_fy  # not alive while the next chunk draws
     return acc.estimate()
 
 

@@ -1,5 +1,6 @@
 """Channel operator: exactness of the truncated sum, causality, moments."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fadecap.channel
 from fadecap.channel import (
     ChannelConfig,
     ChannelRealization,
@@ -16,7 +18,7 @@ from fadecap.channel import (
     simulate,
     snr_of,
 )
-from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, sample_paths
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
@@ -192,6 +194,22 @@ class TestOutputAt:
         got = output_at(config, x, seed)
         assert got.shape == (n_samples,)
         assert got.tobytes() == want.tobytes()
+
+    def test_draws_each_tap_that_reaches_time_k_through_the_traced_name(self, monkeypatch):
+        # the benchmark traces fadecap.channel.sample_paths and counts n * n_paths
+        # gains per call, reading those two arguments by name
+        calls = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(sample_paths).bind(*args, **kwargs)
+            calls.append((bound.arguments["spec"], bound.arguments["n"], bound.arguments["n_paths"]))
+            return sample_paths(*args, **kwargs)
+
+        monkeypatch.setattr(fadecap.channel, "sample_paths", spy)
+        taps = (IidGaussian(1.0), Ar1Gaussian(0.5, 0.5j), ZeroPath(), IidGaussian(0.25))
+        config = ChannelConfig(path_specs=taps, noise_variance=1.0, log_power=0.0)
+        output_at(config, np.ones((17, 3), dtype=complex), seed=0)
+        assert calls == [(spec, 3, 17) for spec in taps[:3]]  # tap 3 cannot reach time 3
 
     def test_inputs_must_be_a_batch_of_sequences(self):
         with pytest.raises(ValueError, match=r"shape \(n_samples, k\)"):

@@ -15,12 +15,10 @@ from fadecap.fading import (
     IidGaussian,
     ZeroPath,
     complex_normal,
-    complex_normal_last,
     entropy_rate_szego,
     path_spec_from_dict,
     path_spec_to_dict,
     sample_paths,
-    sample_paths_last,
     spectral_density,
     stats_of,
 )
@@ -132,6 +130,36 @@ class TestSzegoOracle:
         assert abs(got - stats_of(spec).entropy_rate) < 1e-5
 
 
+def ar1_reference(spec, n, n_paths, rng):
+    """The AR(1) recursion written out over a whole (n_paths, n) array."""
+    out = np.empty((n_paths, n), dtype=complex)
+    out[:, 0] = complex_normal(rng, n_paths, spec.alpha)
+    if n > 1:
+        innovations = complex_normal(rng, (n_paths, n - 1), spec.alpha * (1.0 - abs(spec.a) ** 2))
+        for t in range(1, n):
+            out[:, t] = innovations[:, t - 1] + spec.a * out[:, t - 1]
+    return out
+
+
+def rows_near_a_block(n, where):
+    """A count of rows of ``n`` normals: one, or just below, at or above a whole _BLOCK of rows."""
+    return {"one": 1, "below": _BLOCK // n - 1, "at": _BLOCK // n, "above": _BLOCK // n + 1}[where]
+
+
+TAPS = st.one_of(
+    st.just(ZeroPath()),
+    st.floats(0.01, 10.0).map(IidGaussian),
+    st.builds(Ar1Gaussian, st.floats(0.01, 10.0), st.floats(-0.99, 0.99)),
+    st.builds(
+        lambda alpha, mag, phase: Ar1Gaussian(alpha, mag * complex(math.cos(phase), math.sin(phase))),
+        st.floats(0.01, 10.0),
+        st.floats(0.0, 0.99),
+        st.floats(0.0, 2.0 * math.pi),
+    ),
+)
+NEAR_A_BLOCK = st.sampled_from(["one", "below", "at", "above"])
+
+
 class TestSamplers:
     def test_zero_path_samples_are_zero(self):
         assert np.array_equal(
@@ -195,10 +223,6 @@ class TestSamplers:
             sem = np.std(logs, ddof=1) / math.sqrt(logs.size)
             assert abs(np.mean(logs) - expected) <= 3.0 * sem
 
-    def test_bad_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            sample_paths(IidGaussian(1.0), 0, 1, substream(0, 0))
-
     @pytest.mark.parametrize(
         "shape", [7, (3, 5), _BLOCK, _BLOCK + 1, (3, _BLOCK // 2 + 3), (2, 3 * _BLOCK)]
     )
@@ -211,47 +235,15 @@ class TestSamplers:
         assert got.real.tobytes() == z[0].tobytes() and got.imag.tobytes() == z[1].tobytes()
         assert rng.standard_normal() == reference.standard_normal()  # the streams are left in step
 
-
-def ar1_reference(spec, n, n_paths, rng):
-    """The AR(1) recursion written out over a whole (n_paths, n) array."""
-    out = np.empty((n_paths, n), dtype=complex)
-    out[:, 0] = complex_normal(rng, n_paths, spec.alpha)
-    if n > 1:
-        innovations = complex_normal(rng, (n_paths, n - 1), spec.alpha * (1.0 - abs(spec.a) ** 2))
-        for t in range(1, n):
-            out[:, t] = innovations[:, t - 1] + spec.a * out[:, t - 1]
-    return out
-
-
-def rows_near_a_block(n, where):
-    """A count of rows of ``n`` normals: one, or just below, at or above a whole _BLOCK of rows."""
-    return {"one": 1, "below": _BLOCK // n - 1, "at": _BLOCK // n, "above": _BLOCK // n + 1}[where]
-
-
-TAPS = st.one_of(
-    st.just(ZeroPath()),
-    st.floats(0.01, 10.0).map(IidGaussian),
-    st.builds(Ar1Gaussian, st.floats(0.01, 10.0), st.floats(-0.99, 0.99)),
-    st.builds(
-        lambda alpha, mag, phase: Ar1Gaussian(alpha, mag * complex(math.cos(phase), math.sin(phase))),
-        st.floats(0.01, 10.0),
-        st.floats(0.0, 0.99),
-        st.floats(0.0, 2.0 * math.pi),
-    ),
-)
-NEAR_A_BLOCK = st.sampled_from(["one", "below", "at", "above"])
-
-
-class TestLastColumn:
-    # the column draws against the full draws, bit for bit, with the streams left in step
     @settings(max_examples=60, deadline=None)
     @given(spec=TAPS, n=st.integers(1, 8), where=NEAR_A_BLOCK, seed=st.integers(0, 2**32 - 1))
     # writing the recursion in place, np.multiply(spec.a, h, out=h), changes these bits
     @example(spec=Ar1Gaussian(1.0, 0.2701511529340699 + 0.42073549240394825j), n=8, where="one", seed=17)
     def test_gains_at_time_n_are_the_last_column_of_sample_paths(self, spec, n, where, seed):
+        # last=True against the full draw, bit for bit, with the streams left in step
         n_paths = rows_near_a_block(n, where)
         rng, reference = substream(seed, 0), substream(seed, 0)
-        got = sample_paths_last(spec, n, n_paths, rng)
+        got = sample_paths(spec, n, n_paths, rng, last=True)
         paths = sample_paths(spec, n, n_paths, reference)
         assert got.shape == (n_paths,)
         assert got.tobytes() == paths[:, n - 1].tobytes()
@@ -264,17 +256,18 @@ class TestLastColumn:
     def test_noise_column_is_the_last_column_of_complex_normal(self, n, where, variance, seed):
         n_rows = rows_near_a_block(n, where)
         rng, reference = substream(seed, 1), substream(seed, 1)
-        got = complex_normal_last(rng, (n_rows, n), variance)
+        got = complex_normal(rng, (n_rows, n), variance, last=True)
         assert got.tobytes() == complex_normal(reference, (n_rows, n), variance)[:, n - 1].tobytes()
         assert rng.standard_normal() == reference.standard_normal()
 
     def test_bad_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            sample_paths_last(IidGaussian(1.0), 0, 1, substream(0, 0))
-        with pytest.raises(ValueError):
-            sample_paths_last(Ar1Gaussian(1.0, 0.5), 3, 0, substream(0, 0))
+        for last in (False, True):
+            with pytest.raises(ValueError, match="path length"):
+                sample_paths(IidGaussian(1.0), 0, 1, substream(0, 0), last=last)
+            with pytest.raises(ValueError, match="n_paths"):
+                sample_paths(Ar1Gaussian(1.0, 0.5), 3, 0, substream(0, 0), last=last)
         with pytest.raises(ValueError, match="at least one column"):
-            complex_normal_last(substream(0, 0), (4, 0), 1.0)
+            complex_normal(substream(0, 0), (4, 0), 1.0, last=True)
 
 
 class TestSerialization:

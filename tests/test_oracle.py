@@ -125,6 +125,20 @@ class TestMiScalarGaussian:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_a_chunk_is_freed_before_the_next_chunk_draws(self):
+        # one chunk per shard.  The first call caches the 512-node Legendre
+        # rule, which then lasts the process.
+        mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=2, seed=0)
+        tracemalloc.start()
+        try:
+            mi_scalar_gaussian(1.0, 1.0, LAW_1_100, n_outer=_SHARDS * _CHUNK, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 6.17 MiB: the log-density tile and one chunk's arrays; with the first
+        # chunk's four 0.5 MiB arrays alive while the second drew, 6.67 MiB
+        assert peak < 6.4 * 2**20
+
     def test_mixture_density_matches_closed_form_without_noise(self):
         # w_variance = 0, h_variance = 1: f_Y(y) = (e^{-v_min} - e^{-v_max}) / (pi |y|^2 spread)
         # with v_min = |y|^2 e^{-log_max} and v_max = |y|^2 e^{-log_min}
