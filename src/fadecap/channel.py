@@ -146,27 +146,33 @@ def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.nd
     return y
 
 
-def output_at(config: ChannelConfig, x, seed: int) -> np.ndarray:
-    """The last output Y_k for a batch of inputs ``x`` of shape (n_samples, k).
+def output_at(config: ChannelConfig, k: int, x, seed: int) -> np.ndarray:
+    """The output Y_k for a batch of the inputs that reach it.
 
-    Bit for bit equal to
-    ``simulate(config, x, realize_many(config, k, n_samples, seed))[:, k - 1]``:
+    ``x`` has shape (n_samples, w), w = min(k, L+1): the inputs x_{k-w+1},
+    ..., x_k.  Bit for bit equal to
+    ``simulate(config, full, realize_many(config, k, n_samples, seed))[:, k - 1]``
+    for any (n_samples, k) inputs ``full`` whose last w columns are ``x``:
     the same substreams and the same draws, summed in the same order (noise,
-    then taps 0, 1, ...), but only the time-k column of the noise and of each
-    tap's gains is held (``last=True``), and taps that cannot reach time k are
-    not drawn.
+    then taps 0, 1, ...), but only the time-k column of the noise and of
+    each tap's gains is held (``last=True``), and taps that cannot reach
+    time k are not drawn.
     """
     import numpy as np
 
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or 0 in x.shape:
-        raise ValueError(f"inputs must have shape (n_samples, k) with n_samples, k >= 1, got {x.shape}")
-    n_samples, k = x.shape
+    reach = min(k, config.num_paths + 1)
+    if k < 1 or x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != reach:
+        raise ValueError(
+            f"inputs must have shape (n_samples, min(k, L+1)) with n_samples, k >= 1, "
+            f"got {x.shape} at k = {k}"
+        )
+    n_samples = x.shape[0]
     y = np.zeros(n_samples, dtype=complex)
     y += complex_normal(substream(seed, 1), (n_samples, k), config.noise_variance, last=True)
-    for ell in range(min(k, config.num_paths + 1)):
+    for ell in range(reach):
         rng = substream(seed, 0, ell)
-        y += sample_paths(config.path_specs[ell], k, n_samples, rng, last=True) * x[:, k - 1 - ell]
+        y += sample_paths(config.path_specs[ell], k, n_samples, rng, last=True) * x[:, reach - 1 - ell]
     return y
 
 

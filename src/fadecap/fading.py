@@ -35,6 +35,7 @@ LOG_PI = math.log(math.pi)
 LOG_PI_E = LOG_PI + 1.0
 LOG10 = math.log(10.0)
 _BLOCK = 65536  # normals per draw in complex_normal
+_ROW_BLOCK = _BLOCK // 4  # AR(1) innovations per block of rows in sample_paths(last=True): 0.25 MiB complex
 _SZEGO_GRID = 2**16  # points of entropy_rate_szego's first grid, and of each block it evaluates
 _SZEGO_MAX_GRID = 2**23  # its finest grid
 _SZEGO_TOL = 1e-7  # successive grids' estimates that differ by more are refined
@@ -173,8 +174,9 @@ def sample_paths(
     (n_paths,): the full draw's column n - 1, bit for bit.  The same draws
     are made in the same order, so ``rng`` is left where the full draw
     leaves it, but no (n_paths, n) array is held: white gains are drawn
-    whole rows at a time, and the AR(1) recursion runs on one column (its
-    (n_paths, n - 1) innovations are still drawn whole).
+    whole rows at a time, and the AR(1) recursion holds the real parts of
+    its innovations, which come first in the draw, and meets them with the
+    imaginary parts _ROW_BLOCK innovations (whole rows) at a time.
     """
     import numpy as np
 
@@ -188,18 +190,45 @@ def sample_paths(
         return complex_normal(rng, (n_paths, n), spec.alpha, last=last)
     if isinstance(spec, Ar1Gaussian):
         h = complex_normal(rng, n_paths, spec.alpha)
-        innovations = complex_normal(rng, (n_paths, n - 1), spec.alpha * (1.0 - abs(spec.a) ** 2))
-        if not last:
-            out = np.empty((n_paths, n), dtype=complex)
-            out[:, 0] = h
+        variance = spec.alpha * (1.0 - abs(spec.a) ** 2)
+        if last:
+            if n > 1:
+                _ar1_last(spec.a, h, n - 1, variance, rng)
+            return h
+        innovations = complex_normal(rng, (n_paths, n - 1), variance)
+        out = np.empty((n_paths, n), dtype=complex)
+        out[:, 0] = h
         for t in range(1, n):
-            # not in place: np.multiply(spec.a, h, out=h) rounds differently
-            # when n_paths is 1
-            h = innovations[:, t - 1] + spec.a * h
-            if not last:
-                out[:, t] = h
-        return h if last else out
+            h = _ar1_step(spec.a, innovations[:, t - 1], h)
+            out[:, t] = h
+        return out
     raise TypeError(f"not a path-gain spec: {spec!r}")
+
+
+def _ar1_step(a: complex, innovation: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # not in place: np.multiply(a, h, out=h) rounds differently when h has one entry
+    return innovation + a * h
+
+
+def _ar1_last(a: complex, h: np.ndarray, steps: int, variance: float, rng: np.random.Generator) -> None:
+    """Run the AR(1) recursion ``steps`` times on ``h`` in place, drawing the
+    (len(h), steps) innovations as ``complex_normal`` does, a block of rows at a time."""
+    import numpy as np
+
+    scale = math.sqrt(variance / 2.0)
+    real = np.empty((h.size, steps))
+    fill_normals(rng, real, scale, steps)
+    per_block = max(1, _ROW_BLOCK // steps)
+    block = np.empty((min(per_block, h.size), steps), dtype=complex)
+    for start in range(0, h.size, per_block):
+        stop = min(start + per_block, h.size)
+        innovations = block[: stop - start]
+        innovations.real = real[start:stop]
+        fill_normals(rng, innovations.imag, scale, steps)
+        h_rows = h[start:stop]
+        for t in range(steps):
+            h_rows = _ar1_step(a, innovations[:, t], h_rows)
+        h[start:stop] = h_rows
 
 
 def spectral_density(spec: PathGainSpec) -> Callable[[np.ndarray], np.ndarray]:

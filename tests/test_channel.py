@@ -191,7 +191,7 @@ class TestOutputAt:
         rng = substream(seed, 9)
         x = rng.standard_normal((n_samples, k)) + 1j * rng.standard_normal((n_samples, k))
         want = simulate(config, x, realize_many(config, k, n_samples, seed))[:, k - 1]
-        got = output_at(config, x, seed)
+        got = output_at(config, k, x[:, k - min(k, config.num_paths + 1) :], seed)
         assert got.shape == (n_samples,)
         assert got.tobytes() == want.tobytes()
 
@@ -208,17 +208,25 @@ class TestOutputAt:
         monkeypatch.setattr(fadecap.channel, "sample_paths", spy)
         taps = (IidGaussian(1.0), Ar1Gaussian(0.5, 0.5j), ZeroPath(), IidGaussian(0.25))
         config = ChannelConfig(path_specs=taps, noise_variance=1.0, log_power=0.0)
-        output_at(config, np.ones((17, 3), dtype=complex), seed=0)
+        output_at(config, 3, np.ones((17, 3), dtype=complex), seed=0)
         assert calls == [(spec, 3, 17) for spec in taps[:3]]  # tap 3 cannot reach time 3
 
     def test_inputs_must_be_a_batch_of_sequences(self):
-        with pytest.raises(ValueError, match=r"shape \(n_samples, k\)"):
-            output_at(two_tap_config(), np.zeros(4), seed=0)
+        with pytest.raises(ValueError, match=r"shape \(n_samples, min\(k, L\+1\)\)"):
+            output_at(two_tap_config(), 2, np.zeros(2), seed=0)
 
-    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)], ids=["no_times", "no_samples", "neither"])
-    def test_empty_inputs_rejected(self, shape):
+    @pytest.mark.parametrize("k, width", [(2, 1), (2, 3), (5, 3), (1, 2)])
+    def test_inputs_must_be_those_reaching_time_k(self, k, width):
+        # two taps: min(k, L+1) is 1 at k = 1 and 2 from k = 2 on
+        with pytest.raises(ValueError, match=rf"got \(4, {width}\) at k = {k}$"):
+            output_at(two_tap_config(), k, np.zeros((4, width)), seed=0)
+
+    @pytest.mark.parametrize(
+        "k, shape", [(0, (4, 0)), (3, (0, 2)), (0, (0, 0))], ids=["no_times", "no_samples", "neither"]
+    )
+    def test_empty_inputs_rejected(self, k, shape):
         with pytest.raises(ValueError, match=r"n_samples, k >= 1"):
-            output_at(two_tap_config(), np.zeros(shape), seed=0)
+            output_at(two_tap_config(), k, np.zeros(shape), seed=0)
 
     def test_zero_input_log_moment_gap_is_euler_gamma(self):
         # with no input Y_k is the noise, CN(0, sigma^2): E|Y|^2 = sigma^2 and
@@ -228,7 +236,7 @@ class TestOutputAt:
             noise_variance=2.0,
             log_power=3 * LOG10,
         )
-        y2 = np.abs(output_at(config, np.zeros((200_000, 3)), seed=41)) ** 2
+        y2 = np.abs(output_at(config, 3, np.zeros((200_000, 3)), seed=41)) ** 2
         for values, expected in ((np.log(y2), math.log(2.0) - EULER_GAMMA), (y2, 2.0)):
             sem = np.std(values, ddof=1) / math.sqrt(values.size)
             assert abs(np.mean(values) - expected) <= 3.0 * sem

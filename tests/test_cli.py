@@ -399,6 +399,22 @@ class TestSweepMemory:
         assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestVerifyMemory:
+    def test_default_size_audit_peak_is_one_shard_array_and_chunks(self):
+        # the largest audit sets the peak: the log-moment chunk, 7.51 MiB.  With
+        # a second shard array for the deviations, each slot drawn whole, every
+        # input column and tap innovation held and a 1024-row MI tile, 12.0 MiB
+        cli.run_verification_suite(DEMO, samples_mi=2, samples_moments=2)  # lasting numpy and quadrature state
+        tracemalloc.start()
+        try:
+            reports = cli.run_verification_suite(DEMO, samples_mi=10**5, samples_moments=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 class TestGoldenDemoSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_demo_sweep_reproduces_golden_bytes(self, fmt, tmp_path):

@@ -205,9 +205,18 @@ class TestSchedule:
             SchemeParams(4, 3.0 * LOG10, 2)
 
 
+def whole_scheme_block(params, n_draws, rng):
+    """All k = L + tau inputs of one scheme block: L guard zeros, then slots 1..tau."""
+    x = np.zeros((n_draws, params.block_len), dtype=complex)
+    for nu in range(1, params.tau + 1):
+        params.slot_law(nu).sample_x(rng, n_draws, out=x[:, params.num_taps + nu - 1])
+    return x
+
+
 class TestSampling:
     def test_guard_zeros_and_slot_support(self):
-        scheme = SchemeParams(3, 6 * LOG10, 2)
+        # L = 4, tau = 3: the L+1 inputs reaching Y_7 are two guard zeros and the three slots
+        scheme = SchemeParams(3, 6 * LOG10, 4)
         blocks = _scheme_inputs(scheme, 200, substream(21, 0))
         assert blocks.shape == (200, 5)
         assert np.all(blocks[:, :2] == 0.0)
@@ -215,6 +224,25 @@ class TestSampling:
             law = scheme.slot_law(nu)
             log_mag = np.log(np.abs(blocks[:, 2 + nu - 1]) ** 2)
             assert np.all((law.log_min - 1e-9 <= log_mag) & (log_mag <= law.log_max + 1e-9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_taps=st.integers(0, 4),
+        tau_vs_window=st.sampled_from(["below", "at", "above"]),
+        n_draws=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inputs_are_the_last_columns_of_the_whole_block(self, num_taps, tau_vs_window, n_draws, seed):
+        # tau below, at or above the L+1 inputs reaching Y_k: the window then
+        # holds guard zeros, exactly the slots, or drops the first slots
+        tau = {"below": num_taps, "at": num_taps + 1, "above": num_taps + 3}[tau_vs_window]
+        assume(tau >= 1)
+        scheme = SchemeParams(tau, 60 * LOG10, num_taps)
+        rng, reference = substream(seed, 0), substream(seed, 0)
+        got = _scheme_inputs(scheme, n_draws, rng)
+        want = whole_scheme_block(scheme, n_draws, reference)[:, -(num_taps + 1) :]
+        assert got.tobytes() == want.tobytes()
+        assert rng.standard_normal() == reference.standard_normal()  # dropped slots are still drawn
 
     def test_log_magnitude_uniform_midpoint(self):
         law = LogUniformX2(0.0, math.log(50.0))

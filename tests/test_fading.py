@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fadecap.fading import (
     _BLOCK,
+    _ROW_BLOCK,
     EULER_GAMMA,
     LOG_PI_E,
     Ar1Gaussian,
@@ -146,9 +147,14 @@ def rows_near_a_block(n, where):
     return {"one": 1, "below": _BLOCK // n - 1, "at": _BLOCK // n, "above": _BLOCK // n + 1}[where]
 
 
-TAPS = st.one_of(
-    st.just(ZeroPath()),
-    st.floats(0.01, 10.0).map(IidGaussian),
+def rows_in_row_blocks(n, whole_blocks, last_rows):
+    """A count of AR(1) paths of length ``n`` filling ``whole_blocks`` of the row blocks
+    sample_paths(last=True) recurses on, then one, half of or all the rows of one more."""
+    per_block = max(1, _ROW_BLOCK // (n - 1))
+    return whole_blocks * per_block + {"one": 1, "half": (per_block + 1) // 2, "all": per_block}[last_rows]
+
+
+AR1_TAPS = st.one_of(
     st.builds(Ar1Gaussian, st.floats(0.01, 10.0), st.floats(-0.99, 0.99)),
     st.builds(
         lambda alpha, mag, phase: Ar1Gaussian(alpha, mag * complex(math.cos(phase), math.sin(phase))),
@@ -157,6 +163,7 @@ TAPS = st.one_of(
         st.floats(0.0, 2.0 * math.pi),
     ),
 )
+TAPS = st.one_of(st.just(ZeroPath()), st.floats(0.01, 10.0).map(IidGaussian), AR1_TAPS)
 NEAR_A_BLOCK = st.sampled_from(["one", "below", "at", "above"])
 
 
@@ -250,6 +257,27 @@ class TestSamplers:
         assert rng.standard_normal() == reference.standard_normal()
         if isinstance(spec, Ar1Gaussian):
             assert paths.tobytes() == ar1_reference(spec, n, n_paths, substream(seed, 0)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=AR1_TAPS,
+        n=st.integers(2, 8),
+        whole_blocks=st.integers(0, 2),
+        last_rows=st.sampled_from(["one", "half", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # recursing in place on a block of one row, np.multiply(spec.a, h, out=h), changes these bits
+    @example(
+        spec=Ar1Gaussian(1.0, 0.2701511529340699 + 0.42073549240394825j), n=8, whole_blocks=2, last_rows="one", seed=8
+    )
+    def test_ar1_gains_at_time_n_by_row_blocks(self, spec, n, whole_blocks, last_rows, seed):
+        # one to three row blocks, the last one possibly of a single row, whose
+        # recursion must round as the whole column's does
+        n_paths = rows_in_row_blocks(n, whole_blocks, last_rows)
+        rng, reference = substream(seed, 0), substream(seed, 0)
+        got = sample_paths(spec, n, n_paths, rng, last=True)
+        assert got.tobytes() == ar1_reference(spec, n, n_paths, reference)[:, n - 1].tobytes()
+        assert rng.standard_normal() == reference.standard_normal()
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), where=NEAR_A_BLOCK, variance=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))

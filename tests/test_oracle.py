@@ -22,6 +22,7 @@ from fadecap.oracle import (
     CheckReport,
     McEstimate,
     _Accumulator,
+    _block_powers,
     _log_abs2,
     _log_mixture_density,
     mc_block_power,
@@ -135,9 +136,9 @@ class TestMiScalarGaussian:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 6.17 MiB: the log-density tile and one chunk's arrays; with the first
-        # chunk's four 0.5 MiB arrays alive while the second drew, 6.67 MiB
-        assert peak < 6.4 * 2**20
+        # 3.15 MiB: the 1 MiB log-density tile and one chunk's arrays; with a
+        # 1024-row tile 6.17 MiB
+        assert peak < 4 * 2**20
 
     def test_mixture_density_matches_closed_form_without_noise(self):
         # w_variance = 0, h_variance = 1: f_Y(y) = (e^{-v_min} - e^{-v_max}) / (pi |y|^2 spread)
@@ -159,6 +160,15 @@ class TestMiScalarGaussian:
         got = _log_mixture_density(y2, log_c, s_nodes)
         np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("tile", [1, 7, 256, 1024])
+    def test_mixture_density_does_not_depend_on_the_tile(self, tile, monkeypatch):
+        log_c, s_nodes = law_1_100_mixture(2.0, 1.0)
+        y2 = np.random.default_rng(5).exponential(size=3001) * s_nodes.max()
+        assert all(y2.size % t for t in (7, 256, 1024))  # every tile but 1 row leaves a partial last tile
+        want = _log_mixture_density(y2, log_c, s_nodes)
+        monkeypatch.setattr(fadecap.oracle, "_TILE", tile)
+        assert _log_mixture_density(y2, log_c, s_nodes).tobytes() == want.tobytes()
+
 
 class TestBlockPowerOracle:
     def test_matches_analytic_value(self):
@@ -168,18 +178,33 @@ class TestBlockPowerOracle:
         est = mc_block_power(scheme, 400_000, seed=31)
         assert abs(est.value - math.exp(log_block_average_power(scheme))) <= 3.0 * est.std_error
 
+    @pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_block_powers_are_those_of_whole_slot_draws_bit_for_bit(self, size):
+        scheme = SchemeParams(3, 3 * LOG10, 2)
+        rng, reference = substream(6, 1), substream(6, 1)
+        want = np.zeros(size)
+        for nu in range(1, scheme.tau + 1):
+            want += np.exp(scheme.slot_law(nu).sample_log_x2(reference, size))
+        want /= scheme.block_len
+        assert _block_powers(scheme, size, rng).tobytes() == want.tobytes()
+        assert rng.standard_normal() == reference.standard_normal()
 
-def lagged_output_at(config, x, seed):
-    """Y_k with the inputs shifted one step, so tap l acts at lag l + 1."""
+
+def lagged_output_at(config, k, x, seed):
+    """Y_k with the inputs shifted one step, so tap l acts at lag l + 1.
+
+    The input that would enter at lag L + 1 is not in the window; at
+    tau = 3 it is X_2, a guard zero.
+    """
     shifted = np.zeros_like(x)
     shifted[:, 1:] = x[:, :-1]
-    return output_at(config, shifted, seed)
+    return output_at(config, k, shifted, seed)
 
 
-def louder_output_at(config, x, seed):
+def louder_output_at(config, k, x, seed):
     """Y_k drawn from a channel whose every tap variance alpha_l is 4 times the config's."""
     louder = [dataclasses.replace(spec, alpha=4.0 * spec.alpha) for spec in config.path_specs]
-    return output_at(dataclasses.replace(config, path_specs=tuple(louder)), x, seed)
+    return output_at(dataclasses.replace(config, path_specs=tuple(louder)), k, x, seed)
 
 
 class TestLogMomentChecks:
@@ -225,9 +250,10 @@ class TestLogMomentChecks:
                 tracemalloc.stop()
 
         one = peak(_SHARDS * _CHUNK)  # one full chunk per shard
-        # 12.0 MiB: the chunk's (65536 x k) inputs take 5 MiB and an AR(1)
-        # tap's innovations 4 MiB; holding each tap's whole sample paths took 16.5 MiB
-        assert one < 14 * 2**20
+        # 7.51 MiB: the chunk's (65536 x (L+1)) inputs take 3 MiB and an AR(1)
+        # tap's real innovation parts 2 MiB; with all k input columns and each
+        # tap's whole (65536 x (k-1)) complex innovations it took 12.0 MiB
+        assert one < 9 * 2**20
         assert peak(8 * _CHUNK) < one + 2 * 2**20
 
     def test_mismatched_guard_length_rejected(self):
@@ -240,15 +266,17 @@ class TestLogMomentChecks:
 class TestMemoryPerMillionSamples:
     # 1e6 samples: the complex draws take 15.3 MiB, one float64 array 7.6 MiB
     # and complex_normal's block of normals 0.5 MiB.  The estimators hold one
-    # float64 array per shard, half of that, and form its deviations from the
-    # mean in another (7.6 MiB in all); mc_log_gain held a shard's complex
-    # draws whole (15.3 MiB).
+    # float64 array per shard, half of that (3.8 MiB), and square its
+    # deviations in place: mc_block_power adds a 0.5 MiB chunk of draws
+    # (4.32 MiB), mc_log_gain a 1 MiB chunk of complex gains and a block of
+    # normals (5.32 MiB).  With the deviations in a second shard array and
+    # each slot drawn whole, both took 7.63 MiB.
     @pytest.mark.parametrize(
         "call, bound_mib",
         [
             pytest.param(lambda: complex_normal(substream(0, 0), 10**6, 1.0), 16.5, id="complex_normal"),
-            pytest.param(lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0), 10, id="mc_block_power"),
-            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 11, id="mc_log_gain"),
+            pytest.param(lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0), 5.5, id="mc_block_power"),
+            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 6.5, id="mc_log_gain"),
         ],
     )
     def test_peak(self, call, bound_mib):
@@ -304,7 +332,8 @@ class TestSampleBudget:
         acc, offset = _Accumulator(), 0
         for size in sizes:
             for start in range(0, size, chunk):
-                acc.add(values[offset + start : offset + min(start + chunk, size)])
+                # add overwrites what it is given with its squared deviations
+                acc.add(values[offset + start : offset + min(start + chunk, size)].copy())
             offset += size
         est = acc.estimate()
         assert est.n_samples == n
