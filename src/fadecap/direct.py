@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .channel import ChannelConfig, aggregate_gain
@@ -167,15 +167,11 @@ def log_block_average_power(params: SchemeParams) -> float:
 
 @dataclass(frozen=True)
 class DirectStats:
-    """Channel statistics the achievable-rate bound consumes.
+    """Channel statistics the achievable-rate bound consumes: its five fields, nothing more.
 
-    ``log_sigma2`` and ``sqrt_alpha_0`` are derived once here rather than on
-    every bound evaluation.  ``power_memo`` holds the tau-independent terms
-    of the last validated power that ``lower_bound`` saw, the triple
-    ``(log P, log log P, Xi_P)``, as one tuple in a one-element list that is
-    replaced in a single step, so a tau scan at one power evaluates
-    ``log log P`` and ``xi_p`` once.  None of the three is a constructor
-    argument or takes part in ``repr``, ``==`` or ``hash``.
+    The terms that depend on the power alone, log log P and Xi_P, are not kept
+    here: ``optimize_tau`` evaluates them once per point and passes them to
+    ``lower_bound``.
     """
 
     mean_log_gain_0: float
@@ -183,9 +179,6 @@ class DirectStats:
     alpha_total: float
     sigma2: float
     num_taps: int
-    log_sigma2: float = field(init=False, repr=False, compare=False)
-    sqrt_alpha_0: float = field(init=False, repr=False, compare=False)
-    power_memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha_0 > 0.0):
@@ -201,9 +194,6 @@ class DirectStats:
                 f"mean log gain of the delay-0 path ({self.mean_log_gain_0}) exceeds "
                 f"Jensen's cap log alpha_0 = {math.log(self.alpha_0)}"
             )
-        object.__setattr__(self, "log_sigma2", math.log(self.sigma2))
-        object.__setattr__(self, "sqrt_alpha_0", math.sqrt(self.alpha_0))
-        object.__setattr__(self, "power_memo", [(math.nan, math.nan, math.nan)])  # nan matches no power
 
     @classmethod
     def from_config(cls, config: ChannelConfig) -> "DirectStats":
@@ -277,7 +267,7 @@ def xi_p(log_power: float, stats: DirectStats) -> float:
 
 def _xi(stats: DirectStats, residual_variance: float) -> float:
     """E[log|H^(0)|^2] - 1 - 2 log(sqrt(alpha_0) + sqrt(residual_variance))."""
-    return stats.mean_log_gain_0 - 1.0 - 2.0 * math.log(stats.sqrt_alpha_0 + math.sqrt(residual_variance))
+    return stats.mean_log_gain_0 - 1.0 - 2.0 * math.log(math.sqrt(stats.alpha_0) + math.sqrt(residual_variance))
 
 
 def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float:
@@ -295,27 +285,29 @@ def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float
     return log_log_ratio(log_p, params.tau) + _xi(stats, stats.alpha_total / log_p + residual)
 
 
-def lower_bound(log_snr: float, tau: int, stats: DirectStats) -> float:
+def lower_bound(
+    log_snr: float, tau: int, stats: DirectStats, terms: Tuple[float, float, float] | None = None
+) -> float:
     """Achievable rate of the scheme, nats per channel use.
 
     R = tau/(L+tau) * [ log log(P^(1/tau)/log P) + Xi_P ]  with P = SNR * sigma^2.
-    log log P and Xi_P are reused from ``stats.power_memo`` when log P equals
-    the stored power, which only a validated power can; otherwise the power
-    is checked, both are evaluated and the triple is stored.  A call at a
-    stored power then costs one division, one subtraction, one ``math.log``
-    and the weight.  Raises when P <= 1, log P is not finite or the slot
-    schedule is inadmissible for this (P, tau); callers should then lower tau.
+    ``terms`` is the point's ``(log P, log log P, Xi_P)`` from
+    ``_power_terms(log_snr, stats)``, which a tau scan at one point evaluates
+    once; without it the terms are evaluated here, with the same bits.  Raises
+    when P <= 1, log P is not finite or the slot schedule is inadmissible for
+    this (P, tau); callers should then lower tau.
     """
-    log_power = log_snr + stats.log_sigma2
-    memo_power, log_log_power, xi = stats.power_memo[0]
-    if log_power != memo_power:
-        if not 0.0 < log_power < math.inf:
-            raise _power_error(log_power)
-        log_log_power = math.log(log_power)
-        xi = xi_p(log_power, stats)
-        stats.power_memo[0] = (log_power, log_log_power, xi)
+    log_power, log_log_power, xi = _power_terms(log_snr, stats) if terms is None else terms
     weight = tau / (stats.num_taps + tau)
     return weight * (_log_log_ratio(log_power, tau, log_log_power) + xi)
+
+
+def _power_terms(log_snr: float, stats: DirectStats) -> Tuple[float, float, float]:
+    """The tau-independent terms ``(log P, log log P, Xi_P)``; raises ``_power_error`` unless 1 < P < inf."""
+    log_power = log_snr + math.log(stats.sigma2)
+    if not 0.0 < log_power < math.inf:
+        raise _power_error(log_power)
+    return log_power, math.log(log_power), xi_p(log_power, stats)
 
 
 def _power_error(log_power: float) -> ValueError:
@@ -329,12 +321,13 @@ def optimize_tau(
 
     Admissibility is monotone in tau (log P / tau never grows), so the last
     admissible tau is found by bisection on ``schedule_is_valid``; the scan
-    then evaluates ``lower_bound`` at every tau up to it, and stops at the
-    first negative rate.  No larger tau can beat that rate: the bracket
-    log log(P^(1/tau)/log P) + Xi_P never grows with tau and the weight
-    tau/(L+tau) never shrinks, so a negative bracket times a larger weight
-    is no larger.  Each floating-point step is monotone in tau as well, so
-    the stop returns the bits of the full scan.  R(1) < 0 at every
+    then evaluates ``lower_bound`` at every tau up to it, passing it the
+    point's ``(log P, log log P, Xi_P)`` from ``_power_terms``, evaluated
+    once, and stops at the first negative rate.  No larger tau can beat that
+    rate: the bracket log log(P^(1/tau)/log P) + Xi_P never grows with tau
+    and the weight tau/(L+tau) never shrinks, so a negative bracket times a
+    larger weight is no larger.  Each floating-point step is monotone in tau
+    as well, so the stop returns the bits of the full scan.  R(1) < 0 at every
     log P <= 1, where every tau is admissible, for a channel with
     E log|H^(0)|^2 <= log alpha_0 (Jensen; from a config it is
     log alpha_0 - gamma), so the scan ends at tau = 1.  Returns the maximizing
@@ -343,7 +336,7 @@ def optimize_tau(
     """
     if tau_max < 1:
         raise ValueError(f"tau_max must be >= 1, got {tau_max}")
-    log_power = log_snr + stats.log_sigma2
+    log_power = log_snr + math.log(stats.sigma2)
     if not math.isfinite(log_power):
         raise _power_error(log_power)
     if not schedule_is_valid(log_power, 1):
@@ -358,9 +351,10 @@ def optimize_tau(
             last = mid
         else:
             above = mid
+    terms = _power_terms(log_snr, stats)
     best_tau, best = 1, -math.inf
     for tau in range(1, last + 1):
-        value = lower_bound(log_snr, tau, stats)
+        value = lower_bound(log_snr, tau, stats, terms)
         if value > best:
             best_tau, best = tau, value
         if value < 0.0:

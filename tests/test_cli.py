@@ -242,7 +242,7 @@ class TestRunSweep:
         dstats = DirectStats.from_config(config.channel)
         assert list(sweep.tau_star) == [1] * config.grid.points
         assert list(sweep.lower) == [lower_bound(log_snr, 1, dstats) for log_snr in sweep.log_snr]
-        assert min(s + dstats.log_sigma2 for s in sweep.log_snr) < 1.0
+        assert min(s + math.log(dstats.sigma2) for s in sweep.log_snr) < 1.0
 
 
 class TestSlopeFit:

@@ -27,6 +27,7 @@ from fadecap.direct import (
     schedule_is_valid,
     sharp_slot_bound,
     _power_error,
+    _power_terms,
     xi_p,
 )
 from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath
@@ -75,20 +76,23 @@ def admissibility_edge(tau):
 
 
 @st.composite
-def search_cases(draw):
-    """(log_snr, stats, tau_max) with sigma2 != 1 and alpha_0 != 1, log P on both sides of an admissibility edge.
-
-    E log|H^(0)|^2 is drawn at or below Jensen's cap log alpha_0.
-    """
-    tau_max = draw(st.sampled_from([1, 2, 3, 7, 50, 1024, 10**12]))
+def random_stats(draw):
+    """DirectStats with sigma2 != 1 and alpha_0 != 1, E log|H^(0)|^2 at or below Jensen's cap log alpha_0."""
     alpha_0 = draw(st.floats(0.05, 5.0).filter(lambda a: a != 1.0))
-    stats = stats_for(
+    return stats_for(
         alpha_0=alpha_0,
         alpha_total=alpha_0 + draw(st.floats(0.0, 5.0)),
         sigma2=math.exp(draw(st.floats(-4.0, 4.0).filter(lambda v: v != 0.0))),
         num_taps=draw(st.integers(0, 6)),
         mean_log_gain=math.log(alpha_0) - draw(st.floats(0.0, 4.0)),
     )
+
+
+@st.composite
+def search_cases(draw):
+    """(log_snr, stats, tau_max) of ``random_stats``, log P on both sides of an admissibility edge."""
+    tau_max = draw(st.sampled_from([1, 2, 3, 7, 50, 1024, 10**12]))
+    stats = draw(random_stats())
     kind = draw(st.sampled_from(["edge", "edge", "small", "nonpositive"]))
     if kind == "edge":
         # the last admissible tau is edge_tau - 1 just below the edge and at least edge_tau above it
@@ -401,30 +405,15 @@ class TestLemma:
 
 class TestDirectStats:
     @settings(max_examples=100, deadline=None)
-    @given(
-        sigma2=st.floats(1e-300, 1e300),
-        alpha_0=st.floats(1e-300, 1e300),
-    )
-    def test_derived_fields_bit_for_bit(self, sigma2, alpha_0):
-        stats = stats_for(alpha_0=alpha_0, alpha_total=alpha_0, sigma2=sigma2, mean_log_gain=math.log(alpha_0))
-        assert stats.log_sigma2.hex() == math.log(sigma2).hex()
-        assert stats.sqrt_alpha_0.hex() == math.sqrt(alpha_0).hex()
-
-    def test_derived_fields_not_arguments_repr_or_equality(self):
-        init_names = {f.name for f in dataclasses.fields(DirectStats) if f.init}
-        assert init_names == {"mean_log_gain_0", "alpha_0", "alpha_total", "sigma2", "num_taps"}
-        for derived in ("log_sigma2", "sqrt_alpha_0", "power_memo"):
-            with pytest.raises(TypeError):
-                DirectStats(-EULER_GAMMA, 1.0, 1.75, 1.0, 2, **{derived: 0.0})
-        stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
-        lower_bound(40.0, 3, stats)  # stores a (log P, log log P, Xi_P) triple
-        assert not any(derived in repr(stats) for derived in ("log_sigma2", "sqrt_alpha_0", "power_memo"))
-        assert repr(stats) == repr(stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0))
-        twin = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
-        object.__setattr__(twin, "log_sigma2", 0.0)
-        object.__setattr__(twin, "sqrt_alpha_0", 0.0)
-        assert twin.power_memo != stats.power_memo
-        assert twin == stats and hash(twin) == hash(stats)
+    @given(stats=st.one_of(config_stats(), random_stats()), log_power=st.floats(2.0, 1e12))
+    @example(stats=MID_SCAN_STOP[1], log_power=MID_SCAN_STOP[0] + math.log(2.5))
+    def test_asdict_round_trips_and_astuple_hashes(self, stats, log_power):
+        optimize_tau(log_power - math.log(stats.sigma2), stats, 64)  # evaluating the bound leaves nothing behind
+        fields = dataclasses.fields(DirectStats)
+        assert [f.name for f in fields] == ["mean_log_gain_0", "alpha_0", "alpha_total", "sigma2", "num_taps"]
+        assert all(f.init for f in fields)
+        assert DirectStats(**dataclasses.asdict(stats)) == stats
+        assert hash(dataclasses.astuple(stats)) == hash(dataclasses.astuple(dataclasses.replace(stats)))
 
     def test_mean_log_gain_above_jensens_cap_rejected(self):
         # E log|H|^2 <= log E|H|^2 for every channel; with these stats the rate
@@ -432,20 +421,6 @@ class TestDirectStats:
         with pytest.raises(ValueError, match=r"^mean log gain of the delay-0 path \(4\.0\) exceeds Jensen's cap"):
             DirectStats(4.0, 1.0, 1.75, 1.0, 2)
         assert DirectStats(0.0, 1.0, 1.75, 1.0, 2).mean_log_gain_0 == 0.0  # the cap itself is allowed
-
-    def test_replace_recomputes_derived_fields(self):
-        stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=3.0)
-        noisier = dataclasses.replace(stats, sigma2=7.0)
-        assert noisier.log_sigma2 == math.log(7.0)
-        assert noisier.sqrt_alpha_0 == math.sqrt(2.0)
-        stronger = dataclasses.replace(stats, alpha_0=2.5)
-        assert stronger.sqrt_alpha_0 == math.sqrt(2.5)
-        assert stronger.log_sigma2 == math.log(3.0)
-
-
-def fresh_twin(stats):
-    """A new DirectStats with the same constructor arguments, so nothing is stored yet."""
-    return DirectStats(**{f.name: getattr(stats, f.name) for f in dataclasses.fields(DirectStats) if f.init})
 
 
 def reference_lower_bound(log_snr, tau, stats):
@@ -462,6 +437,11 @@ def outcome(bound, log_snr, tau, stats):
         return bound(log_snr, tau, stats).hex()
     except ValueError as err:
         return f"error: {err}"
+
+
+def lower_bound_with_terms(log_snr, tau, stats):
+    """``lower_bound`` with the point's terms passed, as ``optimize_tau`` passes them."""
+    return lower_bound(log_snr, tau, stats, _power_terms(log_snr, stats))
 
 
 @st.composite
@@ -481,7 +461,26 @@ EDGES = [(e, math.nextafter(e, 0.0), math.nextafter(e, math.inf)) for e in map(a
 
 
 class TestXiPMemo:
-    """``lower_bound`` reuses log log P and Xi_P from ``DirectStats.power_memo`` only at the stored power."""
+    """log log P and Xi_P are evaluated once per point and passed to ``lower_bound``; nothing is stored."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stats=st.one_of(random_stats(), memo_channels()),
+        log_power=st.one_of(
+            st.floats(-3.0, 1e12),
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, *EDGES[0], *EDGES[1]]),
+        ),
+        non_finite=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+        tau=st.integers(1, 60),
+    )
+    @example(stats=stats_for(sigma2=1.0), log_power=EDGES[0][1], non_finite=None, tau=3)
+    @example(stats=stats_for(sigma2=1.0), log_power=EDGES[1][2], non_finite=None, tau=51)
+    def test_passed_terms_give_the_bits_of_a_fresh_evaluation(self, stats, log_power, non_finite, tau):
+        log_snr = log_power - math.log(stats.sigma2) if non_finite is None else non_finite
+        got = outcome(lower_bound_with_terms, log_snr, tau, stats)
+        assert got == outcome(lower_bound, log_snr, tau, stats)
+        assert got == outcome(reference_lower_bound, log_snr, tau, stats)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -513,48 +512,35 @@ class TestXiPMemo:
         for which, k, tau in calls:
             stats, log_snr = channels[which], log_snrs[k % len(log_snrs)]
             got = outcome(lower_bound, log_snr, tau, stats)
-            assert got == outcome(lower_bound, log_snr, tau, fresh_twin(stats))
+            assert got == outcome(lower_bound_with_terms, log_snr, tau, dataclasses.replace(stats))
             assert got == outcome(reference_lower_bound, log_snr, tau, stats)
 
     @pytest.mark.parametrize("log_power", [math.nan, math.inf, -math.inf, 0.0, -1.0, -1e300])
     def test_invalid_power_after_a_valid_one_raises_the_power_error(self, log_power):
         stats = stats_for(sigma2=2.5)
         valid = lower_bound(50.0, 4, stats)
-        stored = stats.power_memo[0]
-        log_snr = log_power - stats.log_sigma2
+        log_snr = log_power - math.log(stats.sigma2)
         with pytest.raises(ValueError) as raised:
             lower_bound(log_snr, 4, stats)
-        assert str(raised.value) == str(_power_error(log_snr + stats.log_sigma2))
+        assert str(raised.value) == str(_power_error(log_snr + math.log(stats.sigma2)))
         assert "\n" not in str(raised.value)
-        assert stats.power_memo[0] == stored
         assert lower_bound(50.0, 4, stats) == valid
-
-    @settings(max_examples=200, deadline=None)
-    @given(channel=memo_channels(), log_snr=st.floats(1e-3, 1e300), tau=st.integers(1, 40))
-    def test_stored_triple_is_log_p_log_log_p_and_xi_p_bit_for_bit(self, channel, log_snr, tau):
-        try:
-            lower_bound(log_snr, tau, channel)
-        except ValueError as err:  # an inadmissible tau still stores the validated power
-            assert str(err).startswith("schedule inversion")
-        log_power = log_snr + channel.log_sigma2
-        expected = (log_power, math.log(log_power), xi_p(log_power, channel))
-        assert [v.hex() for v in channel.power_memo[0]] == [v.hex() for v in expected]
 
     @pytest.mark.parametrize("edge_tau", [3, 8, 51])
     def test_inadmissible_tau_at_a_stored_power_raises_the_log_log_ratio_error(self, edge_tau):
         stats = stats_for(sigma2=2.5)
-        log_snr = admissibility_edge(edge_tau) * (1.0 - 1e-9) - stats.log_sigma2  # edge_tau - 1 is the last admissible
-        log_power = log_snr + stats.log_sigma2
-        lower_bound(log_snr, 1, stats)
-        stored = stats.power_memo[0]
+        log_snr = admissibility_edge(edge_tau) * (1.0 - 1e-9) - math.log(stats.sigma2)  # edge_tau - 1 is the last admissible
+        log_power = log_snr + math.log(stats.sigma2)
+        terms = _power_terms(log_snr, stats)
+        assert lower_bound(log_snr, edge_tau - 1, stats, terms) == lower_bound(log_snr, edge_tau - 1, stats)
         for tau in (edge_tau, 4 * edge_tau):
             with pytest.raises(ValueError) as expected:
                 log_log_ratio(log_power, tau)
-            with pytest.raises(ValueError) as raised:
-                lower_bound(log_snr, tau, stats)
-            assert str(raised.value) == str(expected.value)
-            assert str(raised.value).startswith("schedule inversion") and "\n" not in str(raised.value)
-            assert stats.power_memo[0] is stored
+            for passed in (None, terms):
+                with pytest.raises(ValueError) as raised:
+                    lower_bound(log_snr, tau, stats, passed)
+                assert str(raised.value) == str(expected.value)
+                assert str(raised.value).startswith("schedule inversion") and "\n" not in str(raised.value)
 
     def test_replace_and_copy_never_return_a_stale_xi_p(self):
         stats = stats_for(alpha_0=2.0, alpha_total=3.0, sigma2=2.5)
@@ -567,16 +553,16 @@ class TestXiPMemo:
             dataclasses.replace(stats, mean_log_gain_0=0.25),
             dataclasses.replace(stats, sigma2=7.0),
         ):
-            assert lower_bound(log_snr, 5, changed).hex() == lower_bound(log_snr, 5, fresh_twin(changed)).hex()
+            assert lower_bound(log_snr, 5, changed).hex() == reference_lower_bound(log_snr, 5, changed).hex()
         for twin in (copy.copy(stats), copy.deepcopy(stats)):
             assert twin == stats
             for value in (log_snr, 61.0, log_snr):
-                assert lower_bound(value, 5, twin).hex() == lower_bound(value, 5, fresh_twin(stats)).hex()
-        assert lower_bound(log_snr, 5, stats).hex() == lower_bound(log_snr, 5, fresh_twin(stats)).hex()
+                assert lower_bound(value, 5, twin).hex() == reference_lower_bound(value, 5, stats).hex()
+        assert lower_bound(log_snr, 5, stats).hex() == reference_lower_bound(log_snr, 5, stats).hex()
 
     def test_threads_sharing_one_instance_get_fresh_values(self):
-        # the threads alternate between the same two powers out of step, so the
-        # stored pair is replaced under each of them all the time
+        # the threads alternate between the same two powers out of step on one
+        # shared instance, so any state kept between calls would be overwritten
         stats = stats_for(sigma2=2.5)
         powers = (100.0, 1e6)
         expected = {p: reference_lower_bound(p, 5, stats) for p in powers}
@@ -617,7 +603,7 @@ class TestXiPMemo:
         stats, tau_max = stats_for(sigma2=2.5), 64
         points = [1e4, 1e5, 1e6, 1e9, 1e5]
         for log_snr in points:
-            assert schedule_is_valid(log_snr + stats.log_sigma2, tau_max)  # every tau is admissible
+            assert schedule_is_valid(log_snr + math.log(stats.sigma2), tau_max)  # every tau is admissible
             optimize_tau(log_snr, stats, tau_max)
         assert counts == {"xi_p": len(points), "lower_bound": tau_max * len(points)}
 
@@ -757,18 +743,18 @@ class TestOptimizeTau:
         stats, tau_max = stats_for(sigma2=2.5), 64
         points = [1e4, 1e6, 1e9]
         for log_snr in points:
-            assert schedule_is_valid(log_snr + stats.log_sigma2, tau_max)
+            assert schedule_is_valid(log_snr + math.log(stats.sigma2), tau_max)
             assert lower_bound(log_snr, tau_max, stats) > 0.0  # so the scan runs to tau_max
         counting = CountingMath()
         monkeypatch.setattr(fadecap.direct, "math", counting)
         for log_snr in points:
             counting.log_calls = 0
-            optimize_tau(log_snr, fresh_twin(stats), tau_max)
+            optimize_tau(log_snr, stats, tau_max)
             assert counting.log_calls < tau_max + 2 * math.ceil(math.log2(tau_max)) + 4
 
     def test_stops_at_the_first_negative_rate(self, monkeypatch):
         log_snr, stats, tau_max = MID_SCAN_STOP
-        log_power = log_snr + stats.log_sigma2
+        log_power = log_snr + math.log(stats.sigma2)
         rates = [lower_bound(log_snr, tau, stats) for tau in range(1, 52)]
         first_negative = next(tau for tau, rate in enumerate(rates, 1) if rate < 0.0)
         assert rates[0] > 0.0 and first_negative < 51
@@ -791,8 +777,8 @@ class TestOptimizeTau:
         # every tau is admissible at 0 < log P <= 1, and R(1) < 0 there when
         # E log|H^(0)|^2 = log alpha_0 - gap: gap = gamma from a config, 0 at Jensen's cap
         stats = dataclasses.replace(stats, mean_log_gain_0=math.log(stats.alpha_0) - gap)
-        log_snr = log_power - stats.log_sigma2
-        assume(0.0 < log_snr + stats.log_sigma2 <= 1.0)
+        log_snr = log_power - math.log(stats.sigma2)
+        assume(0.0 < log_snr + math.log(stats.sigma2) <= 1.0)
         tau, rate = optimize_tau(log_snr, stats, 10**12)
         assert (tau, rate.hex()) == (1, lower_bound(log_snr, 1, stats).hex())
         assert rate < 0.0
