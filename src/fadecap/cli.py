@@ -135,25 +135,26 @@ class Sweep:
 
     Floats are ``array('d')`` (``tau_star`` is ``array('q')``), so an element
     reads back as the float that was stored; rates are in nats per channel use.
+    Only what the bounds compute is stored; ``rows()`` derives the rest.
     """
 
     log_snr: array
     upper: array
     lower: array
     tau_star: array
-    loglog_snr: array
-    ratio_upper: array
-    ratio_lower: array
 
     def __len__(self) -> int:
         return len(self.log_snr)
 
     def rows(self) -> Iterator[tuple]:
-        """One tuple per grid point, in ``CSV_HEADER`` order."""
-        return zip(*(getattr(self, name) for name in COLUMNS), strict=True)
+        """One tuple per grid point, in ``CSV_HEADER`` order: the stored values,
+        then ``loglog_snr = log(log_snr)`` and each bound divided by it."""
+        for log_snr, upper, lower, tau in zip(self.log_snr, self.upper, self.lower, self.tau_star, strict=True):
+            loglog = math.log(log_snr)
+            yield log_snr, upper, lower, tau, loglog, upper / loglog, lower / loglog
 
 
-COLUMNS = tuple(f.name for f in dataclasses.fields(Sweep))
+COLUMNS = ("log_snr", "upper", "lower", "tau_star", "loglog_snr", "ratio_upper", "ratio_lower")
 CSV_HEADER = ",".join(COLUMNS)
 
 
@@ -200,7 +201,7 @@ def run_sweep(config: SweepConfig) -> Tuple[Sweep, dict]:
     cstats = ConverseStats.from_config(config.channel)
     dstats = DirectStats.from_config(config.channel)
     log_snrs = config.grid.log_snr_values()
-    upper, lower, loglog, tau_star = array("d"), array("d"), array("d"), array("q")
+    upper, lower, tau_star = array("d"), array("d"), array("q")
     for log_snr in log_snrs:
         upper.append(upper_bound(log_snr, cstats, config.bound_params))
         if config.tau is None:
@@ -209,9 +210,7 @@ def run_sweep(config: SweepConfig) -> Tuple[Sweep, dict]:
             tau, rate = config.tau, lower_bound(log_snr, config.tau, dstats)
         tau_star.append(tau)
         lower.append(rate)
-        loglog.append(math.log(log_snr))
-    ratios = [array("d", map(float.__truediv__, column, loglog)) for column in (upper, lower)]
-    sweep = Sweep(log_snrs, upper, lower, tau_star, loglog, *ratios)
+    sweep = Sweep(log_snrs, upper, lower, tau_star)
     metadata = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
@@ -244,7 +243,7 @@ def fit_preloglog_slope(sweep: Sweep, which: str) -> SlopeFit:
     n = len(sweep)
     if n < 3:
         raise ValueError(f"need at least 3 points for a slope fit, got {n}")
-    x, y = sweep.loglog_snr, getattr(sweep, which)
+    x, y = array("d", map(math.log, sweep.log_snr)), getattr(sweep, which)
     if max(x) == min(x):
         raise ValueError("degenerate grid: all log log SNR values coincide")
     x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n

@@ -79,28 +79,56 @@ OUTPUT_SCHEMA = {
 }
 
 
+STORED = ("log_snr", "upper", "lower", "tau_star")  # the fields of Sweep; rows() derives the rest of COLUMNS
+
+
 def sweep_of(rows):
-    """A Sweep holding ``rows``, each a tuple of values in COLUMNS order."""
-    columns = list(zip(*rows)) or [()] * len(COLUMNS)
-    return Sweep(*(array("q" if name == "tau_star" else "d", c) for name, c in zip(COLUMNS, columns)))
+    """A Sweep holding ``rows``, each a tuple of the four STORED values."""
+    columns = list(zip(*rows)) or [()] * len(STORED)
+    return Sweep(*(array("q" if name == "tau_star" else "d", c) for name, c in zip(STORED, columns)))
 
 
 def same_bits(a, b):
     """Bit-exact equality of two sweeps, column by column."""
-    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMNS)
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in STORED)
+
+
+def derived_row(log_snr, upper, lower, tau):
+    """The row ``Sweep.rows()`` yields for these stored values, in COLUMNS order."""
+    loglog = math.log(log_snr)
+    return (log_snr, upper, lower, tau, loglog, upper / loglog, lower / loglog)
+
+
+def bits(row):
+    """A row with every float as ``float.hex``, so == compares bits (-0.0, nan and all)."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+def column(sweep, name):
+    """Column ``name`` of ``sweep.rows()``, stored or derived."""
+    index = COLUMNS.index(name)
+    return [row[index] for row in sweep.rows()]
 
 
 def parse_emitted(text, output_format):
-    """Inverse of ``emit``; round-trips values bit-exactly."""
+    """Inverse of ``emit``; round-trips values bit-exactly.
+
+    Every row's loglog_snr, ratio_upper and ratio_lower must be, bit for bit,
+    the values recomputed from its log_snr, upper and lower.
+    """
     if output_format == "csv":
         lines = [line for line in text.splitlines() if line]
         assert lines and lines[0] == cli.CSV_HEADER
         types = [int if name == "tau_star" else float for name in COLUMNS]
-        return sweep_of([tuple(t(f) for t, f in zip(types, line.split(","), strict=True)) for line in lines[1:]])
-    assert output_format == "json"
-    entries = json.loads(text)
-    assert all(entry.keys() == set(COLUMNS) for entry in entries)
-    return sweep_of([tuple(entry[name] for name in COLUMNS) for entry in entries])
+        rows = [tuple(t(f) for t, f in zip(types, line.split(","), strict=True)) for line in lines[1:]]
+    else:
+        assert output_format == "json"
+        entries = json.loads(text)
+        assert all(entry.keys() == set(COLUMNS) for entry in entries)
+        rows = [tuple(entry[name] for name in COLUMNS) for entry in entries]
+    for row in rows:
+        assert bits(row) == bits(derived_row(*row[:4])), row
+    return sweep_of([row[:4] for row in rows])
 
 
 def demo_config_with(path, changes):
@@ -117,7 +145,7 @@ def synthetic_sweep(num=6, slope=1.0, intercept=0.0, step=0.5):
     for i in range(num):
         loglog = 1.0 + step * i
         value = slope * loglog + intercept
-        rows.append((math.exp(loglog), value, value, 1 + i, loglog, value / loglog, value / loglog))
+        rows.append((math.exp(loglog), value, value, 1 + i))
     return sweep_of(rows)
 
 
@@ -205,9 +233,10 @@ class TestRunSweep:
     def test_demo_grid_frozen_bands_at_top(self):
         # bands frozen from the first evaluation of the implemented formulas
         sweep, _ = run_sweep(DEMO)
-        assert sweep.tau_star[-1] == 4
-        assert 1.30 <= sweep.ratio_upper[-1] <= 1.34
-        assert 0.31 <= sweep.ratio_lower[-1] <= 0.34
+        *_, (_, _, _, tau, _, ratio_upper, ratio_lower) = sweep.rows()
+        assert tau == 4
+        assert 1.30 <= ratio_upper <= 1.34
+        assert 0.31 <= ratio_lower <= 0.34
 
     def test_upper_dominates_lower_everywhere(self):
         sweep, _ = run_sweep(DEMO)
@@ -215,8 +244,8 @@ class TestRunSweep:
 
     def test_gap_ratios_shrink_along_the_grid(self):
         sweep, _ = run_sweep(DEMO)
-        upper_excess = [r - 1.0 for r in sweep.ratio_upper]
-        lower_deficit = [1.0 - r for r in sweep.ratio_lower]
+        upper_excess = [r - 1.0 for r in column(sweep, "ratio_upper")]
+        lower_deficit = [1.0 - r for r in column(sweep, "ratio_lower")]
         assert all(b < a for a, b in zip(upper_excess, upper_excess[1:]))
         assert all(b < a for a, b in zip(lower_deficit, lower_deficit[1:]))
 
@@ -245,6 +274,27 @@ class TestRunSweep:
         assert min(s + math.log(dstats.sigma2) for s in sweep.log_snr) < 1.0
 
 
+class TestSweepColumns:
+    def test_stores_the_four_computed_columns(self):
+        assert tuple(f.name for f in dataclasses.fields(Sweep)) == STORED
+        assert COLUMNS == STORED + ("loglog_snr", "ratio_upper", "ratio_lower")
+        assert cli.CSV_HEADER == "log_snr,upper,lower,tau_star,loglog_snr,ratio_upper,ratio_lower"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        start=st.floats(min_value=0.5, max_value=300.0),
+        width=st.floats(min_value=1e-3, max_value=1e6),
+        points=st.integers(min_value=2, max_value=40),
+        tau=st.sampled_from([None, 1, 3, 8]),  # None searches 1..tau_max
+    )
+    def test_property_rows_derive_loglog_and_ratios(self, start, width, points, tau):
+        assume(tau is None or start >= 20.0)  # where tau <= 8 is admissible
+        grid = GridSpec(log10_snr_start=start, log10_snr_stop=start + width, points=points)
+        sweep, _ = run_sweep(dataclasses.replace(DEMO, grid=grid, tau=tau))
+        stored = zip(sweep.log_snr, sweep.upper, sweep.lower, sweep.tau_star, strict=True)
+        assert [bits(row) for row in sweep.rows()] == [bits(derived_row(*values)) for values in stored]
+
+
 class TestSlopeFit:
     def test_exact_linear_data(self):
         fit = fit_preloglog_slope(synthetic_sweep(slope=1.0, intercept=0.3), "upper")
@@ -257,7 +307,7 @@ class TestSlopeFit:
             fit_preloglog_slope(synthetic_sweep(num=2), "upper")
 
     def test_degenerate_grid(self):
-        (row,) = synthetic_sweep(num=1).rows()
+        row = (math.e, 1.0, 1.0, 1)
         with pytest.raises(ValueError, match="degenerate"):
             fit_preloglog_slope(sweep_of([row, row, row]), "upper")
 
@@ -273,7 +323,7 @@ class TestSlopeFit:
     )
     @pytest.mark.parametrize("which", ["upper", "lower"])
     def test_matches_polyfit(self, sweep, which):
-        x, y = np.asarray(sweep.loglog_snr), np.asarray(getattr(sweep, which))
+        x, y = np.asarray(column(sweep, "loglog_snr")), np.asarray(getattr(sweep, which))
         slope, intercept = np.polyfit(x, y, 1)
         residual = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
         fit = fit_preloglog_slope(sweep, which)
@@ -313,25 +363,34 @@ class TestEmission:
         assert same_bits(parse_emitted(emit(sweep, fmt), fmt), sweep)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
-    @example(-0.0)
-    @example(5e-324)  # the smallest subnormal
-    @example(-2.225073858507201e-308)  # the largest subnormal
-    @example(1e300)
-    @example(-1e300)
-    @example(1.0)
-    @example(-3.0)
-    @example(2.0**53)
-    @example(1e16)  # integral, written in exponent form
-    def test_property_csv_floats_round_trip(self, value):
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        # run_sweep emits only log SNR > 1 nat, where log log SNR > 0
+        st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(-0.0, 3.0)
+    @example(5e-324, 3.0)  # the smallest subnormal
+    @example(-2.225073858507201e-308, 3.0)  # the largest subnormal
+    @example(1e300, 3.0)
+    @example(-1e300, sys.float_info.max)
+    @example(1.0, math.e)
+    @example(-3.0, 1e300)
+    @example(2.0**53, 3.0)
+    @example(1e16, 3.0)  # integral, written in exponent form
+    @example(5e-324, math.nextafter(1.0, 2.0))  # the smallest log log SNR
+    @example(1e300, math.nextafter(1.0, 2.0))  # its ratios overflow to inf
+    def test_property_csv_floats_round_trip(self, value, log_snr):
         """CSV round-trips every float; JSON is json.dumps' text byte for byte."""
-        log_snr = max(value, 1e-300) if value > 0 else 3.0
-        row = (log_snr, value, value / 3.0, 7, 1.25, value, -value)
+        row = (log_snr, value, value / 3.0, 7)
         sweep = sweep_of([row])
         assert same_bits(parse_emitted(emit(sweep, "csv"), "csv"), sweep)
-        rows = [row, (log_snr, -value, value / 3.0, 1024, 1.25, value, -value)]
+        sweep = sweep_of([row, (log_snr, -value, value / 3.0, 1024)])
+        rows = list(sweep.rows())
+        if not all(math.isfinite(v) for r in rows for v in r):
+            with pytest.raises(ValueError, match="^cannot write a non-finite value as JSON: row 0, ratio_"):
+                emit(sweep, "json")
+            return
         expected = json.dumps([dict(zip(COLUMNS, r)) for r in rows], indent=2, sort_keys=True) + "\n"
-        sweep = sweep_of(rows)
         assert emit(sweep, "json") == expected
         assert same_bits(parse_emitted(emit(sweep, "json"), "json"), sweep)
 
@@ -384,8 +443,9 @@ class TestEmission:
 
 class TestSweepMemory:
     def test_fixed_tau_sweep_peak_stays_below_the_boxed_rows(self, tmp_path):
-        # 100 000 points as one object per point held 22.9 MiB; as typed columns
-        # they take 5.6 MB, and writing streams row by row
+        # 100 000 points as one object per point held 22.9 MiB; as the four
+        # stored typed columns they take 3.2 MB, and writing streams row by
+        # row, deriving the other three columns as it goes
         grid = GridSpec(log10_snr_start=20.0, log10_snr_stop=4.34e8, points=100_000)
         config = dataclasses.replace(DEMO, grid=grid, tau=8, output_format="json")
         tracemalloc.start()
@@ -396,7 +456,7 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert len(sweep) == 100_000
-        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestVerifyMemory:
