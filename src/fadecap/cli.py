@@ -236,7 +236,8 @@ def fit_preloglog_slope(sweep: Sweep, which: str) -> SlopeFit:
 
     The sums are taken about the means and each is rounded once
     (``math.fsum``).  ``residual`` is the root-mean-square misfit; a perfect
-    pre-loglog line has slope 1 and residual 0.
+    pre-loglog line has slope 1 and residual 0.  A non-finite bound value is
+    rejected with one line naming its 0-based row and log SNR.
     """
     if which not in ("upper", "lower"):
         raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
@@ -244,6 +245,10 @@ def fit_preloglog_slope(sweep: Sweep, which: str) -> SlopeFit:
     if n < 3:
         raise ValueError(f"need at least 3 points for a slope fit, got {n}")
     x, y = array("d", map(math.log, sweep.log_snr)), getattr(sweep, which)
+    bad = next((i for i, v in enumerate(y) if not math.isfinite(v)), None)
+    if bad is not None:
+        where = f"row {bad}, {which} = {y[bad]!r} at log SNR {sweep.log_snr[bad]!r} nats"
+        raise ValueError(f"cannot fit the slope of a non-finite bound: {where}")
     if max(x) == min(x):
         raise ValueError("degenerate grid: all log log SNR values coincide")
     x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
@@ -358,6 +363,14 @@ def run_verification_suite(
     chan, seed = config.channel, config.seed
     reports: List[CheckReport] = []
     check_audit_power(chan, samples_moments)
+    log_p = chan.log_power
+    tau_verify = max((t for t in range(1, 9) if schedule_is_valid(log_p, t)), default=None)
+    if tau_verify is None:
+        raise ValueError(
+            f"no admissible scheme at the configured power (log10 P = {log_p / LOG10:.4g}); "
+            f"raise the channel power"
+        )
+    scheme = SchemeParams(tau_verify, log_p, chan.num_paths)
 
     for ell, spec in enumerate(chan.path_specs):
         stats = stats_of(spec)
@@ -372,15 +385,6 @@ def run_verification_suite(
             CheckReport.judge(f"mean_log_gain_path_{ell}", est.value, "==", stats.mean_log_gain, est.std_error),
             CheckReport.judge(f"entropy_rate_path_{ell}", szego, "==", stats.entropy_rate, 0.0, slack=1e-5),
         ]
-
-    log_p = chan.log_power
-    tau_verify = max((t for t in range(1, 9) if schedule_is_valid(log_p, t)), default=None)
-    if tau_verify is None:
-        raise ValueError(
-            f"no admissible scheme at the configured power (log10 P = {log_p / LOG10:.4g}); "
-            f"raise the channel power"
-        )
-    scheme = SchemeParams(tau_verify, log_p, chan.num_paths)
 
     log_block = log_block_average_power(scheme)
     block_mc = mc_block_power(scheme, samples_moments, seed=_sub_seed(seed, "block_power"))

@@ -125,7 +125,7 @@ class LogUniformX2:
 class SchemeParams:
     """The canonical block scheme for (tau, P, L): tau slots behind L guard zeros.
 
-    Construction fails when the schedule is inadmissible, P^(1/tau) <= log P.
+    Construction fails unless 0 < log P < inf and the schedule is admissible, P^(1/tau) > log P.
     """
 
     tau: int
@@ -137,9 +137,7 @@ class SchemeParams:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.num_taps < 0:
             raise ValueError(f"num_taps must be >= 0, got {self.num_taps}")
-        if self.log_power <= 0.0:
-            raise ValueError(f"the scheme requires P > 1, got log P = {self.log_power}")
-        log_log_ratio(self.log_power, self.tau)  # raises on schedule inversion
+        log_log_ratio(self.log_power, self.tau)  # raises unless 0 < log P < inf, and on schedule inversion
 
     @property
     def block_len(self) -> int:
@@ -237,10 +235,17 @@ def lemma_mi_lower_bound(
 def log_log_ratio(log_power: float, tau: int) -> float:
     """log log(P^(1/tau) / log P), computed stably from log P.
 
-    Raises a one-line ValueError when the schedule is inadmissible,
-    P^(1/tau) <= log P.
+    Raises a one-line ValueError unless 0 < log P < inf, and when the
+    schedule is inadmissible, P^(1/tau) <= log P.
     """
-    return _log_log_ratio(log_power, tau, math.log(log_power))
+    return _log_log_ratio(log_power, tau, math.log(_check_power(log_power)))
+
+
+def _check_power(log_power: float) -> float:
+    """``log_power`` itself, if it lies in the scheme's domain 0 < log P < inf (P > 1); raises otherwise."""
+    if not 0.0 < log_power < math.inf:
+        raise ValueError(f"the scheme requires P > 1 and a finite log P, got log P = {log_power}")
+    return log_power
 
 
 def _log_log_ratio(log_power: float, tau: int, log_log_power: float) -> float:
@@ -260,9 +265,7 @@ def xi_p(log_power: float, stats: DirectStats) -> float:
     Xi_P = E[log|H^(0)|^2] - 1 - 2 log( sqrt(alpha_0)
              + sqrt((alpha_total + sigma^2) / log P) ).
     """
-    if log_power <= 0.0:
-        raise ValueError(f"requires P > 1, got log P = {log_power}")
-    return _xi(stats, (stats.alpha_total + stats.sigma2) / log_power)
+    return _xi(stats, (stats.alpha_total + stats.sigma2) / _check_power(log_power))
 
 
 def _xi(stats: DirectStats, residual_variance: float) -> float:
@@ -294,7 +297,7 @@ def lower_bound(
     ``terms`` is the point's ``(log P, log log P, Xi_P)`` from
     ``_power_terms(log_snr, stats)``, which a tau scan at one point evaluates
     once; without it the terms are evaluated here, with the same bits.  Raises
-    when P <= 1, log P is not finite or the slot schedule is inadmissible for
+    unless 0 < log P < inf, and when the slot schedule is inadmissible for
     this (P, tau); callers should then lower tau.
     """
     log_power, log_log_power, xi = _power_terms(log_snr, stats) if terms is None else terms
@@ -303,15 +306,10 @@ def lower_bound(
 
 
 def _power_terms(log_snr: float, stats: DirectStats) -> Tuple[float, float, float]:
-    """The tau-independent terms ``(log P, log log P, Xi_P)``; raises ``_power_error`` unless 1 < P < inf."""
+    """The tau-independent terms ``(log P, log log P, Xi_P)``; raises unless 0 < log P < inf."""
     log_power = log_snr + math.log(stats.sigma2)
-    if not 0.0 < log_power < math.inf:
-        raise _power_error(log_power)
-    return log_power, math.log(log_power), xi_p(log_power, stats)
-
-
-def _power_error(log_power: float) -> ValueError:
-    return ValueError(f"the scheme requires P > 1 and a finite log P, got log P = {log_power}")
+    xi = xi_p(log_power, stats)  # checks the domain before log log P is taken
+    return log_power, math.log(log_power), xi
 
 
 def optimize_tau(
@@ -331,19 +329,14 @@ def optimize_tau(
     log P <= 1, where every tau is admissible, for a channel with
     E log|H^(0)|^2 <= log alpha_0 (Jensen; from a config it is
     log alpha_0 - gamma), so the scan ends at tau = 1.  Returns the maximizing
-    (tau, rate), ties broken toward the smaller tau.  Raises if log P is
-    not finite or no tau is admissible (P too small).
+    (tau, rate), ties broken toward the smaller tau.  Raises unless
+    0 < log P < inf; tau = 1 is admissible at every such log P, since
+    log P > log log P.
     """
     if tau_max < 1:
         raise ValueError(f"tau_max must be >= 1, got {tau_max}")
-    log_power = log_snr + math.log(stats.sigma2)
-    if not math.isfinite(log_power):
-        raise _power_error(log_power)
-    if not schedule_is_valid(log_power, 1):
-        raise ValueError(
-            f"no admissible block length up to tau_max = {tau_max}: "
-            f"P^(1/tau) <= log P for every tau (log P = {log_power:.6g})"
-        )
+    terms = _power_terms(log_snr, stats)
+    log_power = terms[0]
     last, above = 1, tau_max + 1  # tau = last is admissible, tau = above is not (or out of range)
     while above - last > 1:
         mid = (last + above) // 2
@@ -351,7 +344,6 @@ def optimize_tau(
             last = mid
         else:
             above = mid
-    terms = _power_terms(log_snr, stats)
     best_tau, best = 1, -math.inf
     for tau in range(1, last + 1):
         value = lower_bound(log_snr, tau, stats, terms)

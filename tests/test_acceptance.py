@@ -27,7 +27,7 @@ import pytest
 from fadecap import cli
 from fadecap.channel import ChannelConfig, realize_many, simulate
 from fadecap.cli import GridSpec
-from fadecap.converse import BoundParams, ConverseStats, jensen_cap, upsilon
+from fadecap.converse import BoundParams, ConverseStats, jensen_cap, optimize_xi, upper_bound, upsilon
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
@@ -134,6 +134,16 @@ class TestCriterion1ConverseSlope:
         assert elapsed < 1.0
         assert approach.gap_rise <= GAP_NOISE, approach.detail
         assert approach.stays_in_band, approach.detail
+
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 0.99, 1.0 - 2.0**-53])
+    def test_no_eta_or_xi_lifts_the_stated_grid_slope_past_0933(self, eta):
+        # README: on the stated grid neither eta -> 1 nor optimize_xi's xi gets the slope past 0.933
+        params, stats = replace(DEMO.bound_params, eta=eta), ConverseStats.from_config(DEMO.channel)
+        default_xi = window_slopes([DEMO.grid], lambda s: upper_bound(s, stats, params))[0]
+        optimal_xi = window_slopes([DEMO.grid], lambda s: optimize_xi(s, stats, params)[1])[0]
+        detail = f"eta = {eta!r}: stated-grid slope {default_xi:.5f} (default xi), {optimal_xi:.5f} (optimal xi)"
+        report("1", max(default_xi, optimal_xi) <= 0.933, f"{detail}, claimed <= 0.933")
+        assert max(default_xi, optimal_xi) <= 0.933, detail
 
 
 class TestCriterion2DirectSlope:

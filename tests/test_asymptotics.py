@@ -10,16 +10,18 @@ toward it as the window moves out.
 """
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fadecap import cli
+from fadecap.cli import GridSpec
 from fadecap.channel import ChannelConfig
 from fadecap.converse import BoundParams, ConverseStats, log1p_alpha_snr, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
-from fadecap.fading import LOG_PI, Ar1Gaussian
+from fadecap.fading import LOG10, LOG_PI, Ar1Gaussian, IidGaussian
 
 PARAMS = BoundParams()
 DEMO = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
@@ -123,3 +125,88 @@ class TestFiniteGridMissesShrink:
             )
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
         assert slopes[-1] > 0.95
+
+
+
+def xi_inf(stats: DirectStats) -> float:
+    """The limit of Xi_P as P grows: E log|H^(0)|^2 - 1 - log alpha_0 (-1 - gamma for a Gaussian tap)."""
+    return stats.mean_log_gain_0 - 1.0 - math.log(stats.alpha_0)
+
+
+def second_order_remainder(log_snr, tau, stats, rate) -> float:
+    """R - w (log log SNR - log tau) - w Xi_inf with w = tau/(L+tau); it tends to 0."""
+    w = tau / (stats.num_taps + tau)
+    return rate - w * (math.log(log_snr) - math.log(tau)) - w * xi_inf(stats)
+
+
+def next_terms(log_snr, tau, stats) -> float:
+    """A bound on |remainder| from the three terms the limit drops (README "Second-order asymptotics").
+
+    With t = tau log log P / log P and c = (alpha_total + sigma^2) / (alpha_0 log P)
+    the remainder is w [log(1 + log sigma^2 / log SNR) + log(1 - t) - 2 log(1 + sqrt c)],
+    and |log(1 - t)| <= t / (1 - t), 2 log(1 + sqrt c) <= 2 sqrt c.
+    """
+    w = tau / (stats.num_taps + tau)
+    log_power = log_snr + math.log(stats.sigma2)
+    t = tau * math.log(log_power) / log_power
+    c = (stats.alpha_total + stats.sigma2) / (stats.alpha_0 * log_power)
+    return w * (abs(math.log1p(math.log(stats.sigma2) / log_snr)) + t / (1.0 - t) + 2.0 * math.sqrt(c))
+
+
+def float_allowance(log_snr) -> float:
+    """16 ulps of the rate's log log SNR term, for the rounding of R and of the subtracted terms."""
+    return 16.0 * sys.float_info.epsilon * math.log(log_snr)
+
+
+def decade_windows(count=100, last_log_snr=1e290) -> list:
+    """One-decade windows of log SNR, 19 points each, from the stated grid out to ``last_log_snr`` nats."""
+    first = DEMO.grid.log10_snr_start  # the stated grid, log10 SNR in [20, 200]
+    starts = np.logspace(math.log10(first), math.log10(last_log_snr / 10.0 / LOG10), count)
+    return [GridSpec(s, 10.0 * s, DEMO.grid.points).log_snr_values() for s in starts]
+
+
+FLAT = DirectStats.from_config(ChannelConfig((IidGaussian(1.0),), 1.0, 0.0))  # L = 0
+SLOW_QUIET = DirectStats.from_config(ChannelConfig((Ar1Gaussian(2.0, 0.5),), 0.1, 0.0))  # L = 0, sigma^2 < 1
+
+
+def assert_remainder_tends_to_zero(stats, rate_at):
+    """In every window each point's remainder lies within the dropped terms plus the
+    float allowance, the window's largest |remainder| never grows, and in the last
+    window it is float noise."""
+    previous = math.inf
+    for window in decade_windows():
+        worst = 0.0
+        for log_snr in window:
+            tau, rate = rate_at(log_snr)
+            remainder = second_order_remainder(log_snr, tau, stats, rate)
+            assert abs(remainder) <= next_terms(log_snr, tau, stats) + float_allowance(log_snr), log_snr
+            worst = max(worst, abs(remainder))
+        assert worst <= previous + float_allowance(window[-1]), window[0]
+        previous = worst
+    assert worst <= float_allowance(window[-1])
+
+
+class TestSecondOrderLimit:
+    """Each rate minus its pre-loglog term tends to w Xi_inf, on windows out to 1e290 nats."""
+
+    @pytest.mark.parametrize("stats", [FLAT, SLOW_QUIET], ids=["iid-sigma2-1", "ar1-sigma2-0.1"])
+    def test_single_tap_search_picks_tau_one_and_tends_to_xi_inf(self, stats):
+        # with L = 0 the weight is 1 for every tau and the bracket shrinks with tau, so tau* = 1
+        def rate_at(log_snr):
+            tau, rate = optimize_tau(log_snr, stats, 1024)
+            assert tau == 1, log_snr
+            return tau, rate
+
+        assert_remainder_tends_to_zero(stats, rate_at)
+
+    @pytest.mark.parametrize("tau", [1, 8])
+    def test_fixed_tau_tends_to_w_xi_inf(self, tau):
+        assert_remainder_tends_to_zero(DEMO_DSTATS, lambda log_snr: (tau, lower_bound(log_snr, tau, DEMO_DSTATS)))
+
+    def test_readme_remainders(self):
+        # L = 0 on the iid channel, then L = 2 on the demo channel at tau = 1 and 8
+        flat = [second_order_remainder(s, 1, FLAT, optimize_tau(s, FLAT, 1024)[1]) for s in (20 * LOG10, 1e3, 1e10)]
+        assert flat == pytest.approx([-0.4654, -0.09443, -2.829e-5], rel=1e-3)
+        log_snr = 20 * LOG10
+        demo = [second_order_remainder(log_snr, t, DEMO_DSTATS, lower_bound(log_snr, t, DEMO_DSTATS)) for t in (1, 8)]
+        assert demo == pytest.approx([-0.1747, -1.2254], abs=1e-4)

@@ -336,6 +336,17 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_preloglog_slope(synthetic_sweep(), "middle")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_its_row_and_log_snr(self, bad):
+        for index in (0, 3, 5):
+            sweep = synthetic_sweep()
+            sweep.upper[index] = bad
+            where = f"row {index}, upper = {bad!r} at log SNR {sweep.log_snr[index]!r} nats"
+            with pytest.raises(ValueError) as raised:
+                fit_preloglog_slope(sweep, "upper")
+            assert str(raised.value) == f"cannot fit the slope of a non-finite bound: {where}"
+            fit_preloglog_slope(sweep, "lower")
+
     @settings(max_examples=40, deadline=None)
     @given(
         slope=st.floats(min_value=-3.0, max_value=3.0),
@@ -753,6 +764,19 @@ class TestAuditPowerRange:
         assert err.startswith("error: log10_power") and err.count("\n") == 1 and "20000 draws" in err, err
         assert not report.exists()
 
+    def test_inadmissible_power_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("verify drew before it checked the scheme's power")
+
+        for audit in ("mc_log_gain", "mc_block_power", "verify_log_moment_bounds", "mi_scalar_gaussian"):
+            monkeypatch.setattr(cli, audit, no_draws)
+        config = demo_config_with(tmp_path / "config.json", {("channel", "log10_power"): 0.0})
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", str(config), "--output", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no admissible scheme at the configured power (log10 P = 0); raise the channel power\n"
+        assert not report.exists()
+
     def test_power_below_the_limit_gives_finite_reports(self, tmp_path):
         config = verify_config(tmp_path, {("channel", "log10_power"): 150.0})
         with warnings.catch_warnings():
@@ -872,6 +896,15 @@ class TestMalformedConfig:
         rc, err, files = run_sweep_cli(malformed(mutation))
         assert (rc, files) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1 and field in err, err
+
+    def test_overflowing_upper_bound_names_its_row_and_writes_nothing(self):
+        # the largest grid stop: the upper bound overflows to inf at the last of 19 points
+        raw = copy.deepcopy(DEMO_RAW)
+        raw["tau"], raw["grid"]["log10_snr_stop"] = 8, MAX_GRID_STOP
+        rc, err, files = run_sweep_cli(json.dumps(raw))
+        assert (rc, files) == (1, [])
+        where = f"row 18, upper = inf at log SNR {MAX_GRID_STOP * LOG10!r} nats"
+        assert err == f"error: cannot fit the slope of a non-finite bound: {where}\n", err
 
     @pytest.mark.parametrize("flag", ["--samples-mi", "--samples-moments"])
     @pytest.mark.parametrize("count", ["0", "-5", "1"])

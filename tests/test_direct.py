@@ -26,7 +26,6 @@ from fadecap.direct import (
     optimize_tau,
     schedule_is_valid,
     sharp_slot_bound,
-    _power_error,
     _power_terms,
     xi_p,
 )
@@ -35,6 +34,7 @@ from fadecap.oracle import _scheme_inputs
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
+DOMAIN_ERROR = "the scheme requires P > 1 and a finite log P, got log P = {}"  # outside 0 < log P < inf
 
 
 def stats_for(alpha_0=1.0, alpha_total=1.75, sigma2=1.0, num_taps=2, mean_log_gain=None):
@@ -427,7 +427,7 @@ def reference_lower_bound(log_snr, tau, stats):
     """``lower_bound`` with Xi_P evaluated afresh on every call."""
     log_power = log_snr + math.log(stats.sigma2)
     if not 0.0 < log_power < math.inf:
-        raise _power_error(log_power)
+        raise ValueError(DOMAIN_ERROR.format(log_power))
     return tau / (stats.num_taps + tau) * (log_log_ratio(log_power, tau) + xi_p(log_power, stats))
 
 
@@ -522,7 +522,7 @@ class TestXiPMemo:
         log_snr = log_power - math.log(stats.sigma2)
         with pytest.raises(ValueError) as raised:
             lower_bound(log_snr, 4, stats)
-        assert str(raised.value) == str(_power_error(log_snr + math.log(stats.sigma2)))
+        assert str(raised.value) == DOMAIN_ERROR.format(log_snr + math.log(stats.sigma2))
         assert "\n" not in str(raised.value)
         assert lower_bound(50.0, 4, stats) == valid
 
@@ -679,6 +679,35 @@ class TestRateBound:
         assert "\n" not in str(raised.value)
 
 
+class TestSchemeDomain:
+    """The scheme's domain 0 < log P < inf is one check with one message, whichever function meets it."""
+
+    @staticmethod
+    def entry_points(log_power):
+        """Each public function that takes a power, called at ``log_power``, with the log P it sees."""
+        stats = stats_for(sigma2=1.0)  # log SNR + log sigma^2 = log SNR, except that -0.0 + 0.0 is 0.0
+        seen_from_snr = log_power + math.log(stats.sigma2)
+        return {
+            "SchemeParams": (lambda: SchemeParams(1, log_power, 2), log_power),
+            "log_log_ratio": (lambda: log_log_ratio(log_power, 1), log_power),
+            "xi_p": (lambda: xi_p(log_power, stats), log_power),
+            "lower_bound": (lambda: lower_bound(log_power, 1, stats), seen_from_snr),
+            "optimize_tau": (lambda: optimize_tau(log_power, stats, 8), seen_from_snr),
+        }
+
+    @pytest.mark.parametrize("log_power", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300, -1.0, -1e300])
+    def test_outside_the_domain_each_raises_the_one_message(self, log_power):
+        for name, (call, seen) in self.entry_points(log_power).items():
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == DOMAIN_ERROR.format(seen), name
+
+    @pytest.mark.parametrize("log_power", [5e-324, 1.0, 1e308])
+    def test_inside_the_domain_none_raises(self, log_power):
+        for call, _ in self.entry_points(log_power).values():
+            call()  # SchemeParams(1, log P, 2) among them constructs
+
+
 class TestOptimizeTau:
     def test_tau_max_one(self):
         stats = stats_for()
@@ -707,7 +736,7 @@ class TestOptimizeTau:
 
     def test_no_admissible_tau_raises(self):
         stats = stats_for()
-        with pytest.raises(ValueError, match="no admissible block length"):
+        with pytest.raises(ValueError, match="requires P > 1"):
             optimize_tau(-0.1, stats, 8)  # P <= 1: no slot schedule exists
 
     @pytest.mark.parametrize("log_snr", [math.inf, -math.inf, math.nan])
@@ -790,7 +819,7 @@ class TestOptimizeTau:
         log_snr, stats, tau_max = case
         expected = reference_search(log_snr, stats, tau_max)
         if expected is None:
-            with pytest.raises(ValueError, match="no admissible block length"):
+            with pytest.raises(ValueError, match="requires P > 1"):
                 optimize_tau(log_snr, stats, tau_max)
             return
         tau, rate = optimize_tau(log_snr, stats, tau_max)
