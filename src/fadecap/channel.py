@@ -177,10 +177,17 @@ def output_at(config: ChannelConfig, k: int, x, seed: int) -> np.ndarray:
 
 
 def config_to_dict(config: ChannelConfig) -> dict:
+    # echo the shortest decimal d with d * LOG10 == log P: 114.0, not 114.00000000000001
+    log10_power = config.log_power / LOG10
+    for digits in range(1, 17):
+        shorter = float(f"{log10_power:.{digits}g}")
+        if shorter * LOG10 == config.log_power:
+            log10_power = shorter
+            break
     return {
         "paths": [path_spec_to_dict(spec) for spec in config.path_specs],
         "noise_variance": config.noise_variance,
-        "log10_power": config.log_power / LOG10,
+        "log10_power": log10_power,
     }
 
 

@@ -5,7 +5,7 @@ The bound per channel use, in nats, is
     U(snr) = -g + xi * (1 + log(1 + A*SNR) + Psi) + logGamma(xi) - xi*log(xi) + log(pi)
 
 with ``A`` the total path variance, ``g = inf_l (h_l - alpha_l)`` over the
-active taps, and the free parameter ``xi`` defaulting to
+active taps, and the free parameter ``xi`` in (0, 1] defaulting to
 ``1 / (1 + log(1 + A*SNR))``, which collapses the bracket so that
 
     U(snr) = 1 + xi*Psi + logGamma(xi) - xi*log(xi) + log(pi) - g.
@@ -21,14 +21,13 @@ says so); every pre-loglog statement is unaffected because ``Psi`` does not
 grow with SNR.
 
 ``logGamma`` is evaluated exactly (no small-argument asymptote) by
-``_lgam``, a ``math`` port of the positive-argument branches of cephes
-``lgam`` (Moshier, *Methods and Programs for Mathematical Functions*, 1989),
-the routine behind ``scipy.special.gammaln``.  Its polynomials are written
-in cephes' own operation order, so it returns ``gammaln``'s value bit for bit
-and the pinned sweep outputs do not move; ``math.lgamma`` differs from it in
-the last bit on many xi values.  Every formula consumes log-SNR in nats so
-that astronomically large SNR values remain in range.  All operations are
-pure functions.
+``_lgam``, a ``math`` port of the branch of cephes ``lgam`` (Moshier,
+*Methods and Programs for Mathematical Functions*, 1989; the routine behind
+``scipy.special.gammaln``) that xi in (0, 1] takes, in cephes' operation
+order, so it returns ``gammaln``'s value bit for bit and the pinned sweep
+outputs do not move; ``math.lgamma`` differs from it in the last bit on many
+xi values.  Every formula consumes log-SNR in nats so that astronomically
+large SNR values remain in range.  All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -52,8 +51,9 @@ CONSTANTS_CERTIFIED = False
 class BoundParams:
     """Free parameters of the upper bound, named as in the ``bounds`` config section.
 
-    ``eps_const`` stands in for eps(delta, eta); ``xi`` replaces the
-    closed-form default choice of xi when set.
+    ``eps_const`` stands in for eps(delta, eta); ``xi``, when set, replaces
+    the closed-form choice of xi and must lie in (0, 1]: no larger xi
+    beats xi = 1 (README, "Config schema").
     """
 
     delta: float = 1.0
@@ -68,8 +68,8 @@ class BoundParams:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not (0.0 <= self.eps_const < math.inf):
             raise ValueError(f"eps_const must be nonnegative and finite, got {self.eps_const}")
-        if self.xi is not None and not (0.0 < self.xi < math.inf):
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        if self.xi is not None and not (0.0 < self.xi <= 1.0):
+            raise ValueError(f"xi must lie in (0, 1], got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -92,61 +92,38 @@ class ConverseStats:
 
 
 def _lgam(x: float) -> float:
-    """log Gamma(x) for x > 0, equal to ``scipy.special.gammaln(x)`` bit for bit.
+    """log Gamma(x) for 0 < x <= 1, equal to ``scipy.special.gammaln(x)`` bit for bit.
 
-    The positive-argument branches of cephes ``lgam``.  The Horner forms keep
-    cephes' operation order (``polevl`` and ``p1evl`` over its ``A``, ``B``
-    and ``C`` arrays); subtracting a coefficient is exactly adding its
-    negation, but a reassociated step can change the last bit.
+    Cephes ``lgam``'s branch for such x: shift up into [2, 3), then the
+    rational ``x B(x) / C(x)``, in cephes' operation order (``polevl`` and
+    ``p1evl``); a reassociated step can change the last bit.
     """
-    if x < 13.0:
-        # shift the argument into [2, 3), keeping the product of the shifts in z
-        z = 1.0
-        p = 0.0
-        u = x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        p -= 2.0
-        x = x + p
-        # log Gamma(2 + x) = x * B(x) / C(x) on [0, 1)
-        b = (
-            ((((-1.37825152569120859100e3 * x - 3.88016315134637840924e4) * x
-               - 3.31612992738871184744e5) * x - 1.16237097492762307383e6) * x
-             - 1.72173700820839662146e6) * x
-            - 8.53555664245765465627e5
-        )
-        c = (
-            (((((x - 3.51815701436523470549e2) * x - 1.70642106651881159223e4) * x
-               - 2.20528590553854454839e5) * x - 1.13933444367982507207e6) * x
-             - 2.53252307177582951285e6) * x
-            - 2.01889141433532773231e6
-        )
-        return math.log(z) + x * b / c
-    if x > 2.556348e305:
-        return math.inf
-    # Stirling's series; 0.918... is log(sqrt(2 pi))
-    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + (
-            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333
-        ) / x
-    return q + (
-        (((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
-          + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
-        + 8.33333333333331927722e-2
-    ) / x
+    # shift the argument into [2, 3), keeping the product of the shifts in z
+    z = 1.0
+    p = 0.0
+    u = x
+    while u < 2.0:
+        z /= u
+        p += 1.0
+        u = x + p
+    if u == 2.0:
+        return math.log(z)
+    p -= 2.0
+    x = x + p
+    # log Gamma(2 + x) = x * B(x) / C(x) on [0, 1)
+    b = (
+        ((((-1.37825152569120859100e3 * x - 3.88016315134637840924e4) * x
+           - 3.31612992738871184744e5) * x - 1.16237097492762307383e6) * x
+         - 1.72173700820839662146e6) * x
+        - 8.53555664245765465627e5
+    )
+    c = (
+        (((((x - 3.51815701436523470549e2) * x - 1.70642106651881159223e4) * x
+           - 2.20528590553854454839e5) * x - 1.13933444367982507207e6) * x
+         - 2.53252307177582951285e6) * x
+        - 2.01889141433532773231e6
+    )
+    return math.log(z) + x * b / c
 
 
 def log1p_alpha_snr(log_snr: float, alpha_total: float) -> float:
@@ -239,7 +216,8 @@ def optimize_xi(log_snr: float, stats: ConverseStats, params: BoundParams) -> tu
     """Numerically minimize the bound over xi in [1e-12, 1] by golden-section search.
 
     Off the default evaluation path; the closed-form xi is canonical.  The
-    bound is convex in xi, so the search converges to the global minimum.
+    bound is convex in xi and rises on xi >= 1 (README, "Config schema"), so
+    [1e-12, 1] holds its minimizer unless that is below 1e-12 (log SNR > ~1e12).
     """
 
     def value(xi: float) -> float:

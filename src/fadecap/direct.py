@@ -277,14 +277,12 @@ def sharp_slot_bound(nu: int, params: SchemeParams, stats: DirectStats) -> float
     """Slot-dependent per-symbol bound, sharper than the slot-uniform one.
 
     The slot-uniform bound ``log_log_ratio + xi_p`` (the bracket of
-    ``lower_bound``) relaxes the residual noise term
-    sigma^2 / (P^((nu-1)/tau) log P) of slot nu to sigma^2 / log P; this one
-    keeps it.
+    ``lower_bound``) relaxes the residual noise term sigma^2 / x2_min[nu]
+    = sigma^2 / (P^((nu-1)/tau) log P) of slot nu to sigma^2 / log P; this
+    one keeps it.
     """
-    if not 1 <= nu <= params.tau:
-        raise ValueError(f"slot index must lie in 1..{params.tau}, got {nu}")
     log_p = params.log_power
-    residual = stats.sigma2 * math.exp(-(nu - 1) / params.tau * log_p) / log_p
+    residual = stats.sigma2 * math.exp(-params.slot_law(nu).log_min)
     return log_log_ratio(log_p, params.tau) + _xi(stats, stats.alpha_total / log_p + residual)
 
 

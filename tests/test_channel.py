@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fadecap.channel
@@ -13,6 +13,8 @@ from fadecap.channel import (
     ChannelConfig,
     ChannelRealization,
     aggregate_gain,
+    config_from_dict,
+    config_to_dict,
     output_at,
     realize_many,
     simulate,
@@ -71,6 +73,26 @@ class TestConfig:
     def test_single_path_gain(self):
         config = ChannelConfig(path_specs=(IidGaussian(1.0),), noise_variance=1.0, log_power=0.0)
         assert aggregate_gain(config) == pytest.approx(1.0)
+
+
+def echo_of_log10_power(log10_power):
+    raw = {"paths": [{"kind": "iid", "alpha": 1.0}], "noise_variance": 1.0, "log10_power": log10_power}
+    return config_to_dict(config_from_dict(raw))["log10_power"]
+
+
+class TestLog10PowerEcho:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-3.0, max_value=200.0).map(lambda v: float(f"{v:.3g}")))
+    @example(114.0)  # log_power / LOG10 reads 114.00000000000001
+    @example(3.0)  # every pinned config
+    def test_three_significant_digits_are_echoed_as_written(self, log10_power):
+        assert echo_of_log10_power(log10_power) == log10_power
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-300.0, max_value=300.0))
+    def test_echo_rereads_to_the_same_power(self, log10_power):
+        echo = echo_of_log10_power(log10_power)
+        assert echo * LOG10 == log10_power * LOG10
 
 
 class TestSnr:

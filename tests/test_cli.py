@@ -890,6 +890,7 @@ class TestMalformedConfig:
             (("x", ("grid",)), "config.grid"),
             ((True, ("tau",)), "config.tau"),
             (([], ("channel", "paths", 1, "kind")), "channel.paths[1].kind"),  # unhashable
+            ((2, ("bounds", "xi")), "xi must lie in (0, 1], got 2.0"),
         ],
     )
     def test_named_probe_fails_cleanly(self, mutation, field):

@@ -108,12 +108,13 @@ class TestLgam:
     def test_seeded_uniform_and_log_uniform(self):
         rng = np.random.default_rng(20260809)
         _assert_same_bits(rng.uniform(0.0, 1.0, 100_000))
-        _assert_same_bits(np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 100_000)))
+        _assert_same_bits(np.exp(rng.uniform(math.log(5e-324), 0.0, 100_000)))
 
     def test_branch_edges_and_their_neighbours(self):
-        edges = (2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305)
+        # at and below 2**-52, x + 2.0 rounds to 2.0 and the rational is skipped
+        tiny = 2.0**-52
         _assert_same_bits(
-            [y for e in edges for y in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))] + [5e-324]
+            [math.nextafter(1.0, 0.0), 1.0, math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0), 5e-324]
         )
 
 
@@ -158,6 +159,36 @@ class TestPsi:
             BoundParams(eps_const=-1.0)
         with pytest.raises(ValueError):
             BoundParams(xi=0.0)
+
+
+class TestXiDomain:
+    @pytest.mark.parametrize("xi", [math.nextafter(1.0, 2.0), 2.0, 13.0, 1e300, math.nan, math.inf, -math.inf])
+    def test_outside_zero_one_raises_the_one_line(self, xi):
+        with pytest.raises(ValueError, match=r"^xi must lie in \(0, 1\], got ") as raised:
+            BoundParams(xi=xi)
+        assert "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize("xi", [1.0, 0.5, 5e-324])
+    def test_inside_zero_one_constructs(self, xi):
+        assert BoundParams(xi=xi).xi == xi
+
+    @pytest.mark.parametrize("inf_gap", [LOG_PI_E - 1.0, 0.0, -5.0, -50.0, LOG_PI_E])
+    def test_no_xi_above_one_beats_xi_one(self, inf_gap):
+        # README, "Config schema": U rises on xi >= 1, and its slope at xi = 1, B - 1 - gamma with
+        # B = 1 + log(1 + A SNR) + Psi, is at least 2(1 + 2/e) - gamma = 2.894 for every Gaussian
+        # tap (g <= log(pi e) - 1) and 2(2/e) - gamma = 0.894 for g <= log(pi e); evaluated with
+        # math.lgamma, which shares no code with _lgam
+        floor = 2.89 if inf_gap <= LOG_PI_E - 1.0 else 0.89
+        xis = [1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.5, 2.0, 13.0, 1e3, 1e8]
+        for alpha_total in (1e-300, 1e-6, 1.0, 1e6, 1e300):
+            for eta in (1e-6, 0.5, 1.0 - 2.0**-53):
+                for log_snr in (-700.0, 1.0 + 1e-7, 46.0, 1e6, 1e300):
+                    bracket = 1.0 + log1p_alpha_snr(log_snr, alpha_total) + psi(BoundParams(eta=eta), inf_gap)
+                    values = [
+                        -inf_gap + xi * bracket + math.lgamma(xi) - xi * math.log(xi) + LOG_PI for xi in xis
+                    ]
+                    assert all(b > a for a, b in zip(values, values[1:])), (alpha_total, eta, log_snr)
+                    assert values[2] - values[0] >= 1e-6 * floor, (alpha_total, eta, log_snr)
 
 
 class TestUpperBound:
