@@ -311,6 +311,17 @@ class TestOptimizeXi:
             assert 0.0 < xi_star <= 1.0
             assert best <= upper_bound(log_snr, DEMO_STATS, params) + 1e-12
 
+    @pytest.mark.parametrize("inf_gap", [-20.0, 0.0, 2.5, 2.9, 3.0, 3.2, 10.0])
+    def test_minimum_over_a_grid_of_xi_including_a_falling_bound(self, inf_gap):
+        # at SNR 1 the bracket B = 1 + log 2 + Psi is 13.215 - 4 g: at g = 2.9 it is just above
+        # 1 + gamma, and from g = 2.91 on below it, where the bound falls on all of (0, 1]
+        stats, params = ConverseStats(inf_gap=inf_gap, alpha_total=1.0), BoundParams()
+        xi_star, best = optimize_xi(0.0, stats, params)
+        grid = [upper_bound(0.0, stats, BoundParams(xi=k / 2000)) for k in range(1, 2001)]
+        assert 0.0 < xi_star <= 1.0
+        assert best <= min(grid) + 1e-15 * abs(best)
+        assert (xi_star == 1.0) == (inf_gap >= 3.0)
+
     def test_override_reproduces_search_value(self):
         log_snr = 30.0
         xi_star, best = optimize_xi(log_snr, DEMO_STATS, BoundParams())

@@ -3,9 +3,13 @@
 import copy
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -262,6 +266,17 @@ class TestSampling:
         assert column.tobytes() == law.sample_x(substream(24, 0), 1000).tobytes()
         assert not x[:, [0, 2]].any()
 
+    @pytest.mark.parametrize("log_min, log_max", [(0.0, math.log(100.0)), (1.9, 6.9), (-300.0, 700.0)])
+    def test_symbols_are_the_exponential_of_their_exponent_bit_for_bit(self, log_min, log_max):
+        law = LogUniformX2(log_min, log_max)
+        reference = substream(25, 0)
+        u = law.sample_log_x2(reference, 1000)
+        want = np.exp(0.5 * u + 1j * reference.uniform(0.0, 2.0 * math.pi, size=1000)).tobytes()
+        assert law.sample_x(substream(25, 0), 1000).tobytes() == want
+        x = np.zeros((1000, 3), dtype=complex)
+        law.sample_x(substream(25, 0), 1000, out=x[:, 1])  # a strided column, as _scheme_inputs passes it
+        assert x[:, 1].tobytes() == want
+
     def test_phases_cover_circle(self):
         law = LogUniformX2(0.0, 1.0)
         x = law.sample_x(substream(23, 0), 200_000)
@@ -345,24 +360,20 @@ class TestLemma:
         )
         assert abs(quad_term - np.mean(samples)) <= 3.0 * sem
 
-    def test_quadrature_builds_each_rule_once_and_keeps_its_bits(self, monkeypatch):
+    def test_quadrature_builds_each_rule_once_and_keeps_its_bits(self):
         law = LogUniformX2(0.0, math.log(100.0))
-        nodes, weights = np.polynomial.legendre.leggauss(37)
-        fadecap.direct._legendre_rule.cache_clear()
+        rule = fadecap.direct._legendre_rule
+        rule.cache_clear()
         u, w = law.quadrature(37)
-        assert u.tobytes() == (0.5 * law.spread * nodes + 0.5 * law.spread).tobytes()
-        assert w.tobytes() == (0.5 * weights).tobytes()
+        first = (u.tobytes(), w.tobytes())
+        nodes, weights = rule(37)
+        assert first == ((0.5 * law.spread * nodes + 0.5 * law.spread).tobytes(), (0.5 * weights).tobytes())
         u[0] = w[0] = math.nan  # the caller's arrays are its own
-
-        def unexpected(n):
-            raise AssertionError(f"rule {n} built again")
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", unexpected)
         again_u, again_w = law.quadrature(37)
-        assert again_u.tobytes() == (0.5 * law.spread * nodes + 0.5 * law.spread).tobytes()
-        assert again_w.tobytes() == (0.5 * weights).tobytes()
+        assert (again_u.tobytes(), again_w.tobytes()) == first
+        assert (rule.cache_info().misses, rule.cache_info().hits) == (1, 2)  # built on the first call only
         with pytest.raises(ValueError, match="read-only"):
-            fadecap.direct._legendre_rule(37)[0][0] = 0.0
+            rule(37)[0][0] = 0.0
 
     @pytest.mark.parametrize("sigma_h, sigma_w", [(1.0, 1.0), (0.3, 3.0)])  # the demo channel first
     @pytest.mark.parametrize(
@@ -401,6 +412,77 @@ class TestLemma:
         law = LogUniformX2(0.0, 1.0)
         with pytest.raises(ValueError):
             lemma_mi_lower_bound(0.0, 0.0, 1.0, law)
+
+
+def mp_legendre_root(n, x):
+    """The root of P_n next to the float node x, and its Gauss weight, at 40 digits.
+
+    One Newton step from x, an ulp or so from the root, leaves it within
+    O(n^2 ulp^2) ~ 1e-26; P_n' is carried to the new point by its Taylor step,
+    with P_n'' from Legendre's equation (1 - x^2) P'' = 2x P' - n(n+1) P.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        p_prev, p = mpmath.mpf(1), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (p_prev - x * p) / (1 - x * x)
+        ddp = (2 * x * dp - n * (n + 1) * p) / (1 - x * x)
+        step = p / dp
+        root, dp = x - step, dp - ddp * step
+        return root, 2 / ((1 - root * root) * dp**2)
+
+
+class TestLegendreRule:
+    # The rule is mirror-symmetric bit for bit (test_symmetric_ascending_and_sums_to_two),
+    # so checking its nonnegative nodes checks every node.
+    @pytest.mark.parametrize(
+        "n, indices, weight_tol",
+        [
+            (1, [0], 1e-12),
+            (2, [1], 1e-12),
+            (37, range(18, 37), 1e-12),
+            (512, range(256, 512), 1e-12),
+            (1024, [*range(512, 1016, 29), *range(1016, 1024)], 5e-12),  # a strided sample, then the outer nodes
+        ],
+    )
+    def test_matches_40_digit_roots(self, n, indices, weight_tol):
+        nodes, weights = fadecap.direct._legendre_rule(n)
+        for k in indices:
+            root, weight = mp_legendre_root(n, nodes[k])
+            assert float(abs(nodes[k] - root)) <= 2.0**-52, k  # within an ulp of 1
+            assert float(abs(weights[k] - weight) / weight) <= weight_tol, k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 512, 1024])
+    def test_symmetric_ascending_and_sums_to_two(self, n):
+        nodes, weights = fadecap.direct._legendre_rule(n)
+        assert nodes.shape == weights.shape == (n,)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and np.all(weights > 0.0)
+        assert math.fsum(weights) == pytest.approx(2.0, rel=1e-14)
+
+    def test_builds_in_linear_memory(self):
+        rule = fadecap.direct._legendre_rule
+        rule.cache_clear()
+        tracemalloc.start()
+        try:
+            rule(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak  # an n x n eigenproblem would hold 8 MiB
+
+    def test_lemma_bound_imports_no_numpy_polynomial(self):
+        probe = (
+            "import sys\n"
+            "from fadecap.direct import LogUniformX2, lemma_mi_lower_bound\n"
+            "lemma_mi_lower_bound(0.0, 1.0, 1.0, LogUniformX2(0.0, 4.6))\n"
+            "print(sorted(m for m in ('numpy', 'numpy.polynomial') if m in sys.modules))\n"
+        )
+        src = str(Path(fadecap.direct.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.split() == ["['numpy']"]
 
 
 class TestDirectStats:

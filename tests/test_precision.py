@@ -1,7 +1,8 @@
-"""Both bounds and the tau search against a 60-digit mpmath evaluation.
+"""Both bounds, the tau search and the minimum over xi against mpmath.
 
 The reference re-derives every closed form from the channel parameters in
-mpmath, so a float evaluator that drops precision anywhere between log SNR
+mpmath at 60 digits, and the upper bound's minimum over xi from a root found
+in mpmath, so a float evaluator that drops precision anywhere between log SNR
 1.5 and 1e300 nats, or deviates from the stated formula (a slot weight, a
 constant), is off by far more than the 1e-14 relative tolerance.
 """
@@ -54,28 +55,48 @@ def _mp_path(spec):
     return alpha, rate
 
 
+def _mp_upper_terms(log_snr, config, params):
+    """(g, log(1 + A*SNR), Psi) of the upper bound at the working precision."""
+    taps = [_mp_path(s) for s in config.path_specs]
+    inf_gap = min(rate - alpha for alpha, rate in filter(None, taps))
+    total = mpmath.fsum(alpha for alpha, _ in filter(None, taps))
+    delta, eta = mpmath.mpf(params.delta), mpmath.mpf(params.eta)
+    eps = mpmath.mpf(params.eps_const)
+    psi = (
+        -2 * mpmath.log(delta)
+        + 2 * eps
+        + (2 / eta) * (2 / mpmath.e + mpmath.log(mpmath.pi * mpmath.e))
+        - (2 / eta) * inf_gap
+    )
+    return inf_gap, mpmath.log(1 + total * mpmath.exp(mpmath.mpf(log_snr))), psi
+
+
+def _mp_upper_at(inf_gap, bracket, xi):
+    return -inf_gap + xi * bracket + mpmath.loggamma(xi) - xi * mpmath.log(xi) + mpmath.log(mpmath.pi)
+
+
 def mp_upper(log_snr, config, params, xi=None):
     with mpmath.workdps(DPS):
-        taps = [_mp_path(s) for s in config.path_specs]
-        inf_gap = min(rate - alpha for alpha, rate in filter(None, taps))
-        total = mpmath.fsum(alpha for alpha, _ in filter(None, taps))
-        delta, eta = mpmath.mpf(params.delta), mpmath.mpf(params.eta)
-        eps = mpmath.mpf(params.eps_const)
-        psi = (
-            -2 * mpmath.log(delta)
-            + 2 * eps
-            + (2 / eta) * (2 / mpmath.e + mpmath.log(mpmath.pi * mpmath.e))
-            - (2 / eta) * inf_gap
-        )
-        log1p_snr = mpmath.log(1 + total * mpmath.exp(mpmath.mpf(log_snr)))
+        inf_gap, log1p_snr, psi = _mp_upper_terms(log_snr, config, params)
         xi = 1 / (1 + log1p_snr) if xi is None else mpmath.mpf(xi)
-        return (
-            -inf_gap
-            + xi * (1 + log1p_snr + psi)
-            + mpmath.loggamma(xi)
-            - xi * mpmath.log(xi)
-            + mpmath.log(mpmath.pi)
+        return _mp_upper_at(inf_gap, 1 + log1p_snr + psi, xi)
+
+
+def mp_min_upper(log_snr, config, params):
+    """The upper bound at its argmin over xi, the root of B + psi(xi) - log xi - 1 = 0.
+
+    psi(xi) ~ -1/xi ~ -B cancels B, so the precision is 50 digits past log10 B.
+    The root is solved for in s = 1/(xi B), which is of order 1 at every SNR.
+    """
+    with mpmath.workdps(50 + max(0, math.ceil(math.log10(log_snr)))):
+        inf_gap, log1p_snr, psi = _mp_upper_terms(log_snr, config, params)
+        bracket = 1 + log1p_snr + psi
+        scaled = mpmath.findroot(
+            lambda s: bracket + mpmath.digamma(1 / (bracket * s)) + mpmath.log(bracket * s) - 1,
+            1,
+            tol=mpmath.mpf(10) ** -60,
         )
+        return _mp_upper_at(inf_gap, bracket, 1 / (bracket * scaled))
 
 
 def mp_lower_by_tau(log_snr, config, tau_max):
@@ -123,6 +144,26 @@ class TestUpperBound:
         config, bound_params = CHANNELS[channel], PARAMS[params]
         got = upper_bound(log_snr, ConverseStats.from_config(config), bound_params)
         assert rel_err(got, mp_upper(log_snr, config, bound_params)) <= REL_TOL
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        log_snr=log_snr_strategy,
+        channel=st.sampled_from(sorted(CHANNELS)),
+        params=st.sampled_from(sorted(PARAMS)),
+    )
+    @example(log_snr=1.5, channel="demo", params="default")
+    @example(log_snr=1e11, channel="demo", params="default")  # where the golden-section search began to drift
+    @example(log_snr=1e13, channel="demo", params="default")
+    @example(log_snr=1e13, channel="flat_iid", params="default")  # U at the root rounds 1 ulp above the closed form
+    @example(log_snr=1e20, channel="demo", params="default")
+    @example(log_snr=1e300, channel="demo", params="default")
+    def test_optimize_xi_is_the_minimum_over_xi(self, log_snr, channel, params):
+        config, bound_params = CHANNELS[channel], PARAMS[params]
+        stats = ConverseStats.from_config(config)
+        xi, best = optimize_xi(log_snr, stats, bound_params)
+        assert 0.0 < xi <= 1.0
+        assert rel_err(best, mp_min_upper(log_snr, config, bound_params)) <= REL_TOL
+        assert best <= upper_bound(log_snr, stats, bound_params)  # never above the closed-form xi
 
     @pytest.mark.parametrize("log_snr", [1.5, 30.0, 1e6, 1e300])
     def test_optimize_xi_value_is_the_bound_at_its_argmin(self, log_snr):
