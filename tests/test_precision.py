@@ -152,7 +152,7 @@ class TestUpperBound:
         params=st.sampled_from(sorted(PARAMS)),
     )
     @example(log_snr=1.5, channel="demo", params="default")
-    @example(log_snr=1e11, channel="demo", params="default")  # where the golden-section search began to drift
+    @example(log_snr=1e11, channel="demo", params="default")  # xi* ~ 1e-11: it needs relative, not absolute, precision
     @example(log_snr=1e13, channel="demo", params="default")
     @example(log_snr=1e13, channel="flat_iid", params="default")  # U at the root rounds 1 ulp above the closed form
     @example(log_snr=1e20, channel="demo", params="default")
