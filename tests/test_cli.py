@@ -510,6 +510,18 @@ class TestGoldenDemoVerify:
             assert cli.main(argv + ["--output", str(out)]) == 0
             assert out.read_bytes() == golden
 
+    # The two edges of the log-moment audit's window of L + 1 = 3 inputs
+    # reaching the block's last output: at log10_power 1 the scheme has
+    # tau = 2, so the window opens on a guard zero; at 30 it has tau = 8, so
+    # slots 1-5 are drawn and dropped before it.
+    @pytest.mark.parametrize("edge, log10_power", [("guard", 1.0), ("dropped", 30.0)])
+    def test_window_edge_reproduces_golden_report(self, edge, log10_power, tmp_path):
+        config = demo_config_with(tmp_path / "config.json", {("channel", "log10_power"): log10_power})
+        out = tmp_path / "report.json"
+        argv = ["verify", "--config", str(config), "--samples-mi", "5001", "--samples-moments", "200003"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"demo_verify_{edge}.json").read_bytes()
+
 
 class _RecordingEnviron(dict):
     """A copy of the environment that records every lookup of a FADECAP variable."""
