@@ -150,14 +150,12 @@ class LogUniformX2:
     def sample_log_x2(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return rng.uniform(self.log_min, self.log_max, size=size)
 
-    def sample_x(self, rng: np.random.Generator, size=None, out=None) -> np.ndarray:
-        """Symbols ``exp(u / 2 + i phase)``, u from ``sample_log_x2`` and the phase
-        uniform on [0, 2 pi), written into ``out`` when given.
+    def sample_log_x(self, rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+        """Complex logarithms ``u / 2 + i phase`` of symbols X, u from ``sample_log_x2``
+        and the phase uniform on [0, 2 pi), written into ``out`` when given.
 
-        The exponent is assembled in the result itself, 0.5 u in its real part
-        and the phase in its imaginary part, and exponentiated in place: the
-        same complex numbers as ``0.5 * u + 1j * phase``, with no full-size
-        temporaries beyond u and the phase.
+        X is ``np.exp`` of the result, and |X|^2 = e^u is ``np.exp(2 * result.real)``,
+        which forms no complex exponential.
         """
         import numpy as np
 
@@ -167,7 +165,7 @@ class LogUniformX2:
             out = np.empty(np.shape(u), dtype=complex)
         np.multiply(u, 0.5, out=out.real)
         out.imag = phase
-        return np.exp(out, out=out)
+        return out
 
 
 @dataclass(frozen=True)

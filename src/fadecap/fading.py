@@ -135,9 +135,7 @@ def fill_normals(rng: np.random.Generator, dest: np.ndarray, scale: float, row_l
         stop = min(start + per_draw, rows)
         block = buf[: (stop - start) * row_len]
         rng.standard_normal(out=block)
-        kept = block.reshape(stop - start, row_len)[:, row_len - width :]
-        kept *= scale
-        dest[start:stop] = kept
+        np.multiply(block.reshape(stop - start, row_len)[:, row_len - width :], scale, out=dest[start:stop])
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float, last: bool = False) -> np.ndarray:

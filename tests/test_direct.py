@@ -34,7 +34,7 @@ from fadecap.direct import (
     xi_p,
 )
 from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath
-from fadecap.oracle import _scheme_inputs
+from fadecap.oracle import _scheme_log_inputs
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
@@ -217,21 +217,36 @@ def whole_scheme_block(params, n_draws, rng):
     """All k = L + tau inputs of one scheme block: L guard zeros, then slots 1..tau."""
     x = np.zeros((n_draws, params.block_len), dtype=complex)
     for nu in range(1, params.tau + 1):
-        params.slot_law(nu).sample_x(rng, n_draws, out=x[:, params.num_taps + nu - 1])
+        x[:, params.num_taps + nu - 1] = np.exp(params.slot_law(nu).sample_log_x(rng, n_draws))
     return x
+
+
+SYMBOL_LAWS = [(0.0, math.log(100.0)), (1.9, 6.9), (-300.0, 700.0)]
 
 
 class TestSampling:
     def test_guard_zeros_and_slot_support(self):
         # L = 4, tau = 3: the L+1 inputs reaching Y_7 are two guard zeros and the three slots
         scheme = SchemeParams(3, 6 * LOG10, 4)
-        blocks = _scheme_inputs(scheme, 200, substream(21, 0))
+        blocks = np.exp(_scheme_log_inputs(scheme, 200, substream(21, 0)))
         assert blocks.shape == (200, 5)
         assert np.all(blocks[:, :2] == 0.0)
         for nu in range(1, 4):
             law = scheme.slot_law(nu)
             log_mag = np.log(np.abs(blocks[:, 2 + nu - 1]) ** 2)
             assert np.all((law.log_min - 1e-9 <= log_mag) & (log_mag <= law.log_max + 1e-9))
+
+    def test_guard_columns_exponentiate_to_exact_zeros_without_warnings(self):
+        # L = 4, tau = 2: three guard columns, whose log is -inf
+        scheme = SchemeParams(2, 6 * LOG10, 4)
+        log_x = _scheme_log_inputs(scheme, 300, substream(26, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = np.exp(log_x)
+            power = np.exp(2.0 * log_x.real)
+        assert x[:, :3].tobytes() == np.zeros((300, 3), dtype=complex).tobytes()  # +0+0j, no -0 or nan
+        assert power[:, :3].tobytes() == np.zeros((300, 3)).tobytes()
+        assert np.all(power[:, 3:] > 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -247,7 +262,7 @@ class TestSampling:
         assume(tau >= 1)
         scheme = SchemeParams(tau, 60 * LOG10, num_taps)
         rng, reference = substream(seed, 0), substream(seed, 0)
-        got = _scheme_inputs(scheme, n_draws, rng)
+        got = np.exp(_scheme_log_inputs(scheme, n_draws, rng))
         want = whole_scheme_block(scheme, n_draws, reference)[:, -(num_taps + 1) :]
         assert got.tobytes() == want.tobytes()
         assert rng.standard_normal() == reference.standard_normal()  # dropped slots are still drawn
@@ -260,26 +275,38 @@ class TestSampling:
 
     def test_symbols_drawn_into_a_column_equal_those_returned(self):
         law = LogUniformX2(0.0, 1.0)
-        x = np.zeros((1000, 3), dtype=complex)
-        column = x[:, 1]
-        assert law.sample_x(substream(24, 0), 1000, out=column) is column
-        assert column.tobytes() == law.sample_x(substream(24, 0), 1000).tobytes()
-        assert not x[:, [0, 2]].any()
+        log_x = np.zeros((1000, 3), dtype=complex)
+        column = log_x[:, 1]
+        assert law.sample_log_x(substream(24, 0), 1000, out=column) is column
+        assert column.tobytes() == law.sample_log_x(substream(24, 0), 1000).tobytes()
+        assert not log_x[:, [0, 2]].any()
 
-    @pytest.mark.parametrize("log_min, log_max", [(0.0, math.log(100.0)), (1.9, 6.9), (-300.0, 700.0)])
+    @pytest.mark.parametrize("log_min, log_max", SYMBOL_LAWS)
     def test_symbols_are_the_exponential_of_their_exponent_bit_for_bit(self, log_min, log_max):
         law = LogUniformX2(log_min, log_max)
         reference = substream(25, 0)
         u = law.sample_log_x2(reference, 1000)
-        want = np.exp(0.5 * u + 1j * reference.uniform(0.0, 2.0 * math.pi, size=1000)).tobytes()
-        assert law.sample_x(substream(25, 0), 1000).tobytes() == want
+        exponent = 0.5 * u + 1j * reference.uniform(0.0, 2.0 * math.pi, size=1000)
+        log_x = law.sample_log_x(substream(25, 0), 1000)
+        assert log_x.tobytes() == exponent.tobytes()
+        assert np.exp(log_x).tobytes() == np.exp(exponent).tobytes()
         x = np.zeros((1000, 3), dtype=complex)
-        law.sample_x(substream(25, 0), 1000, out=x[:, 1])  # a strided column, as _scheme_inputs passes it
-        assert x[:, 1].tobytes() == want
+        law.sample_log_x(substream(25, 0), 1000, out=x[:, 1])  # a strided column, as _scheme_log_inputs passes it
+        assert np.exp(x[:, 1]).tobytes() == np.exp(exponent).tobytes()
+
+    @pytest.mark.parametrize("log_min, log_max", SYMBOL_LAWS)
+    def test_power_from_the_real_part_is_within_8_ulps_of_the_symbols(self, log_min, log_max):
+        # exp(2 Re log X) is e^u itself; |exp(log X)|^2 rounds the complex exponential and its modulus
+        law = LogUniformX2(log_min, log_max)
+        log_x = law.sample_log_x(substream(27, 0), 200_000)
+        power = np.exp(2.0 * log_x.real)
+        modulus = np.abs(np.exp(log_x)) ** 2
+        assert power.tobytes() == np.exp(law.sample_log_x2(substream(27, 0), 200_000)).tobytes()
+        assert np.all(np.abs(power - modulus) <= 8 * np.spacing(np.maximum(power, modulus)))
 
     def test_phases_cover_circle(self):
         law = LogUniformX2(0.0, 1.0)
-        x = law.sample_x(substream(23, 0), 200_000)
+        x = np.exp(law.sample_log_x(substream(23, 0), 200_000))
         mean = np.mean(x)
         assert abs(mean) < 0.01  # circular symmetry kills the mean
 

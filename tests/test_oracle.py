@@ -25,6 +25,7 @@ from fadecap.oracle import (
     _block_powers,
     _log_abs2,
     _log_mixture_density,
+    _scheme_log_inputs,
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
@@ -255,6 +256,23 @@ class TestLogMomentChecks:
         # tap's whole (65536 x (k-1)) complex innovations it took 12.0 MiB
         assert one < 9 * 2**20
         assert peak(8 * _CHUNK) < one + 2 * 2**20
+
+    def test_right_side_is_that_of_the_symbols_within_rounding(self):
+        # The right side of (a) reads |X|^2 = exp(2 Re log X) from the window's
+        # logs; per draw it is within 2e-15 of sigma^2 + |X|^2 @ alpha on the
+        # exponentiated window of the same stream (at most 7.6e-16 on these draws).
+        config = demo_channel(log_power=3 * LOG10)
+        scheme = SchemeParams(3, config.log_power, config.num_paths)
+        alphas, sigma2 = np.asarray(config.alphas), config.noise_variance
+        acc = _Accumulator()
+        for w in range(_SHARDS):
+            log_x = _scheme_log_inputs(scheme, _CHUNK, substream(45, 2, w, 0))
+            got = sigma2 + np.exp(2.0 * log_x.real[:, ::-1]) @ alphas
+            want = sigma2 + np.abs(np.exp(log_x)[:, ::-1]) ** 2 @ alphas
+            assert np.max(np.abs(got - want) / want) <= 2e-15
+            acc.add(np.log(got))
+        reports = verify_log_moment_bounds(config, scheme, _SHARDS * _CHUNK, seed=45)
+        assert reports[0].rhs == acc.estimate().value
 
     def test_mismatched_guard_length_rejected(self):
         config = demo_channel(log_power=3 * LOG10)
