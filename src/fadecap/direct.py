@@ -284,10 +284,14 @@ def lemma_mi_lower_bound(
 def log_log_ratio(log_power: float, tau: int) -> float:
     """log log(P^(1/tau) / log P), computed stably from log P.
 
-    Raises a one-line ValueError unless 0 < log P < inf, and when the
-    schedule is inadmissible, P^(1/tau) <= log P.
+    Raises a one-line ValueError unless 0 < log P < inf, and where ``math.log``
+    rejects the inadmissible schedule, P^(1/tau) <= log P.
     """
-    return _log_log_ratio(log_power, tau, math.log(_check_power(log_power)))
+    log_log_power = math.log(_check_power(log_power))
+    try:
+        return math.log(log_power / tau - log_log_power)
+    except ValueError:
+        raise _inversion(log_power, tau, log_log_power) from None
 
 
 def _check_power(log_power: float) -> float:
@@ -297,15 +301,12 @@ def _check_power(log_power: float) -> float:
     return log_power
 
 
-def _log_log_ratio(log_power: float, tau: int, log_log_power: float) -> float:
-    """``log_log_ratio`` given log log P, which does not depend on tau."""
-    inner = log_power / tau - log_log_power
-    if inner <= 0.0:
-        raise ValueError(
-            f"schedule inversion: P^(1/tau) <= log P "
-            f"(log P / tau = {log_power / tau:.6g} <= log log P = {log_log_power:.6g})"
-        )
-    return math.log(inner)
+def _inversion(log_power: float, tau: int, log_log_power: float) -> ValueError:
+    """The one-line error for an inadmissible schedule, P^(1/tau) <= log P."""
+    return ValueError(
+        f"schedule inversion at tau = {tau}: P^(1/tau) <= log P "
+        f"(log P / tau = {log_power / tau:.6g} <= log log P = {log_log_power:.6g})"
+    )
 
 
 def xi_p(log_power: float, stats: DirectStats) -> float:
@@ -344,12 +345,15 @@ def lower_bound(
     ``terms`` is the point's ``(log P, log log P, Xi_P)`` from
     ``_power_terms(log_snr, stats)``, which a tau scan at one point evaluates
     once; without it the terms are evaluated here, with the same bits.  Raises
-    unless 0 < log P < inf, and when the slot schedule is inadmissible for
-    this (P, tau); callers should then lower tau.
+    unless 0 < log P < inf, and with ``log_log_ratio``'s message where
+    ``math.log`` rejects an inadmissible schedule, P^(1/tau) <= log P;
+    callers should then lower tau.  NaN terms give a NaN rate.
     """
     log_power, log_log_power, xi = _power_terms(log_snr, stats) if terms is None else terms
-    weight = tau / (stats.num_taps + tau)
-    return weight * (_log_log_ratio(log_power, tau, log_log_power) + xi)
+    try:
+        return tau / (stats.num_taps + tau) * (math.log(log_power / tau - log_log_power) + xi)
+    except ValueError:
+        raise _inversion(log_power, tau, log_log_power) from None
 
 
 def _power_terms(log_snr: float, stats: DirectStats) -> Tuple[float, float, float]:
@@ -366,9 +370,9 @@ def optimize_tau(
 
     Admissibility is monotone in tau (log P / tau never grows), so the last
     admissible tau is found by bisection on ``schedule_is_valid``; the scan
-    then evaluates ``lower_bound`` at every tau up to it, passing it the
-    point's ``(log P, log log P, Xi_P)`` from ``_power_terms``, evaluated
-    once, and stops at the first negative rate.  No larger tau can beat that
+    then makes one ``lower_bound`` call, one expression, at every tau up to
+    it, passing the point's ``(log P, log log P, Xi_P)`` from ``_power_terms``,
+    evaluated once, and stops at the first negative rate.  No larger tau can beat that
     rate: the bracket log log(P^(1/tau)/log P) + Xi_P never grows with tau
     and the weight tau/(L+tau) never shrinks, so a negative bracket times a
     larger weight is no larger.  Each floating-point step is monotone in tau

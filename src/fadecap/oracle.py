@@ -16,10 +16,12 @@ rule of ``CheckReport.judge``.
 Each audit holds at most one float per sample of a shard, for the
 whole-shard means the recorded values were drawn with, plus blocks of
 ``_CHUNK`` samples.  Tracemalloc peaks on the demo channel at the default
-budgets (1e6 moment draws, 1e5 MI draws): ``mc_block_power`` 4.32 MiB,
-``mc_log_gain`` 5.32 MiB, one log-moment chunk 7.51 MiB and the MI oracle
-3.15 MiB.  Only merging the shard estimators a chunk at a time waits for a
-re-pin of those values.
+budgets (1e6 moment draws, 1e5 MI draws), each oracle called as
+``cli.run_verification_suite`` calls it, in a process that has run the suite
+once at 2 draws: ``mc_block_power`` 4.32 MiB, ``mc_log_gain`` 5.32 MiB, one
+log-moment chunk 7.51 MiB and the MI oracle 2.68 MiB (3.15 MiB at two full
+chunks, 2 x 65 536 draws).  Only merging the shard estimators a chunk at a
+time waits for a re-pin of those values.
 """
 
 from __future__ import annotations

@@ -919,6 +919,17 @@ class TestMalformedConfig:
         where = f"row 18, upper = inf at log SNR {MAX_GRID_STOP * LOG10!r} nats"
         assert err == f"error: cannot fit the slope of a non-finite bound: {where}\n", err
 
+    def test_inadmissible_fixed_tau_is_one_error_line_and_writes_nothing(self):
+        # tau = 50 at the demo grid's first point, log P = 20 log 10: P^(1/50) <= log P
+        raw = copy.deepcopy(DEMO_RAW)
+        raw["tau"] = 50
+        rc, err, files = run_sweep_cli(json.dumps(raw))
+        assert (rc, files) == (1, [])
+        assert err == (
+            "error: schedule inversion at tau = 50: P^(1/tau) <= log P "
+            "(log P / tau = 0.921034 <= log log P = 3.82976)\n"
+        ), err
+
     @pytest.mark.parametrize("flag", ["--samples-mi", "--samples-moments"])
     @pytest.mark.parametrize("count", ["0", "-5", "1"])
     def test_verify_sample_count_below_two_fails_cleanly(self, flag, count, tmp_path, capsys):

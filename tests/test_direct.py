@@ -39,6 +39,7 @@ from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
 DOMAIN_ERROR = "the scheme requires P > 1 and a finite log P, got log P = {}"  # outside 0 < log P < inf
+INVERSION_ERROR = "schedule inversion at tau = {}: P^(1/tau) <= log P (log P / tau = {:.6g} <= log log P = {:.6g})"
 
 
 def stats_for(alpha_0=1.0, alpha_total=1.75, sigma2=1.0, num_taps=2, mean_log_gain=None):
@@ -780,6 +781,54 @@ class TestRateBound:
             lower_bound(3 * LOG10, 4, stats)
         with pytest.raises(ValueError, match="P > 1"):
             lower_bound(-1.0, 1, stats)
+
+    # Hand-made terms put the log's argument log P / tau - log log P at and
+    # below zero; math.log rejects each, and lower_bound raises the one
+    # schedule-inversion line in its place, without math's error as context.
+    @pytest.mark.parametrize(
+        "log_power, log_log_power, argument",
+        [
+            (2.0, 2.0, 0.0),
+            (-0.0, 0.0, -0.0),
+            (0.0, 5e-324, -5e-324),  # the negative float nearest zero
+            (1.0, math.inf, -math.inf),
+        ],
+    )
+    def test_log_argument_at_or_below_zero_raises_the_inversion_line(self, log_power, log_log_power, argument):
+        assert (log_power / 1 - log_log_power).hex() == argument.hex()
+        with pytest.raises(ValueError) as raised:
+            lower_bound(50.0, 1, stats_for(), (log_power, log_log_power, -1.0))
+        message = str(raised.value)
+        assert message == INVERSION_ERROR.format(1, log_power, log_log_power)
+        assert "math domain error" not in message and "\n" not in message
+        assert raised.value.__suppress_context__ and raised.value.__cause__ is None
+
+    @pytest.mark.parametrize(
+        "terms", [(math.nan, 1.0, -1.0), (50.0, math.nan, -1.0), (50.0, 1.0, math.nan), (math.inf, math.inf, -1.0)]
+    )
+    def test_nan_terms_give_a_nan_rate(self, terms):
+        assert math.isnan(lower_bound(50.0, 4, stats_for(), terms))
+
+    # tau = 3 just below its admissibility edge, where log P / 3 - log log P
+    # rounds to +0.0 and, two ulps of log P lower, to -2^-52
+    @pytest.mark.parametrize(
+        "log_power_hex, argument", [("0x1.22546ffee43c2p+2", 0.0), ("0x1.22546ffee43c0p+2", -(2.0**-52))]
+    )
+    def test_inadmissible_edge_raises_one_message_from_each_entry(self, log_power_hex, argument):
+        log_power, stats = float.fromhex(log_power_hex), stats_for(sigma2=1.0)  # log SNR = log P
+        assert (log_power / 3 - math.log(log_power)).hex() == argument.hex()
+        assert not schedule_is_valid(log_power, 3)
+        expected = INVERSION_ERROR.format(3, log_power / 3, math.log(log_power))
+        for call in (
+            lambda: log_log_ratio(log_power, 3),
+            lambda: lower_bound(log_power, 3, stats),
+            lambda: lower_bound(log_power, 3, stats, _power_terms(log_power, stats)),
+            lambda: SchemeParams(3, log_power, 2),
+        ):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == expected
+            assert raised.value.__suppress_context__ and raised.value.__cause__ is None
 
     @pytest.mark.parametrize("log_snr", [math.nan, math.inf])
     def test_non_finite_log_snr_raises(self, log_snr):
