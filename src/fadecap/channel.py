@@ -17,7 +17,6 @@ so SNR values far beyond direct floating-point range stay representable;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .fading import (
@@ -30,14 +29,14 @@ from .fading import (
     read_fields,
     sample_paths,
 )
+from .record import Record
 from .streams import substream
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Record):
     """A channel instance: L+1 path specs, noise variance and log transmit power."""
 
     path_specs: Tuple[PathGainSpec, ...]
@@ -75,8 +74,7 @@ def aggregate_gain(config: ChannelConfig) -> float:
     return float(sum(config.alphas))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(Record):
     """One (or a batch of) joint draws of all path gains and the noise.
 
     ``gains`` has shape ``(..., L+1, n)`` and ``noise`` shape ``(..., n)``;

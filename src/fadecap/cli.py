@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,6 +48,7 @@ from .oracle import (
     mi_scalar_gaussian,
     verify_log_moment_bounds,
 )
+from .record import Record, asdict, fields
 
 SCHEMA_VERSION = 1
 SAMPLES_MI = 100_000  # default outer draws of the mutual-information oracle
@@ -65,7 +64,7 @@ CONFIG_FIELDS = {
     "seed": (int, 0),
     "output_format": (str, "csv"),
 }
-BOUNDS_FIELDS = {f.name: (float, f.default) for f in dataclasses.fields(BoundParams)}
+BOUNDS_FIELDS = {name: (float, getattr(BoundParams, name)) for name in fields(BoundParams)}
 GRID_FIELDS = {
     "log10_snr_start": (float, REQUIRED),
     "log10_snr_stop": (float, REQUIRED),
@@ -73,8 +72,7 @@ GRID_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """A base-10 logarithmic SNR grid."""
 
     log10_snr_start: float
@@ -108,8 +106,7 @@ class GridSpec:
         return values
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     channel: ChannelConfig
     bound_params: BoundParams
     grid: GridSpec
@@ -129,8 +126,7 @@ class SweepConfig:
             raise ValueError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(Record):
     """The grid points in grid order as typed columns, 8 bytes per value.
 
     Floats are ``array('d')`` (``tau_star`` is ``array('q')``), so an element
@@ -177,8 +173,8 @@ def sweep_config_to_dict(config: SweepConfig) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "channel": config_to_dict(config.channel),
-        "bounds": dataclasses.asdict(config.bound_params),
-        "grid": dataclasses.asdict(config.grid),
+        "bounds": asdict(config.bound_params),
+        "grid": asdict(config.grid),
         "tau": config.tau,
         "tau_max": config.tau_max,
         "seed": config.seed,
@@ -224,8 +220,7 @@ def run_sweep(config: SweepConfig) -> Tuple[Sweep, dict]:
     return sweep, metadata
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(Record):
     slope: float
     intercept: float
     residual: float
@@ -424,7 +419,7 @@ def _sub_seed(seed: int, label: str, index: int = 0) -> int:
 def _stats_payload(config: SweepConfig) -> dict:
     chan = config.channel
     per_path = [
-        {"path": ell, **dataclasses.asdict(stats), "active": stats.active}
+        {"path": ell, **asdict(stats), "active": stats.active}
         for ell, stats in enumerate(map(stats_of, chan.path_specs))
     ]
     cstats = ConverseStats.from_config(chan)

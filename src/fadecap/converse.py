@@ -32,13 +32,12 @@ large SNR values remain in range.  All operations are pure functions.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .channel import ChannelConfig, aggregate_gain, snr_of
 from .fading import EULER_GAMMA, LOG_PI, LOG_PI_E, stats_of
+from .record import Record, replace
 
 TWO_OVER_E = 2.0 / math.e
 
@@ -47,8 +46,7 @@ TWO_OVER_E = 2.0 / math.e
 CONSTANTS_CERTIFIED = False
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Record):
     """Free parameters of the upper bound, named as in the ``bounds`` config section.
 
     ``eps_const`` stands in for eps(delta, eta); ``xi``, when set, replaces
@@ -72,8 +70,7 @@ class BoundParams:
             raise ValueError(f"xi must lie in (0, 1], got {self.xi}")
 
 
-@dataclass(frozen=True)
-class ConverseStats:
+class ConverseStats(Record):
     """Channel statistics the upper bound consumes."""
 
     inf_gap: float
@@ -247,7 +244,7 @@ def optimize_xi(log_snr: float, stats: ConverseStats, params: BoundParams) -> tu
         else:
             raise RuntimeError(f"Newton's method did not converge on xi* at log SNR {log_snr!r}")
     value, xi = min(
-        (upper_bound(log_snr, stats, dataclasses.replace(params, xi=xi)), xi)
+        (upper_bound(log_snr, stats, replace(params, xi=xi)), xi)
         for xi in (1.0 / t, xi_default(log_snr, stats.alpha_total))
     )
     return xi, value

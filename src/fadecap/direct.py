@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from .channel import ChannelConfig, aggregate_gain
 from .fading import LOG_PI, LOG_PI_E, stats_of
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,8 +86,7 @@ def _legendre_and_derivative(n: int, y: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return p, n * (y * p - d) / (y * (2.0 - y))
 
 
-@dataclass(frozen=True)
-class LogUniformX2:
+class LogUniformX2(Record):
     """Law of a circularly-symmetric symbol with log|X|^2 ~ Uniform[log_min, log_max]."""
 
     log_min: float
@@ -168,8 +167,7 @@ class LogUniformX2:
         return out
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record):
     """The canonical block scheme for (tau, P, L): tau slots behind L guard zeros.
 
     Construction fails unless 0 < log P < inf and the schedule is admissible, P^(1/tau) > log P.
@@ -210,8 +208,7 @@ def log_block_average_power(params: SchemeParams) -> float:
     return top + math.log1p(sum(math.exp(v - top) for v in slot_logs)) - math.log(params.block_len)
 
 
-@dataclass(frozen=True)
-class DirectStats:
+class DirectStats(Record):
     """Channel statistics the achievable-rate bound consumes: its five fields, nothing more.
 
     The terms that depend on the power alone, log log P and Xi_P, are not kept

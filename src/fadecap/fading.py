@@ -24,8 +24,9 @@ plus the mean log spectral density).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
+
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,8 +42,7 @@ _SZEGO_MAX_GRID = 2**23  # its finest grid
 _SZEGO_TOL = 1e-7  # successive grids' estimates that differ by more are refined
 
 
-@dataclass(frozen=True)
-class IidGaussian:
+class IidGaussian(Record):
     """White circularly-symmetric complex Gaussian gains with variance ``alpha``.
 
     The pole-0 Gauss-Markov process: ``a = 0`` in every closed form.
@@ -56,8 +56,7 @@ class IidGaussian:
             raise ValueError(f"IidGaussian requires 0 < alpha < inf, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class Ar1Gaussian:
+class Ar1Gaussian(Record):
     """Stationary complex Gauss-Markov gains: variance ``alpha``, pole ``a``."""
 
     alpha: float
@@ -70,8 +69,7 @@ class Ar1Gaussian:
             raise ValueError(f"Ar1Gaussian requires |a| < 1 for stationarity, got |a| = {abs(self.a)}")
 
 
-@dataclass(frozen=True)
-class ZeroPath:
+class ZeroPath(Record):
     """The identically-zero tap (no scattered energy on this delay)."""
 
     alpha = 0.0
@@ -80,8 +78,7 @@ class ZeroPath:
 PathGainSpec = Union[IidGaussian, Ar1Gaussian, ZeroPath]
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(Record):
     """Closed-form per-path statistics, in nats.
 
     ``entropy_rate`` and ``mean_log_gain`` are ``None`` for the zero tap,

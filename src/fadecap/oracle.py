@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Tuple
 
 # realize_many and simulate are the reference that output_at is tested
@@ -36,6 +35,7 @@ from typing import TYPE_CHECKING, List, Tuple
 from .channel import ChannelConfig, output_at, realize_many, simulate  # noqa: F401
 from .direct import LogUniformX2, SchemeParams
 from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, fill_normals, stats_of
+from .record import Record
 from .streams import substream
 
 if TYPE_CHECKING:
@@ -81,8 +81,7 @@ def check_audit_power(config: ChannelConfig, n_samples: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
     """A Monte Carlo estimate with its standard error."""
 
     value: float
@@ -127,8 +126,7 @@ class _Accumulator:
         return McEstimate(self.mean, math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n), self.n)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one numeric audit, JSON-serializable."""
 
     check: str

@@ -17,7 +17,7 @@ stated-grid slope is printed in the criterion line.  README.md
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List
 
@@ -47,6 +47,7 @@ from fadecap.fading import (
     stats_of,
 )
 from fadecap.oracle import mc_block_power, mc_log_gain, mi_scalar_gaussian, verify_log_moment_bounds
+from fadecap.record import replace
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)

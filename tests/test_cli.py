@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import math
@@ -40,6 +39,7 @@ from fadecap.converse import ConverseStats, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
 from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
 from fadecap.oracle import CheckReport
+from fadecap.record import fields, replace
 
 LOG10 = math.log(10.0)
 MAX_GRID_STOP = math.nextafter(sys.float_info.max / LOG10, 0.0)  # the largest stop GridSpec accepts
@@ -263,7 +263,7 @@ class TestRunSweep:
     def test_low_power_sweep_evaluates_one_tau_per_point(self, monkeypatch):
         # log P runs from 0.04 to 3.9 nats, so every tau is admissible at the
         # first points; R(1) < 0 at every point, so tau = 1 is taken at once
-        config = dataclasses.replace(load_config(LOW_POWER_CONFIG), tau_max=10**6)
+        config = replace(load_config(LOW_POWER_CONFIG), tau_max=10**6)
         calls = []
         monkeypatch.setattr(fadecap.direct, "lower_bound", lambda *args: calls.append(args[1]) or lower_bound(*args))
         sweep, _ = run_sweep(config)
@@ -276,7 +276,7 @@ class TestRunSweep:
 
 class TestSweepColumns:
     def test_stores_the_four_computed_columns(self):
-        assert tuple(f.name for f in dataclasses.fields(Sweep)) == STORED
+        assert fields(Sweep) == STORED
         assert COLUMNS == STORED + ("loglog_snr", "ratio_upper", "ratio_lower")
         assert cli.CSV_HEADER == "log_snr,upper,lower,tau_star,loglog_snr,ratio_upper,ratio_lower"
 
@@ -290,7 +290,7 @@ class TestSweepColumns:
     def test_property_rows_derive_loglog_and_ratios(self, start, width, points, tau):
         assume(tau is None or start >= 20.0)  # where tau <= 8 is admissible
         grid = GridSpec(log10_snr_start=start, log10_snr_stop=start + width, points=points)
-        sweep, _ = run_sweep(dataclasses.replace(DEMO, grid=grid, tau=tau))
+        sweep, _ = run_sweep(replace(DEMO, grid=grid, tau=tau))
         stored = zip(sweep.log_snr, sweep.upper, sweep.lower, sweep.tau_star, strict=True)
         assert [bits(row) for row in sweep.rows()] == [bits(derived_row(*values)) for values in stored]
 
@@ -458,7 +458,7 @@ class TestSweepMemory:
         # stored typed columns they take 3.2 MB, and writing streams row by
         # row, deriving the other three columns as it goes
         grid = GridSpec(log10_snr_start=20.0, log10_snr_stop=4.34e8, points=100_000)
-        config = dataclasses.replace(DEMO, grid=grid, tau=8, output_format="json")
+        config = replace(DEMO, grid=grid, tau=8, output_format="json")
         tracemalloc.start()
         try:
             sweep, metadata = run_sweep(config)
@@ -697,11 +697,14 @@ class TestMainEntry:
         # numpy is loaded only by the audit: importing fadecap.cli loads none
         # of it, and sweep and stats run with numpy blocked too. verify with
         # numpy blocked is a one-line error that writes no report, and verify
-        # imports numpy once it is unblocked.
+        # imports numpy once it is unblocked. The records are not dataclasses,
+        # so the import adds neither dataclasses nor the inspect and ast it loads.
         probe = (
             "import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
             "import fadecap.cli as cli\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "unused = ('numpy', 'scipy', 'dataclasses', 'inspect', 'ast')\n"
+            "loaded = sorted(m for m in set(sys.modules) - before if m.split('.')[0] in unused)\n"
             "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
             "no_numpy, audit, report = json.loads(sys.argv[1])\n"
             "codes = [cli.main(argv) for argv in no_numpy]\n"

@@ -1,7 +1,6 @@
 """Block scheme and achievable rate: schedule identities, power, bounds."""
 
 import copy
-import dataclasses
 import math
 import os
 import subprocess
@@ -35,6 +34,7 @@ from fadecap.direct import (
 )
 from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath
 from fadecap.oracle import _scheme_log_inputs
+from fadecap.record import asdict, fields, replace
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
@@ -519,11 +519,11 @@ class TestDirectStats:
     @example(stats=MID_SCAN_STOP[1], log_power=MID_SCAN_STOP[0] + math.log(2.5))
     def test_asdict_round_trips_and_astuple_hashes(self, stats, log_power):
         optimize_tau(log_power - math.log(stats.sigma2), stats, 64)  # evaluating the bound leaves nothing behind
-        fields = dataclasses.fields(DirectStats)
-        assert [f.name for f in fields] == ["mean_log_gain_0", "alpha_0", "alpha_total", "sigma2", "num_taps"]
-        assert all(f.init for f in fields)
-        assert DirectStats(**dataclasses.asdict(stats)) == stats
-        assert hash(dataclasses.astuple(stats)) == hash(dataclasses.astuple(dataclasses.replace(stats)))
+        names = fields(DirectStats)
+        assert names == ("mean_log_gain_0", "alpha_0", "alpha_total", "sigma2", "num_taps")
+        assert DirectStats(*(getattr(stats, name) for name in names)) == stats  # every field is an argument, in order
+        assert DirectStats(**asdict(stats)) == stats
+        assert hash(tuple(asdict(stats).values())) == hash(tuple(asdict(replace(stats)).values())) == hash(stats)
 
     def test_mean_log_gain_above_jensens_cap_rejected(self):
         # E log|H|^2 <= log E|H|^2 for every channel; with these stats the rate
@@ -622,7 +622,7 @@ class TestXiPMemo:
         for which, k, tau in calls:
             stats, log_snr = channels[which], log_snrs[k % len(log_snrs)]
             got = outcome(lower_bound, log_snr, tau, stats)
-            assert got == outcome(lower_bound_with_terms, log_snr, tau, dataclasses.replace(stats))
+            assert got == outcome(lower_bound_with_terms, log_snr, tau, replace(stats))
             assert got == outcome(reference_lower_bound, log_snr, tau, stats)
 
     @pytest.mark.parametrize("log_power", [math.nan, math.inf, -math.inf, 0.0, -1.0, -1e300])
@@ -658,10 +658,10 @@ class TestXiPMemo:
         lower_bound(log_snr, 5, stats)
         # same log P, different Xi_P: a carried-over pair would be stale
         for changed in (
-            dataclasses.replace(stats, alpha_total=4.0),
-            dataclasses.replace(stats, alpha_0=1.0),
-            dataclasses.replace(stats, mean_log_gain_0=0.25),
-            dataclasses.replace(stats, sigma2=7.0),
+            replace(stats, alpha_total=4.0),
+            replace(stats, alpha_0=1.0),
+            replace(stats, mean_log_gain_0=0.25),
+            replace(stats, sigma2=7.0),
         ):
             assert lower_bound(log_snr, 5, changed).hex() == reference_lower_bound(log_snr, 5, changed).hex()
         for twin in (copy.copy(stats), copy.deepcopy(stats)):
@@ -963,7 +963,7 @@ class TestOptimizeTau:
     def test_config_channels_at_log_p_at_most_one_return_tau_one(self, stats, log_power, gap):
         # every tau is admissible at 0 < log P <= 1, and R(1) < 0 there when
         # E log|H^(0)|^2 = log alpha_0 - gap: gap = gamma from a config, 0 at Jensen's cap
-        stats = dataclasses.replace(stats, mean_log_gain_0=math.log(stats.alpha_0) - gap)
+        stats = replace(stats, mean_log_gain_0=math.log(stats.alpha_0) - gap)
         log_snr = log_power - math.log(stats.sigma2)
         assume(0.0 < log_snr + math.log(stats.sigma2) <= 1.0)
         tau, rate = optimize_tau(log_snr, stats, 10**12)

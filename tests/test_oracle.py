@@ -1,6 +1,5 @@
 """Monte Carlo oracles: correctness, determinism, sharding and chunked merges."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -31,6 +30,7 @@ from fadecap.oracle import (
     mi_scalar_gaussian,
     verify_log_moment_bounds,
 )
+from fadecap.record import replace
 from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
@@ -204,8 +204,8 @@ def lagged_output_at(config, k, x, seed):
 
 def louder_output_at(config, k, x, seed):
     """Y_k drawn from a channel whose every tap variance alpha_l is 4 times the config's."""
-    louder = [dataclasses.replace(spec, alpha=4.0 * spec.alpha) for spec in config.path_specs]
-    return output_at(dataclasses.replace(config, path_specs=tuple(louder)), k, x, seed)
+    louder = [replace(spec, alpha=4.0 * spec.alpha) for spec in config.path_specs]
+    return output_at(replace(config, path_specs=tuple(louder)), k, x, seed)
 
 
 class TestLogMomentChecks:

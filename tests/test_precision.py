@@ -7,7 +7,6 @@ in mpmath, so a float evaluator that drops precision anywhere between log SNR
 constant), is off by far more than the 1e-14 relative tolerance.
 """
 
-import dataclasses
 import math
 
 import mpmath
@@ -19,6 +18,7 @@ from fadecap.channel import ChannelConfig
 from fadecap.converse import BoundParams, ConverseStats, optimize_xi, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
 from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.record import replace
 
 REL_TOL = 1e-14
 DPS = 60
@@ -170,7 +170,7 @@ class TestUpperBound:
         config, params = CHANNELS["demo"], PARAMS["default"]
         stats = ConverseStats.from_config(config)
         xi_star, best = optimize_xi(log_snr, stats, params)
-        at_xi_star = dataclasses.replace(params, xi=xi_star)
+        at_xi_star = replace(params, xi=xi_star)
         assert best == upper_bound(log_snr, stats, at_xi_star)
         assert rel_err(best, mp_upper(log_snr, config, params, xi=xi_star)) <= REL_TOL
 

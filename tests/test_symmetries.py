@@ -8,7 +8,6 @@ on the gain orbit and ``lower`` not on the noise orbit (README, "Scale
 behaviour"), so those two are not asserted here.
 """
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from fadecap.channel import snr_of
 from fadecap.converse import ConverseStats, upper_bound
 from fadecap.direct import DirectStats, optimize_tau, xi_p
 from fadecap.fading import stats_of
+from fadecap.record import replace
 
 LOG10 = math.log(10.0)
 LOG_PI_E = math.log(math.pi * math.e)
@@ -29,19 +29,19 @@ GAIN_SCALES = (0.25, 0.5, 2.0, 4.0, 100.0)
 
 
 def at_log10_power(log10_power):
-    return dataclasses.replace(DEMO.channel, log_power=log10_power * LOG10)
+    return replace(DEMO.channel, log_power=log10_power * LOG10)
 
 
 def noise_scaled(channel, c):
     """sigma^2 -> c sigma^2 and P -> c P: the same SNR."""
     noise_variance, log_power = channel.noise_variance * c, channel.log_power + math.log(c)
-    return dataclasses.replace(channel, noise_variance=noise_variance, log_power=log_power)
+    return replace(channel, noise_variance=noise_variance, log_power=log_power)
 
 
 def gain_scaled(channel, c):
     """Every alpha_l -> c alpha_l (H -> sqrt(c) H) and P -> P / c."""
-    specs = tuple(dataclasses.replace(spec, alpha=spec.alpha * c) for spec in channel.path_specs)
-    return dataclasses.replace(channel, path_specs=specs, log_power=channel.log_power - math.log(c))
+    specs = tuple(replace(spec, alpha=spec.alpha * c) for spec in channel.path_specs)
+    return replace(channel, path_specs=specs, log_power=channel.log_power - math.log(c))
 
 
 def upper_of(channel):
