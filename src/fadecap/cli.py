@@ -9,13 +9,15 @@ Config files are JSON with a versioned ``schema`` field; unknown keys are
 rejected everywhere, and user-facing SNR/power values are base-10 logs
 (converted to nats internally).
 
-``sweep`` and ``stats`` run on the standard library alone; numpy is first
-imported by the Monte Carlo audits behind ``verify``.
+``sweep`` and ``stats`` run on the standard library alone.  The audit layer
+is first loaded by ``verify``: ``oracle``, and numpy through it.  The oracle
+names that ``run_verification_suite`` calls are bound into this module's
+globals on first access (PEP 562), so they can be read or replaced here
+before any audit has run, and the suite calls whatever they hold.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -23,7 +25,7 @@ import os
 import sys
 from array import array
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .channel import ChannelConfig, config_from_dict, config_to_dict, snr_of
@@ -39,16 +41,11 @@ from .direct import (
     schedule_is_valid,
 )
 from .fading import LOG10, REQUIRED, entropy_rate_szego, read_fields, spectral_density, stats_of
-from .oracle import (
-    _SHARDS,
-    CheckReport,
-    check_audit_power,
-    mc_block_power,
-    mc_log_gain,
-    mi_scalar_gaussian,
-    verify_log_moment_bounds,
-)
 from .record import Record, asdict, fields
+from .streams import _SHARDS
+
+if TYPE_CHECKING:
+    from .oracle import CheckReport
 
 SCHEMA_VERSION = 1
 SAMPLES_MI = 100_000  # default outer draws of the mutual-information oracle
@@ -343,6 +340,31 @@ def _write_atomically(pieces_by_target: Dict[Path, Iterable[str]], description: 
                 temp.unlink()
 
 
+_ORACLE_NAMES = (
+    "CheckReport",
+    "check_audit_power",
+    "mc_block_power",
+    "mc_log_gain",
+    "mi_scalar_gaussian",
+    "verify_log_moment_bounds",
+)
+
+
+def _bind_oracle() -> None:
+    """Bind each of ``_ORACLE_NAMES`` not yet bound here to ``oracle``'s."""
+    from . import oracle
+
+    for name in _ORACLE_NAMES:
+        globals().setdefault(name, getattr(oracle, name))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        _bind_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_verification_suite(
     config: SweepConfig,
     samples_mi: int = SAMPLES_MI,
@@ -353,8 +375,10 @@ def run_verification_suite(
     Checks closed-form path statistics against Monte Carlo and quadrature
     oracles, scheme power admissibility, the output log-moment identities,
     and the scalar mutual-information bound, at the channel's configured
-    transmit power.
+    transmit power.  The oracles are called through this module's globals,
+    never through local names, so a replacement bound here is what runs.
     """
+    _bind_oracle()
     chan, seed = config.channel, config.seed
     reports: List[CheckReport] = []
     check_audit_power(chan, samples_moments)
@@ -433,6 +457,8 @@ def _stats_payload(config: SweepConfig) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fadecap",
         description="Capacity bounds and Monte Carlo audits for noncoherent multipath fading channels.",

@@ -36,16 +36,13 @@ from .channel import ChannelConfig, output_at, realize_many, simulate  # noqa: F
 from .direct import LogUniformX2, SchemeParams
 from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, fill_normals, stats_of
 from .record import Record
-from .streams import substream
+from .streams import _SHARDS, substream
 
 if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 65536
 _TILE = 256  # rows of the MI oracle's log-density tile (_TILE x n_inner float64)
-# The split the recorded audit values (perfbench/golden.json) were drawn with;
-# ROADMAP item 3 removes it together with one re-pin of those values.
-_SHARDS = 2
 _HEADROOM = 1000.0  # check_audit_power's factor between its bound on the largest sum and float max
 
 

@@ -19,9 +19,9 @@ import pytest
 from fadecap import cli
 from fadecap.cli import GridSpec
 from fadecap.channel import ChannelConfig
-from fadecap.converse import BoundParams, ConverseStats, log1p_alpha_snr, upper_bound
+from fadecap.converse import BoundParams, ConverseStats, log1p_alpha_snr, psi, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
-from fadecap.fading import LOG10, LOG_PI, Ar1Gaussian, IidGaussian
+from fadecap.fading import EULER_GAMMA, LOG10, LOG_PI, Ar1Gaussian, IidGaussian
 
 PARAMS = BoundParams()
 DEMO = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
@@ -169,21 +169,56 @@ FLAT = DirectStats.from_config(ChannelConfig((IidGaussian(1.0),), 1.0, 0.0))  # 
 SLOW_QUIET = DirectStats.from_config(ChannelConfig((Ar1Gaussian(2.0, 0.5),), 0.1, 0.0))  # L = 0, sigma^2 < 1
 
 
-def assert_remainder_tends_to_zero(stats, rate_at):
-    """In every window each point's remainder lies within the dropped terms plus the
-    float allowance, the window's largest |remainder| never grows, and in the last
+def assert_windows_shrink(remainder_at):
+    """``remainder_at(log_snr)`` gives a remainder and its dropped terms. In every
+    window each point's remainder lies within those terms plus the float
+    allowance, the window's largest |remainder| never grows, and in the last
     window it is float noise."""
     previous = math.inf
     for window in decade_windows():
         worst = 0.0
         for log_snr in window:
-            tau, rate = rate_at(log_snr)
-            remainder = second_order_remainder(log_snr, tau, stats, rate)
-            assert abs(remainder) <= next_terms(log_snr, tau, stats) + float_allowance(log_snr), log_snr
+            remainder, dropped = remainder_at(log_snr)
+            assert abs(remainder) <= dropped + float_allowance(log_snr), log_snr
             worst = max(worst, abs(remainder))
         assert worst <= previous + float_allowance(window[-1]), window[0]
         previous = worst
     assert worst <= float_allowance(window[-1])
+
+
+def assert_remainder_tends_to_zero(stats, rate_at):
+    def remainder_at(log_snr):
+        tau, rate = rate_at(log_snr)
+        return second_order_remainder(log_snr, tau, stats, rate), next_terms(log_snr, tau, stats)
+
+    assert_windows_shrink(remainder_at)
+
+
+def c_upper(stats: ConverseStats) -> float:
+    """The limit of U - log log SNR: c_U = 1 + log pi - g (README "Second-order asymptotics")."""
+    return 1.0 + LOG_PI - stats.inf_gap
+
+
+def converse_remainder(log_snr, stats) -> float:
+    """U - log log SNR - c_U at the default xi; it tends to 0."""
+    return upper_bound(log_snr, stats, PARAMS) - math.log(log_snr) - c_upper(stats)
+
+
+def converse_next_terms(log_snr, stats) -> float:
+    """A bound on |converse_remainder| from the terms the limit drops.
+
+    With l = log(1 + A SNR) and xi = 1 / (1 + l) the remainder is
+    log((1 + l) / log SNR) + xi (Psi - gamma + log(1 + l)) + E, where
+    E = log Gamma(1 + xi) + gamma xi lies in [0, pi^2 xi^2 / 12].
+    """
+    log1p_snr = log1p_alpha_snr(log_snr, stats.alpha_total)
+    xi = 1.0 / (1.0 + log1p_snr)
+    shift = psi(PARAMS, stats.inf_gap) - EULER_GAMMA + math.log1p(log1p_snr)
+    return abs(math.log((1.0 + log1p_snr) / log_snr)) + xi * abs(shift) + math.pi**2 * xi * xi / 12.0
+
+
+def iid_cstats(alpha: float) -> ConverseStats:
+    return ConverseStats.from_config(ChannelConfig((IidGaussian(alpha),), 1.0, 0.0))
 
 
 class TestSecondOrderLimit:
@@ -210,3 +245,36 @@ class TestSecondOrderLimit:
         log_snr = 20 * LOG10
         demo = [second_order_remainder(log_snr, t, DEMO_DSTATS, lower_bound(log_snr, t, DEMO_DSTATS)) for t in (1, 8)]
         assert demo == pytest.approx([-0.1747, -1.2254], abs=1e-4)
+
+
+class TestConverseSecondOrderLimit:
+    """U - log log SNR tends to c_U = 1 + log pi - g, on windows out to 1e290 nats."""
+
+    FADING_NUMBER = -1.0 - EULER_GAMMA  # of Gaussian fading; the lower bound's limit at L = 0
+
+    def test_demo_upper_tends_to_c_u(self):
+        assert c_upper(DEMO_CSTATS) == pytest.approx(1.9239764335717, abs=1e-12)
+        assert_windows_shrink(lambda s: (converse_remainder(s, DEMO_CSTATS), converse_next_terms(s, DEMO_CSTATS)))
+
+    def test_readme_remainders(self):
+        near = [converse_remainder(s, DEMO_CSTATS) for s in (1e2, 1e5, 1e10)]
+        assert near == pytest.approx([0.1601, 2.313e-4, 3.465e-9], rel=1e-3)
+        far = [abs(converse_remainder(s, DEMO_CSTATS)) for s in np.logspace(30, 290, 27)]
+        assert max(far) < 7e-14
+
+    @pytest.mark.parametrize("alpha, limit", [(0.01, 4.615170185988), (1.0, 1.0), (100.0, 95.394829814)])
+    def test_iid_tap_limit_is_alpha_minus_log_alpha(self, alpha, limit):
+        stats = iid_cstats(alpha)
+        assert c_upper(stats) == pytest.approx(alpha - math.log(alpha), abs=1e-12)
+        assert c_upper(stats) == pytest.approx(limit, abs=1e-9)
+        far = upper_bound(1e290, stats, PARAMS) - math.log(1e290)
+        assert far == pytest.approx(c_upper(stats), abs=float_allowance(1e290))
+        assert far >= self.FADING_NUMBER  # no upper bound's limit lies below capacity's
+
+    def test_fading_number_condition_catches_a_sign_error_in_g(self):
+        # with +g in place of -g the limit would be 1 + log pi + g, about -91 at alpha = 100
+        stats = iid_cstats(100.0)
+        flipped = ConverseStats(inf_gap=-stats.inf_gap, alpha_total=stats.alpha_total)
+        far = upper_bound(1e290, flipped, PARAMS) - math.log(1e290)
+        assert far == pytest.approx(-91.105, abs=1e-3)
+        assert far < self.FADING_NUMBER

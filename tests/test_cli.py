@@ -699,12 +699,14 @@ class TestMainEntry:
         # numpy blocked is a one-line error that writes no report, and verify
         # imports numpy once it is unblocked. The records are not dataclasses,
         # so the import adds neither dataclasses nor the inspect and ast it loads.
+        # The audit layer (fadecap.oracle) is first loaded by verify, and
+        # argparse by main, so the import adds neither of them either.
         probe = (
             "import contextlib, io, json, sys\n"
             "before = set(sys.modules)\n"
             "import fadecap.cli as cli\n"
-            "unused = ('numpy', 'scipy', 'dataclasses', 'inspect', 'ast')\n"
-            "loaded = sorted(m for m in set(sys.modules) - before if m.split('.')[0] in unused)\n"
+            "unused = ('numpy', 'scipy', 'dataclasses', 'inspect', 'ast', 'argparse', 'fadecap.oracle')\n"
+            "loaded = sorted(m for m in set(sys.modules) - before if m in unused or m.split('.')[0] in unused)\n"
             "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
             "no_numpy, audit, report = json.loads(sys.argv[1])\n"
             "codes = [cli.main(argv) for argv in no_numpy]\n"
@@ -712,7 +714,8 @@ class TestMainEntry:
             "    codes.append(cli.main(audit + ['--output', report]))\n"
             "del sys.modules['numpy']\n"
             "codes.append(cli.main(audit))\n"
-            "print(json.dumps({'loaded': loaded, 'codes': codes, 'stderr': err.getvalue()}))\n"
+            "audit_loaded = 'fadecap.oracle' in sys.modules\n"
+            "print(json.dumps({'loaded': loaded, 'codes': codes, 'audit_loaded': audit_loaded, 'stderr': err.getvalue()}))\n"
         )
         json_config = demo_config_with(tmp_path / "config.json", {("output_format",): "json"})
         runs = [
@@ -731,9 +734,24 @@ class TestMainEntry:
         )
         result = json.loads(run.stdout.splitlines()[-1])
         stderr = result.pop("stderr").splitlines()
-        assert result == {"loaded": [], "codes": [0, 0, 0, 1, 0]}, run.stderr
+        assert result == {"loaded": [], "codes": [0, 0, 0, 1, 0], "audit_loaded": True}, run.stderr
         assert len(stderr) == 1 and stderr[0].startswith("error: verify needs numpy"), stderr
         assert not (tmp_path / "report.json").exists()
+
+    def test_audit_names_resolve_on_first_access(self):
+        # the package and cli serve the oracle names without importing oracle
+        # up front; any other missing name is still an AttributeError naming it
+        from fadecap import CheckReport as package_report
+        from fadecap import McEstimate, mc_log_gain
+        from fadecap.oracle import CheckReport as oracle_report
+        from fadecap.oracle import McEstimate as oracle_estimate
+        from fadecap.oracle import mc_log_gain as oracle_log_gain
+
+        assert (package_report, McEstimate, mc_log_gain) == (oracle_report, oracle_estimate, oracle_log_gain)
+        assert cli.CheckReport is oracle_report
+        for module in (fadecap, cli):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name  # noqa: B018
 
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -763,6 +781,31 @@ class TestOptionSets:
 def verify_config(tmp_path, changes):
     """The demo config with ``changes``, written to ``tmp_path`` and loaded."""
     return load_config(demo_config_with(tmp_path / "config.json", changes))
+
+
+class TestAuditCallsThroughCli:
+    # perfbench's tracer counts an audit call only if the call goes through the
+    # name bound in fadecap.cli: it reads each name there and sets a wrapper over it
+    CALLS = {"mc_log_gain": 3, "mc_block_power": 1, "mi_scalar_gaussian": 1, "verify_log_moment_bounds": 1}
+
+    def test_wrappers_bound_in_cli_are_what_the_suite_calls(self, monkeypatch):
+        budget = {"samples_mi": 5001, "samples_moments": 20000}
+        plain = cli.run_verification_suite(DEMO, **budget)
+        calls = dict.fromkeys(self.CALLS, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.CALLS:  # unbound, as after a fresh import, so getattr binds them
+            monkeypatch.delitem(vars(cli), name, raising=False)
+        for name in self.CALLS:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        assert cli.run_verification_suite(DEMO, **budget) == plain
+        assert calls == self.CALLS
 
 
 class TestAuditPowerRange:

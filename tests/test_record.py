@@ -8,7 +8,9 @@ from array import array
 import numpy as np
 import pytest
 
-import fadecap.cli  # noqa: F401  (imports every module that defines a record)
+# cli and oracle between them import every module that defines a record
+import fadecap.cli  # noqa: F401
+import fadecap.oracle  # noqa: F401
 from fadecap.channel import ChannelConfig, ChannelRealization
 from fadecap.cli import GridSpec, SlopeFit, Sweep, SweepConfig
 from fadecap.converse import BoundParams, ConverseStats
