@@ -13,16 +13,9 @@ served on first access, so importing the package does not load ``oracle``.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelConfig,
-    ChannelRealization,
-    aggregate_gain,
-    realize_many,
-    simulate,
-    snr_of,
-)
+from .channel import ChannelRealization, realize_many, simulate
+from .config import BoundParams, ChannelConfig, aggregate_gain, snr_of
 from .converse import (
-    BoundParams,
     ConverseStats,
     jensen_cap,
     optimize_xi,

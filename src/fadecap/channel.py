@@ -8,70 +8,22 @@ where the L+1 path-gain processes are mutually independent stationary
 processes (uncorrelated scattering), jointly independent of the IID
 ``CN(0, sigma^2)`` noise, and independent of the input.  The sum is
 truncated for k <= L: no input before time 1 exists.
-
-Transmit power is carried as ``log_power`` (natural log of P) end to end,
-so SNR values far beyond direct floating-point range stay representable;
-``snr_of`` returns ``log(P) - log(sigma^2)`` in nats.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING
 
-from .fading import (
-    LOG10,
-    REQUIRED,
-    PathGainSpec,
-    complex_normal,
-    path_spec_from_dict,
-    path_spec_to_dict,
-    read_fields,
-    sample_paths,
-)
+# perfbench/checks.py reads config_from_dict from this module
+from .config import config_from_dict  # noqa: F401
+from .fading import complex_normal, sample_paths
 from .record import Record
 from .streams import substream
 
 if TYPE_CHECKING:
     import numpy as np
 
-
-class ChannelConfig(Record):
-    """A channel instance: L+1 path specs, noise variance and log transmit power."""
-
-    path_specs: Tuple[PathGainSpec, ...]
-    noise_variance: float
-    log_power: float
-
-    def __post_init__(self) -> None:
-        if len(self.path_specs) < 1:
-            raise ValueError("need at least the delay-0 path")
-        object.__setattr__(self, "path_specs", tuple(self.path_specs))
-        if self.path_specs[0].alpha <= 0.0:
-            raise ValueError("the delay-0 path must carry energy (alpha_0 > 0)")
-        if not (0.0 < self.noise_variance < math.inf):
-            raise ValueError(f"noise variance must be positive and finite, got {self.noise_variance}")
-        if not math.isfinite(self.log_power):
-            raise ValueError(f"log_power must be finite, got {self.log_power}")
-
-    @property
-    def num_paths(self) -> int:
-        """L: number of delayed paths (the channel has L+1 taps)."""
-        return len(self.path_specs) - 1
-
-    @property
-    def alphas(self) -> Tuple[float, ...]:
-        return tuple(spec.alpha for spec in self.path_specs)
-
-
-def snr_of(config: ChannelConfig) -> float:
-    """log SNR = log P - log sigma^2, in nats."""
-    return config.log_power - math.log(config.noise_variance)
-
-
-def aggregate_gain(config: ChannelConfig) -> float:
-    """Total path variance, sum of alpha_l over all L+1 taps."""
-    return float(sum(config.alphas))
+    from .config import ChannelConfig
 
 
 class ChannelRealization(Record):
@@ -172,35 +124,3 @@ def output_at(config: ChannelConfig, k: int, x, seed: int) -> np.ndarray:
         rng = substream(seed, 0, ell)
         y += sample_paths(config.path_specs[ell], k, n_samples, rng, last=True) * x[:, reach - 1 - ell]
     return y
-
-
-def config_to_dict(config: ChannelConfig) -> dict:
-    # echo the shortest decimal d with d * LOG10 == log P: 114.0, not 114.00000000000001
-    log10_power = config.log_power / LOG10
-    for digits in range(1, 17):
-        shorter = float(f"{log10_power:.{digits}g}")
-        if shorter * LOG10 == config.log_power:
-            log10_power = shorter
-            break
-    return {
-        "paths": [path_spec_to_dict(spec) for spec in config.path_specs],
-        "noise_variance": config.noise_variance,
-        "log10_power": log10_power,
-    }
-
-
-def config_from_dict(data: dict) -> ChannelConfig:
-    fields = read_fields(
-        data,
-        "channel",
-        {"paths": (list, REQUIRED), "noise_variance": (float, REQUIRED), "log10_power": (float, REQUIRED)},
-    )
-    if not fields["paths"]:
-        raise ValueError("channel.paths must be a nonempty list")
-    return ChannelConfig(
-        path_specs=tuple(
-            path_spec_from_dict(p, f"channel.paths[{i}]") for i, p in enumerate(fields["paths"])
-        ),
-        noise_variance=fields["noise_variance"],
-        log_power=fields["log10_power"] * LOG10,
-    )

@@ -5,10 +5,6 @@ re-derives a formula.  Sweep outputs are deterministic functions of the
 config (grid points are independent and evaluated in grid order), so two
 runs with the same config and seed produce byte-identical files.
 
-Config files are JSON with a versioned ``schema`` field; unknown keys are
-rejected everywhere, and user-facing SNR/power values are base-10 logs
-(converted to nats internally).
-
 ``sweep`` and ``stats`` run on the standard library alone.  The audit layer
 is first loaded by ``verify``: ``oracle``, and numpy through it.  The oracle
 names that ``run_verification_suite`` calls are bound into this module's
@@ -28,8 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .channel import ChannelConfig, config_from_dict, config_to_dict, snr_of
-from .converse import CONSTANTS_CERTIFIED, BoundParams, ConverseStats, upper_bound
+from .config import SCHEMA_VERSION, SweepConfig, snr_of, sweep_config_from_dict, sweep_config_to_dict
+from .converse import CONSTANTS_CERTIFIED, ConverseStats, upper_bound
 from .direct import (
     DirectStats,
     LogUniformX2,
@@ -40,87 +36,15 @@ from .direct import (
     optimize_tau,
     schedule_is_valid,
 )
-from .fading import LOG10, REQUIRED, entropy_rate_szego, read_fields, spectral_density, stats_of
-from .record import Record, asdict, fields
+from .fading import LOG10, entropy_rate_szego, spectral_density, stats_of
+from .record import Record, asdict
 from .streams import _SHARDS
 
 if TYPE_CHECKING:
     from .oracle import CheckReport
 
-SCHEMA_VERSION = 1
 SAMPLES_MI = 100_000  # default outer draws of the mutual-information oracle
 SAMPLES_MOMENTS = 1_000_000  # default draws of every other Monte Carlo audit
-
-CONFIG_FIELDS = {
-    "schema": (int, REQUIRED),
-    "channel": (dict, REQUIRED),
-    "bounds": (dict, {}),
-    "grid": (dict, REQUIRED),
-    "tau": (int, None),
-    "tau_max": (int, 1024),
-    "seed": (int, 0),
-    "output_format": (str, "csv"),
-}
-BOUNDS_FIELDS = {name: (float, getattr(BoundParams, name)) for name in fields(BoundParams)}
-GRID_FIELDS = {
-    "log10_snr_start": (float, REQUIRED),
-    "log10_snr_stop": (float, REQUIRED),
-    "points": (int, REQUIRED),
-}
-
-
-class GridSpec(Record):
-    """A base-10 logarithmic SNR grid."""
-
-    log10_snr_start: float
-    log10_snr_stop: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if not self.log10_snr_start < self.log10_snr_stop:
-            raise ValueError("grid start must lie below grid stop")
-        if self.points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.points}")
-        if not math.isfinite(self.log10_snr_stop * LOG10):
-            raise ValueError(f"grid stop {self.log10_snr_stop} overflows log SNR in nats")
-
-    def log_snr_values(self) -> array:
-        """Grid in nats of log-SNR, ascending.
-
-        Bit for bit ``np.linspace(start, stop, points) * LOG10``: point i is
-        ``i * step + start``, or ``(i / div) * delta + start`` when the step
-        underflows to 0 as in numpy, and the last point is ``stop`` itself.
-        """
-        start, stop, div = self.log10_snr_start, self.log10_snr_stop, self.points - 1
-        delta = stop - start
-        step = delta / div
-        if step == 0.0:
-            points = ((i / div) * delta + start for i in range(div))
-        else:
-            points = (i * step + start for i in range(div))
-        values = array("d", (point * LOG10 for point in points))
-        values.append(stop * LOG10)
-        return values
-
-
-class SweepConfig(Record):
-    channel: ChannelConfig
-    bound_params: BoundParams
-    grid: GridSpec
-    tau_max: int
-    seed: int
-    output_format: str
-    tau: Optional[int] = None  # fixed block length; None searches 1..tau_max
-
-    def __post_init__(self) -> None:
-        if self.tau_max < 1:
-            raise ValueError(f"tau_max must be >= 1, got {self.tau_max}")
-        if self.tau is not None and self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
 
 
 class Sweep(Record):
@@ -149,34 +73,6 @@ class Sweep(Record):
 
 COLUMNS = ("log_snr", "upper", "lower", "tau_star", "loglog_snr", "ratio_upper", "ratio_lower")
 CSV_HEADER = ",".join(COLUMNS)
-
-
-def sweep_config_from_dict(data: dict) -> SweepConfig:
-    fields = read_fields(data, "config", CONFIG_FIELDS)
-    if fields["schema"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported config schema {fields['schema']!r}, expected {SCHEMA_VERSION}")
-    return SweepConfig(
-        channel=config_from_dict(fields["channel"]),
-        bound_params=BoundParams(**read_fields(fields["bounds"], "bounds", BOUNDS_FIELDS)),
-        grid=GridSpec(**read_fields(fields["grid"], "grid", GRID_FIELDS)),
-        tau_max=fields["tau_max"],
-        seed=fields["seed"],
-        output_format=fields["output_format"],
-        tau=fields["tau"],
-    )
-
-
-def sweep_config_to_dict(config: SweepConfig) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "channel": config_to_dict(config.channel),
-        "bounds": asdict(config.bound_params),
-        "grid": asdict(config.grid),
-        "tau": config.tau,
-        "tau_max": config.tau_max,
-        "seed": config.seed,
-        "output_format": config.output_format,
-    }
 
 
 def load_config(path) -> SweepConfig:

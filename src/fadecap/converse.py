@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .channel import ChannelConfig, aggregate_gain, snr_of
+from .config import BoundParams, ChannelConfig, aggregate_gain, positive_finite, snr_of
 from .fading import EULER_GAMMA, LOG_PI, LOG_PI_E, stats_of
 from .record import Record, replace
 
@@ -44,30 +44,6 @@ TWO_OVER_E = 2.0 / math.e
 
 # eps(delta, eta) is a constant here, not derived from the paper's proof
 CONSTANTS_CERTIFIED = False
-
-
-class BoundParams(Record):
-    """Free parameters of the upper bound, named as in the ``bounds`` config section.
-
-    ``eps_const`` stands in for eps(delta, eta); ``xi``, when set, replaces
-    the closed-form choice of xi and must lie in (0, 1]: no larger xi
-    beats xi = 1 (README, "Config schema").
-    """
-
-    delta: float = 1.0
-    eta: float = 0.5
-    eps_const: float = 0.0
-    xi: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not (0.0 <= self.eps_const < math.inf):
-            raise ValueError(f"eps_const must be nonnegative and finite, got {self.eps_const}")
-        if self.xi is not None and not (0.0 < self.xi <= 1.0):
-            raise ValueError(f"xi must lie in (0, 1], got {self.xi}")
 
 
 class ConverseStats(Record):
@@ -131,9 +107,7 @@ def log1p_alpha_snr(log_snr: float, alpha_total: float) -> float:
     """
     if not math.isfinite(log_snr):
         raise ValueError(f"log_snr must be finite, got {log_snr}")
-    if alpha_total <= 0.0:
-        raise ValueError(f"alpha_total must be positive, got {alpha_total}")
-    x = math.log(alpha_total) + log_snr
+    x = math.log(positive_finite(alpha_total, "alpha_total")) + log_snr
     if x > 0.0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))

@@ -24,7 +24,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Tuple
 
-from .channel import ChannelConfig, aggregate_gain
+from .config import ChannelConfig, aggregate_gain, positive_finite
 from .fading import LOG_PI, LOG_PI_E, stats_of
 from .record import Record
 
@@ -225,8 +225,7 @@ class DirectStats(Record):
     def __post_init__(self) -> None:
         if not (self.alpha_0 > 0.0):
             raise ValueError("the delay-0 path must carry energy (alpha_0 > 0)")
-        if not (self.sigma2 > 0.0):
-            raise ValueError("noise variance must be positive")
+        positive_finite(self.sigma2, "noise variance")
         if self.alpha_total < self.alpha_0:
             raise ValueError("total variance cannot be smaller than alpha_0")
         if not math.isfinite(self.mean_log_gain_0):
@@ -267,14 +266,13 @@ def lemma_mi_lower_bound(
     """
     import numpy as np
 
-    if sigma_h <= 0.0:
-        raise ValueError(f"sigma_h must be positive, got {sigma_h}")
-    if sigma_w < 0.0:
-        raise ValueError(f"sigma_w must be nonnegative, got {sigma_w}")
+    log_sigma_h = math.log(positive_finite(sigma_h, "sigma_h"))
+    if not 0.0 <= sigma_w < math.inf:
+        raise ValueError(f"sigma_w must be nonnegative and finite, got {sigma_w}")
     u, w = x2_law.quadrature(512)
     # log(sigma_h + sigma_w e^(-u/2)) in log form, finite however small |X| gets
     log_sigma_w = math.log(sigma_w) if sigma_w > 0.0 else -math.inf
-    last_term = LOG_PI_E + 2.0 * float(w @ np.logaddexp(math.log(sigma_h), log_sigma_w - 0.5 * u))
+    last_term = LOG_PI_E + 2.0 * float(w @ np.logaddexp(log_sigma_h, log_sigma_w - 0.5 * u))
     return x2_law.entropy_x - x2_law.mean_log_x2 + mean_log_h2 - last_term
 
 

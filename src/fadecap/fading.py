@@ -278,92 +278,3 @@ def entropy_rate_szego(spectral_density: Callable[[np.ndarray], np.ndarray]) -> 
     raise ValueError(
         f"the Szego quadrature did not converge to {_SZEGO_TOL:g} within {_SZEGO_MAX_GRID} grid points"
     )
-
-
-def path_spec_to_dict(spec: PathGainSpec) -> dict:
-    """Serialize to the config-schema form ``{kind, alpha, a_re, a_im}``."""
-    if isinstance(spec, ZeroPath):
-        return {"kind": "zero"}
-    if isinstance(spec, IidGaussian):
-        return {"kind": "iid", "alpha": spec.alpha}
-    if isinstance(spec, Ar1Gaussian):
-        return {"kind": "ar1", "alpha": spec.alpha, "a_re": spec.a.real, "a_im": spec.a.imag}
-    raise TypeError(f"not a path-gain spec: {spec!r}")
-
-
-REQUIRED = object()
-_KIND_NAMES = {
-    float: "a finite number",
-    int: "an integer",
-    str: "a string",
-    dict: "an object",
-    list: "a list",
-}
-
-
-def read_fields(data, where: str, fields: dict) -> dict:
-    """Validate one config section and return its values with defaults filled in.
-
-    ``fields`` maps every allowed key to ``(kind, default)``.  ``kind`` is
-    ``float`` (a finite number), ``int`` (an integral number, a count),
-    ``str``, ``dict`` or ``list``; bools are never numbers.  The default
-    ``REQUIRED`` marks a key that must be present, and a default of ``None``
-    also admits an explicit null.  Each rejection -- a section that is not an
-    object, unknown keys, missing required keys, a value of the wrong kind --
-    is a ``ValueError`` naming the field as ``where.key``.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be an object, got {data!r}")
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in {where} (allowed: {sorted(fields)})")
-    missing = [key for key, (_, default) in fields.items() if default is REQUIRED and key not in data]
-    if missing:
-        raise ValueError(f"{where} is missing required keys {missing}")
-    values = {}
-    for key, (kind, default) in fields.items():
-        value = data.get(key, default)
-        if value is None and default is None:
-            values[key] = None
-        elif kind in (float, int):
-            values[key] = _number(value, kind, f"{where}.{key}")
-        elif isinstance(value, kind):
-            values[key] = value
-        else:
-            raise ValueError(f"{where}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return values
-
-
-def _number(value, kind, name: str):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if isinstance(value, int) and kind is int:
-            return value
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond float range
-            number = math.inf
-        if math.isfinite(number) and (kind is float or number.is_integer()):
-            return kind(number)
-    raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-
-
-_PATH_FIELDS = {
-    "zero": {},
-    "iid": {"alpha": (float, REQUIRED)},
-    "ar1": {"alpha": (float, REQUIRED), "a_re": (float, 0.0), "a_im": (float, 0.0)},
-}
-
-
-def path_spec_from_dict(data: dict, where: str = "path") -> PathGainSpec:
-    """Parse the config-schema form; unknown kinds and keys are errors."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be an object, got {data!r}")
-    kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _PATH_FIELDS:
-        raise ValueError(f"{where}.kind must be one of {sorted(_PATH_FIELDS)}, got {kind!r}")
-    fields = read_fields(data, where, {"kind": (str, REQUIRED), **_PATH_FIELDS[kind]})
-    if kind == "zero":
-        return ZeroPath()
-    if kind == "iid":
-        return IidGaussian(alpha=fields["alpha"])
-    return Ar1Gaussian(alpha=fields["alpha"], a=complex(fields["a_re"], fields["a_im"]))

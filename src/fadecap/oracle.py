@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, List, Tuple
 
 # realize_many and simulate are the reference that output_at is tested
 # against; they stay bound here, where perfbench/tracing.py wraps them.
-from .channel import ChannelConfig, output_at, realize_many, simulate  # noqa: F401
+from .channel import output_at, realize_many, simulate  # noqa: F401
+from .config import ChannelConfig, positive_finite
 from .direct import LogUniformX2, SchemeParams
 from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, fill_normals, stats_of
 from .record import Record
@@ -246,10 +247,9 @@ def mi_scalar_gaussian(
     """
     import numpy as np
 
-    if h_variance <= 0.0:
-        raise ValueError(f"h_variance must be positive, got {h_variance}")
-    if w_variance < 0.0:
-        raise ValueError(f"w_variance must be nonnegative, got {w_variance}")
+    positive_finite(h_variance, "h_variance")
+    if not 0.0 <= w_variance < math.inf:
+        raise ValueError(f"w_variance must be nonnegative and finite, got {w_variance}")
     shards = _shards(n_outer, "n_outer")
     u, weights = x2_law.quadrature(n_inner)
     s_nodes = h_variance * np.exp(u) + w_variance  # conditional variances at nodes

@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 
 from fadecap import cli
-from fadecap.channel import ChannelConfig, realize_many, simulate
-from fadecap.cli import GridSpec
-from fadecap.converse import BoundParams, ConverseStats, jensen_cap, optimize_xi, upper_bound, upsilon
+from fadecap.channel import realize_many, simulate
+from fadecap.config import BoundParams, ChannelConfig, GridSpec
+from fadecap.converse import ConverseStats, jensen_cap, optimize_xi, upper_bound, upsilon
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,

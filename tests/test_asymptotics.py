@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from fadecap import cli
-from fadecap.cli import GridSpec
-from fadecap.channel import ChannelConfig
-from fadecap.converse import BoundParams, ConverseStats, log1p_alpha_snr, psi, upper_bound
+from fadecap.config import BoundParams, ChannelConfig, GridSpec
+from fadecap.converse import ConverseStats, log1p_alpha_snr, psi, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
 from fadecap.fading import EULER_GAMMA, LOG10, LOG_PI, Ar1Gaussian, IidGaussian
 

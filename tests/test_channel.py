@@ -9,17 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fadecap.channel
-from fadecap.channel import (
-    ChannelConfig,
-    ChannelRealization,
-    aggregate_gain,
-    config_from_dict,
-    config_to_dict,
-    output_at,
-    realize_many,
-    simulate,
-    snr_of,
-)
+from fadecap.channel import ChannelRealization, output_at, realize_many, simulate
+from fadecap.config import ChannelConfig, aggregate_gain, config_from_dict, config_to_dict, snr_of
 from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, sample_paths
 from fadecap.streams import substream
 

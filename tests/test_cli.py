@@ -21,20 +21,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fadecap.config
 import fadecap.direct
 from fadecap import cli
-from fadecap.cli import (
-    COLUMNS,
-    GridSpec,
-    Sweep,
-    emit,
-    fit_preloglog_slope,
-    load_config,
-    run_sweep,
-    sweep_config_from_dict,
-    sweep_config_to_dict,
-    write_outputs,
-)
+from fadecap.cli import COLUMNS, Sweep, emit, fit_preloglog_slope, load_config, run_sweep, write_outputs
+from fadecap.config import GridSpec, sweep_config_from_dict, sweep_config_to_dict
 from fadecap.converse import ConverseStats, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
 from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
@@ -897,12 +888,29 @@ def _at(raw, path):
 
 KEY_PATHS = list(_key_paths(DEMO_RAW))
 SECTIONS = [path for path in KEY_PATHS if isinstance(_at(DEMO_RAW, path), (dict, list))]
-COUNTS = [("schema",), ("grid", "points"), ("tau",), ("tau_max",), ("seed",)]
-REQUIRED_KEYS = [("schema",), ("channel",), ("grid",)] + [
-    path
-    for path in KEY_PATHS
-    if (len(path) == 2 and path[0] in ("channel", "grid")) or path[-1] in ("kind", "alpha")
+
+
+def _field_tables(raw, prefix=(), table=fadecap.config.CONFIG_FIELDS):
+    """(key path, field table) of every section of ``raw``, as ``fadecap.config`` reads it:
+    the root, each object section by its ``<KEY>_FIELDS`` and each path by its kind's fields."""
+    yield prefix, table
+    for key, (kind, _) in table.items():
+        if kind is dict:
+            yield from _field_tables(raw, prefix + (key,), getattr(fadecap.config, f"{key.upper()}_FIELDS"))
+        elif kind is list:
+            for i, path in enumerate(_at(raw, prefix + (key,))):
+                path_fields = {"kind": (str, fadecap.config.REQUIRED), **fadecap.config._PATH_FIELDS[path["kind"]]}
+                yield prefix + (key, i), path_fields
+
+
+# every count (kind int) and every required key of the field tables, so a new key is probed too
+FIELDS = [
+    (prefix + (key,), kind, default)
+    for prefix, table in _field_tables(DEMO_RAW)
+    for key, (kind, default) in table.items()
 ]
+COUNTS = [path for path, kind, _ in FIELDS if kind is int]
+REQUIRED_KEYS = [path for path, _, default in FIELDS if default is fadecap.config.REQUIRED]
 
 
 def malformed(mutation):

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from fadecap.channel import ChannelConfig
+from fadecap.config import BoundParams, ChannelConfig
 from fadecap.converse import (
-    BoundParams,
     ConverseStats,
     _lgam,
     jensen_cap,
@@ -232,7 +231,7 @@ class TestUpperBound:
         params = BoundParams()
         base = demo_channel(log_power=5 * LOG10, noise_variance=1.0)
         scaled = demo_channel(log_power=5 * LOG10 + math.log(37.0), noise_variance=37.0)
-        from fadecap.channel import snr_of
+        from fadecap.config import snr_of
 
         assert upper_bound(snr_of(base), ConverseStats.from_config(base), params) == pytest.approx(
             upper_bound(snr_of(scaled), ConverseStats.from_config(scaled), params), rel=1e-12

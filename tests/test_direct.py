@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fadecap.direct
-from fadecap.channel import ChannelConfig
+from fadecap.config import ChannelConfig
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fadecap.config import path_spec_from_dict, path_spec_to_dict
 from fadecap.fading import (
     _BLOCK,
     _ROW_BLOCK,
@@ -17,8 +18,6 @@ from fadecap.fading import (
     ZeroPath,
     complex_normal,
     entropy_rate_szego,
-    path_spec_from_dict,
-    path_spec_to_dict,
     sample_paths,
     spectral_density,
     stats_of,

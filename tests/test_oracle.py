@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import fadecap.oracle
-from fadecap.channel import ChannelConfig, output_at
+from fadecap.channel import output_at
+from fadecap.config import ChannelConfig
 from fadecap.direct import LogUniformX2, SchemeParams
 from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath, complex_normal, stats_of
 from fadecap.oracle import (

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fadecap.channel import ChannelConfig
-from fadecap.converse import BoundParams, ConverseStats, optimize_xi, upper_bound
+from fadecap.config import BoundParams, ChannelConfig
+from fadecap.converse import ConverseStats, optimize_xi, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
 from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
 from fadecap.record import replace

@@ -11,9 +11,10 @@ import pytest
 # cli and oracle between them import every module that defines a record
 import fadecap.cli  # noqa: F401
 import fadecap.oracle  # noqa: F401
-from fadecap.channel import ChannelConfig, ChannelRealization
-from fadecap.cli import GridSpec, SlopeFit, Sweep, SweepConfig
-from fadecap.converse import BoundParams, ConverseStats
+from fadecap.channel import ChannelRealization
+from fadecap.cli import SlopeFit, Sweep
+from fadecap.config import BoundParams, ChannelConfig, GridSpec, SweepConfig
+from fadecap.converse import ConverseStats
 from fadecap.direct import DirectStats, LogUniformX2, SchemeParams
 from fadecap.fading import Ar1Gaussian, IidGaussian, PathStats, ZeroPath
 from fadecap.oracle import CheckReport, McEstimate

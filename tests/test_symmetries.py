@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fadecap import cli
-from fadecap.channel import snr_of
+from fadecap.config import snr_of
 from fadecap.converse import ConverseStats, upper_bound
 from fadecap.direct import DirectStats, optimize_tau, xi_p
 from fadecap.fading import stats_of
