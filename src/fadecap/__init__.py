@@ -7,13 +7,13 @@ capacity and the rate achieved by a zero-guarded block scheme, audits both
 against independent Monte Carlo oracles, and sweeps them over SNR grids of
 essentially unbounded dynamic range (everything consumes log-SNR in nats).
 
-The audit names (``CheckReport``, ``mc_log_gain`` and the other oracles) are
-served on first access, so importing the package does not load ``oracle``.
+The names of the numpy layer (``channel``'s draws and channel operator,
+``oracle``'s estimators and quadratures) are served on first access from
+``_LAZY``, so importing the package loads neither module nor numpy.
 """
 
 __version__ = "0.1.0"
 
-from .channel import ChannelRealization, realize_many, simulate
 from .config import BoundParams, ChannelConfig, aggregate_gain, snr_of
 from .converse import (
     ConverseStats,
@@ -28,7 +28,6 @@ from .direct import (
     DirectStats,
     LogUniformX2,
     SchemeParams,
-    lemma_mi_lower_bound,
     log_block_average_power,
     lower_bound,
     optimize_tau,
@@ -42,25 +41,30 @@ from .fading import (
     IidGaussian,
     PathStats,
     ZeroPath,
-    entropy_rate_szego,
-    sample_paths,
     stats_of,
 )
-from .streams import substream
 
-_ORACLE_NAMES = (
-    "CheckReport",
-    "McEstimate",
-    "mc_block_power",
-    "mc_log_gain",
-    "mi_scalar_gaussian",
-    "verify_log_moment_bounds",
-)
+# name -> the module of the numpy layer that defines it
+_LAZY = {
+    "ChannelRealization": "channel",
+    "realize_many": "channel",
+    "sample_paths": "channel",
+    "simulate": "channel",
+    "substream": "channel",
+    "CheckReport": "oracle",
+    "McEstimate": "oracle",
+    "entropy_rate_szego": "oracle",
+    "lemma_mi_lower_bound": "oracle",
+    "mc_block_power": "oracle",
+    "mc_log_gain": "oracle",
+    "mi_scalar_gaussian": "oracle",
+    "verify_log_moment_bounds": "oracle",
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(oracle, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""Discrete-time multipath fading channel with additive Gaussian noise.
+"""The draws and the channel operator: every random path gain, noise sample and stream.
 
 The channel output at time k (1-based) for inputs x_1..x_n is
 
@@ -8,22 +8,139 @@ where the L+1 path-gain processes are mutually independent stationary
 processes (uncorrelated scattering), jointly independent of the IID
 ``CN(0, sigma^2)`` noise, and independent of the input.  The sum is
 truncated for k <= L: no input before time 1 exists.
+
+Every stochastic component draws from its own substream, identified by a
+master seed plus a small integer key path.  Substreams with different key
+paths are statistically independent, and the mapping ``(seed, key) ->
+stream`` is stable across processes and platforms, so any result is
+reproducible from the master seed alone.
+
+This module and ``oracle`` are the only ones that import numpy; the closed
+forms they sample and check live in the standard-library core.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+
+import numpy as np
 
 # perfbench/checks.py reads config_from_dict from this module
-from .config import config_from_dict  # noqa: F401
-from .fading import complex_normal, sample_paths
+from .config import ChannelConfig, config_from_dict  # noqa: F401
+from .fading import Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath
 from .record import Record
-from .streams import substream
 
-if TYPE_CHECKING:
-    import numpy as np
+_BLOCK = 65536  # normals per draw in complex_normal
+_ROW_BLOCK = _BLOCK // 4  # AR(1) innovations per block of rows in sample_paths(last=True): 0.25 MiB complex
 
-    from .config import ChannelConfig
+
+def substream(master_seed: int, *key: int) -> np.random.Generator:
+    """Return an independent Philox generator for ``(master_seed, key)``."""
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def fill_normals(rng: np.random.Generator, dest: np.ndarray, scale: float, row_len: int = 1) -> None:
+    """Fill ``dest``, shape (rows, width), with ``scale`` times the last ``width``
+    of each run of ``row_len`` standard normals, row after row.
+
+    The draws are those of one ``rng.standard_normal(rows * row_len)`` call,
+    made whole rows at a time, about _BLOCK normals per draw, into one reused
+    buffer; normals outside ``dest`` are drawn and dropped.
+    """
+    rows, width = dest.shape
+    per_draw = max(1, _BLOCK // row_len)
+    buf = np.empty(min(per_draw, rows) * row_len)
+    for start in range(0, rows, per_draw):
+        stop = min(start + per_draw, rows)
+        block = buf[: (stop - start) * row_len]
+        rng.standard_normal(out=block)
+        np.multiply(block.reshape(stop - start, row_len)[:, row_len - width :], scale, out=dest[start:stop])
+
+
+def complex_normal(rng: np.random.Generator, shape, variance: float, last: bool = False) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian samples with E|Z|^2 = variance.
+
+    The draws are those of one ``rng.standard_normal((2,) + shape)`` call,
+    real parts first, but they are made _BLOCK normals at a time into one
+    reused buffer, so memory is the result plus one block.
+
+    With ``last=True`` only the last entry along ``shape``'s last axis is
+    held: ``complex_normal(rng, shape, variance)[..., -1]``, bit for bit.
+    Every normal of the full draw is still drawn, in the same order, so
+    ``rng`` is left where the full draw leaves it.
+    """
+    shape = tuple(np.atleast_1d(shape).tolist())
+    row_len = shape[-1] if last else 1
+    if row_len < 1:
+        raise ValueError(f"rows must have at least one column, got shape {shape}")
+    out = np.empty(shape[:-1] if last else shape, dtype=complex)
+    flat = out.reshape(-1)
+    for part in (flat.real, flat.imag):
+        fill_normals(rng, part[:, None], math.sqrt(variance / 2.0), row_len)
+    return out
+
+
+def sample_paths(
+    spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator, last: bool = False
+) -> np.ndarray:
+    """``n_paths`` independent stationary sample paths of length ``n``, shape (n_paths, n).
+
+    With ``last=True`` only the gains at time n are returned, shape
+    (n_paths,): the full draw's column n - 1, bit for bit.  The same draws
+    are made in the same order, so ``rng`` is left where the full draw
+    leaves it, but no (n_paths, n) array is held: white gains are drawn
+    whole rows at a time, and the AR(1) recursion holds the real parts of
+    its innovations, which come first in the draw, and meets them with the
+    imaginary parts _ROW_BLOCK innovations (whole rows) at a time.
+    """
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if isinstance(spec, ZeroPath):
+        return np.zeros((n_paths,) if last else (n_paths, n), dtype=complex)
+    if isinstance(spec, IidGaussian):
+        return complex_normal(rng, (n_paths, n), spec.alpha, last=last)
+    if isinstance(spec, Ar1Gaussian):
+        h = complex_normal(rng, n_paths, spec.alpha)
+        variance = spec.alpha * (1.0 - abs(spec.a) ** 2)
+        if last:
+            if n > 1:
+                _ar1_last(spec.a, h, n - 1, variance, rng)
+            return h
+        innovations = complex_normal(rng, (n_paths, n - 1), variance)
+        out = np.empty((n_paths, n), dtype=complex)
+        out[:, 0] = h
+        for t in range(1, n):
+            h = _ar1_step(spec.a, innovations[:, t - 1], h)
+            out[:, t] = h
+        return out
+    raise TypeError(f"not a path-gain spec: {spec!r}")
+
+
+def _ar1_step(a: complex, innovation: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # not in place: np.multiply(a, h, out=h) rounds differently when h has one entry
+    return innovation + a * h
+
+
+def _ar1_last(a: complex, h: np.ndarray, steps: int, variance: float, rng: np.random.Generator) -> None:
+    """Run the AR(1) recursion ``steps`` times on ``h`` in place, drawing the
+    (len(h), steps) innovations as ``complex_normal`` does, a block of rows at a time."""
+    scale = math.sqrt(variance / 2.0)
+    real = np.empty((h.size, steps))
+    fill_normals(rng, real, scale, steps)
+    per_block = max(1, _ROW_BLOCK // steps)
+    block = np.empty((min(per_block, h.size), steps), dtype=complex)
+    for start in range(0, h.size, per_block):
+        stop = min(start + per_block, h.size)
+        innovations = block[: stop - start]
+        innovations.real = real[start:stop]
+        fill_normals(rng, innovations.imag, scale, steps)
+        h_rows = h[start:stop]
+        for t in range(steps):
+            h_rows = _ar1_step(a, innovations[:, t], h_rows)
+        h[start:stop] = h_rows
 
 
 class ChannelRealization(Record):
@@ -59,8 +176,6 @@ def realize_many(config: ChannelConfig, n: int, n_samples: int, seed: int) -> Ch
 
     Tap l's gains come from substream ``(seed, 0, l)``, the noise from ``(seed, 1)``.
     """
-    import numpy as np
-
     gains = np.empty((n_samples, config.num_paths + 1, n), dtype=complex)
     for ell in range(config.num_paths + 1):
         gains[:, ell, :] = sample_paths(config.path_specs[ell], n, n_samples, substream(seed, 0, ell))
@@ -76,8 +191,6 @@ def simulate(config: ChannelConfig, x, realization: ChannelRealization) -> np.nd
     starting tap l at output index l; no fictitious pre-history is touched.
     Pure function: safe for concurrent use.
     """
-    import numpy as np
-
     x = np.asarray(x, dtype=complex)
     n = realization.n
     if x.shape[-1] != n:
@@ -108,8 +221,6 @@ def output_at(config: ChannelConfig, k: int, x, seed: int) -> np.ndarray:
     each tap's gains is held (``last=True``), and taps that cannot reach
     time k are not drawn.
     """
-    import numpy as np
-
     x = np.asarray(x, dtype=complex)
     reach = min(k, config.num_paths + 1)
     if k < 1 or x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != reach:

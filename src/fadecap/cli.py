@@ -5,11 +5,13 @@ re-derives a formula.  Sweep outputs are deterministic functions of the
 config (grid points are independent and evaluated in grid order), so two
 runs with the same config and seed produce byte-identical files.
 
-``sweep`` and ``stats`` run on the standard library alone.  The audit layer
-is first loaded by ``verify``: ``oracle``, and numpy through it.  The oracle
-names that ``run_verification_suite`` calls are bound into this module's
-globals on first access (PEP 562), so they can be read or replaced here
-before any audit has run, and the suite calls whatever they hold.
+``sweep`` and ``stats`` run on the standard library alone: this module and
+the core it imports (``config``, ``converse``, ``direct``, ``fading`` and
+``record``) import no numpy.  The audit layer, ``oracle`` and ``channel``,
+the only modules that import numpy, is first loaded by ``verify``.  The
+oracle names that ``run_verification_suite`` calls are bound into this
+module's globals on first access (PEP 562), so they can be read or replaced
+here before any audit has run, and the suite calls whatever they hold.
 """
 
 from __future__ import annotations
@@ -24,21 +26,19 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .config import SCHEMA_VERSION, SweepConfig, snr_of, sweep_config_from_dict, sweep_config_to_dict
+from .config import _SHARDS, SCHEMA_VERSION, SweepConfig, snr_of, sweep_config_from_dict, sweep_config_to_dict
 from .converse import CONSTANTS_CERTIFIED, ConverseStats, upper_bound
 from .direct import (
     DirectStats,
     LogUniformX2,
     SchemeParams,
-    lemma_mi_lower_bound,
     log_block_average_power,
     lower_bound,
     optimize_tau,
     schedule_is_valid,
 )
-from .fading import LOG10, entropy_rate_szego, spectral_density, stats_of
+from .fading import LOG10, stats_of
 from .record import Record, asdict
-from .streams import _SHARDS
 
 if TYPE_CHECKING:
     from .oracle import CheckReport
@@ -239,9 +239,12 @@ def _write_atomically(pieces_by_target: Dict[Path, Iterable[str]], description: 
 _ORACLE_NAMES = (
     "CheckReport",
     "check_audit_power",
+    "entropy_rate_szego",
+    "lemma_mi_lower_bound",
     "mc_block_power",
     "mc_log_gain",
     "mi_scalar_gaussian",
+    "spectral_density",
     "verify_log_moment_bounds",
 )
 

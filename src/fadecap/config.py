@@ -18,6 +18,11 @@ from .fading import LOG10, Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath
 from .record import Record, asdict, fields
 
 SCHEMA_VERSION = 1
+# The number of substreams each Monte Carlo audit splits its budget over; the
+# recorded audit values (perfbench/golden.json) were drawn with this split,
+# and the sweep sidecar records it as "workers" next to the schema version.
+# ROADMAP item 3 removes it together with one re-pin of those values.
+_SHARDS = 2
 REQUIRED = object()
 _KIND_NAMES = {
     float: "a finite number",

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .config import BoundParams, ChannelConfig, aggregate_gain, positive_finite, snr_of
 from .fading import EULER_GAMMA, LOG_PI, LOG_PI_E, stats_of
-from .record import Record, replace
+from .record import Record
 
 TWO_OVER_E = 2.0 / math.e
 
@@ -136,14 +136,12 @@ def upper_bound(log_snr: float, stats: ConverseStats, params: BoundParams) -> fl
     """Capacity upper bound in nats per channel use at the given log-SNR."""
     log1p_snr = log1p_alpha_snr(log_snr, stats.alpha_total)
     xi = params.xi if params.xi is not None else _xi_of(log1p_snr)
-    bracket = 1.0 + log1p_snr + psi(params, stats.inf_gap)
-    return (
-        -stats.inf_gap
-        + xi * bracket
-        + _lgam(xi)
-        - xi * math.log(xi)
-        + LOG_PI
-    )
+    return _bound_at(xi, 1.0 + log1p_snr + psi(params, stats.inf_gap), stats.inf_gap)
+
+
+def _bound_at(xi: float, bracket: float, inf_gap: float) -> float:
+    """The bound at ``xi`` given its bracket B = 1 + log(1 + A*SNR) + Psi."""
+    return -inf_gap + xi * bracket + _lgam(xi) - xi * math.log(xi) + LOG_PI
 
 
 def upsilon(
@@ -162,18 +160,20 @@ def upsilon(
     with alpha_l = 0 beyond the last tap (the inner sum truncates at k <= L
     exactly as the channel does).
     """
-    import numpy as np
-
-    powers = np.asarray(per_symbol_powers, dtype=float)
-    if powers.ndim != 1 or powers.size < 1:
+    try:
+        powers = [float(p) for p in per_symbol_powers]
+    except TypeError:  # not a sequence of numbers
+        powers = []
+    if not powers:
         raise ValueError("per-symbol powers must be a nonempty 1-D sequence")
-    if np.any(powers < 0.0):
+    if any(p < 0.0 for p in powers):
         raise ValueError("per-symbol powers must be nonnegative")
     if stats is None:
         stats = ConverseStats.from_config(config)
-    n = powers.size
-    weighted = np.convolve(powers, np.asarray(config.alphas))[:n]
-    interior = float(np.mean(np.log1p(weighted / config.noise_variance)))
+    alphas, n = config.alphas, len(powers)
+    # the convolution sum_l alpha_l p_{k-l}, truncated at k <= L, and its log mean, each sum rounded once
+    weighted = (math.fsum(a * powers[k - ell] for ell, a in enumerate(alphas[: k + 1])) for k in range(n))
+    interior = math.fsum(math.log1p(w / config.noise_variance) for w in weighted) / n
     denom = 1.0 + log1p_alpha_snr(snr_of(config), stats.alpha_total)
     return (1.0 + interior + psi(params, stats.inf_gap)) / denom - stats.inf_gap + LOG_PI
 
@@ -201,7 +201,8 @@ def optimize_xi(log_snr: float, stats: ConverseStats, params: BoundParams) -> tu
     ~ 1e8 nats on the two agree to within rounding, and taking the smaller
     keeps the result from exceeding the default bound by an ulp.
     """
-    bracket = 1.0 + log1p_alpha_snr(log_snr, stats.alpha_total) + psi(params, stats.inf_gap)
+    log1p_snr = log1p_alpha_snr(log_snr, stats.alpha_total)
+    bracket = 1.0 + log1p_snr + psi(params, stats.inf_gap)
     t = 1.0  # the bound's slope at xi = 1 is B - 1 - gamma; if that is <= 0 it falls on all of (0, 1]
     if bracket > 1.0 + EULER_GAMMA:
         t = max(bracket - 1.0 - EULER_GAMMA + math.log(bracket), 1.0)
@@ -217,10 +218,7 @@ def optimize_xi(log_snr: float, stats: ConverseStats, params: BoundParams) -> tu
                 break
         else:
             raise RuntimeError(f"Newton's method did not converge on xi* at log SNR {log_snr!r}")
-    value, xi = min(
-        (upper_bound(log_snr, stats, replace(params, xi=xi)), xi)
-        for xi in (1.0 / t, xi_default(log_snr, stats.alpha_total))
-    )
+    value, xi = min((_bound_at(xi, bracket, stats.inf_gap), xi) for xi in (1.0 / t, _xi_of(log1p_snr)))
     return xi, value
 
 

@@ -20,74 +20,19 @@ be analyzed far beyond floating-point power ranges.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
 from .config import ChannelConfig, aggregate_gain, positive_finite
-from .fading import LOG_PI, LOG_PI_E, stats_of
+from .fading import LOG_PI, stats_of
 from .record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-@functools.lru_cache(maxsize=8)
-def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [-1, 1], built once per n.
-
-    Newton's method on the three-term Legendre recurrence (Hale & Townsend,
-    SIAM J. Sci. Comput. 35(2), 2013) finds the ceil(n/2) nodes in [0, 1),
-    started from cos(pi (k - 1/4) / (n + 1/2)); the weights are
-    2 / ((1 - x^2) P_n'(x)^2), and both are mirrored onto [-1, 0).  Each node
-    is carried as y = 1 - x and the recurrence runs on the differences
-    D_j = P_j - P_{j-1}, so the outermost nodes, where 1 - x^2 is small, keep
-    their relative accuracy: against 40-digit roots of P_n the weights are
-    within 1e-14 relative at n = 512 and 1024, and the nodes within an ulp.
-    Every Newton step costs O(n^2) flops on arrays of ceil(n/2) floats, so
-    the build needs O(n) memory; it takes at most four steps (every n up to
-    1100, and n = 2048 and 4096, were checked).
-    Every caller shares the cached arrays, so they are read-only.
-    """
-    import numpy as np
-
-    theta = np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
-    y = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - cos(theta), without cancellation
-    if n % 2:
-        y[-1] = 1.0  # the middle node x = 0
-    for _ in range(8):
-        p, dp = _legendre_and_derivative(n, y)
-        step = p / dp
-        y += step  # dx = -dy
-        if np.all(np.abs(step) <= 1e-12 * y):  # converging quadratically, so y is now exact to rounding
-            break
-    else:
-        raise RuntimeError(f"Newton's method did not converge on the {n}-node Legendre rule")
-    p, dp = _legendre_and_derivative(n, y)
-    half_weights = 2.0 / (y * (2.0 - y) * dp * dp)
-    nodes = np.concatenate((y - 1.0, (1.0 - y)[::-1][n % 2 :]))
-    weights = np.concatenate((half_weights, half_weights[::-1][n % 2 :]))
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _legendre_and_derivative(n: int, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) at x = 1 - y, for n >= 1, by the recurrence in differences.
-
-    (j) P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2} becomes
-    j D_j = (j - 1) D_{j-1} - (2j - 1) y P_{j-1}, and
-    (1 - x^2) P_n' = n (P_{n-1} - x P_n) = n (y P_n - D_n).
-    """
-    p, d = 1.0 - y, -y
-    for j in range(2, n + 1):
-        d = ((j - 1) * d - (2 * j - 1) * y * p) / j
-        p = p + d
-    return p, n * (y * p - d) / (y * (2.0 - y))
 
 
 class LogUniformX2(Record):
-    """Law of a circularly-symmetric symbol with log|X|^2 ~ Uniform[log_min, log_max]."""
+    """Law of a circularly-symmetric symbol with log|X|^2 ~ Uniform[log_min, log_max].
+
+    Its closed forms are here; its quadrature and samplers are ``oracle``'s.
+    """
 
     log_min: float
     log_max: float
@@ -130,41 +75,6 @@ class LogUniformX2(Record):
         if b == a:
             return b
         return b + math.log(-math.expm1(a - b)) - math.log(b - a)
-
-    def quadrature(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Nodes u and weights w of the n-node Gauss-Legendre rule for E[f(log|X|^2)].
-
-        The nodes lie in [log_min, log_max] and the weights sum to one, so
-        ``w @ f(u)`` approximates the average of f over the law.  A degenerate
-        slot has the single node log_min with weight 1.
-        """
-        import numpy as np
-
-        a, b = self.log_min, self.log_max
-        if b == a:
-            return np.array([a]), np.array([1.0])
-        nodes, weights = _legendre_rule(n)
-        return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * weights
-
-    def sample_log_x2(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return rng.uniform(self.log_min, self.log_max, size=size)
-
-    def sample_log_x(self, rng: np.random.Generator, size=None, out=None) -> np.ndarray:
-        """Complex logarithms ``u / 2 + i phase`` of symbols X, u from ``sample_log_x2``
-        and the phase uniform on [0, 2 pi), written into ``out`` when given.
-
-        X is ``np.exp`` of the result, and |X|^2 = e^u is ``np.exp(2 * result.real)``,
-        which forms no complex exponential.
-        """
-        import numpy as np
-
-        u = self.sample_log_x2(rng, size)
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=size)
-        if out is None:
-            out = np.empty(np.shape(u), dtype=complex)
-        np.multiply(u, 0.5, out=out.real)
-        out.imag = phase
-        return out
 
 
 class SchemeParams(Record):
@@ -246,34 +156,6 @@ class DirectStats(Record):
             sigma2=config.noise_variance,
             num_taps=config.num_paths,
         )
-
-
-def lemma_mi_lower_bound(
-    mean_log_h2: float,
-    sigma_h: float,
-    sigma_w: float,
-    x2_law: LogUniformX2,
-) -> float:
-    """Mutual-information lower bound for the scalar model Y = H*X + W.
-
-    Returns  h(X) - E[log|X|^2] + E[log|H|^2] - E[log(pi e (sigma_h + sigma_w/|X|)^2)]
-    for X of law ``x2_law``, valid whenever X is independent of (H, W),
-    X -- H -- W is Markov, and all second moments are finite.  The last expectation is a deterministic
-    512-node Gauss-Legendre quadrature over the log-uniform magnitude law
-    (``LogUniformX2.quadrature``; no estimator noise on the bound side).  The
-    rule is built once per process, by Newton's method in O(n) memory
-    (``_legendre_rule``), with weights within 1e-14 relative of the exact ones.
-    """
-    import numpy as np
-
-    log_sigma_h = math.log(positive_finite(sigma_h, "sigma_h"))
-    if not 0.0 <= sigma_w < math.inf:
-        raise ValueError(f"sigma_w must be nonnegative and finite, got {sigma_w}")
-    u, w = x2_law.quadrature(512)
-    # log(sigma_h + sigma_w e^(-u/2)) in log form, finite however small |X| gets
-    log_sigma_w = math.log(sigma_w) if sigma_w > 0.0 else -math.inf
-    last_term = LOG_PI_E + 2.0 * float(w @ np.logaddexp(log_sigma_h, log_sigma_w - 0.5 * u))
-    return x2_law.entropy_x - x2_law.mean_log_x2 + mean_log_h2 - last_term
 
 
 def log_log_ratio(log_power: float, tau: int) -> float:

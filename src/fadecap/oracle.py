@@ -1,4 +1,4 @@
-"""Monte Carlo and brute-force oracles for the analytic ingredients.
+"""Monte Carlo and quadrature oracles for the analytic ingredients.
 
 Everything here is independent of the closed forms it checks: mutual
 information on scalar fading instances is estimated from the exact
@@ -6,7 +6,11 @@ conditional Gaussian density (bias-controlled, with quantifiable standard
 errors), the output log-moment inequalities are audited at the last slot of
 one scheme block by direct channel simulation (``channel.output_at``, which
 makes the channel's draws but holds only the output the audit reads), and
-per-path statistics by plain sample means.
+per-path statistics by plain sample means.  The deterministic sides are
+quadratures: the Gauss-Legendre rule over a slot's log-uniform magnitude law
+(``quadrature``), which the mutual-information lemma and the MI oracle's
+mixture density use, and the Szego quadrature of a tap's spectral density
+for its entropy rate.  Only this module and ``channel`` import numpy.
 
 All estimators are deterministic given the seed and the sample budget.  The
 budget is split over ``_SHARDS`` independent substreams; means and standard
@@ -26,25 +30,197 @@ time waits for a re-pin of those values.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from typing import TYPE_CHECKING, List, Tuple
+from typing import Callable, List, Tuple
+
+import numpy as np
 
 # realize_many and simulate are the reference that output_at is tested
 # against; they stay bound here, where perfbench/tracing.py wraps them.
-from .channel import output_at, realize_many, simulate  # noqa: F401
-from .config import ChannelConfig, positive_finite
+from .channel import realize_many, simulate  # noqa: F401
+from .channel import fill_normals, output_at, substream
+from .config import _SHARDS, ChannelConfig, positive_finite
 from .direct import LogUniformX2, SchemeParams
-from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, fill_normals, stats_of
+from .fading import LOG10, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, PathGainSpec, stats_of
 from .record import Record
-from .streams import _SHARDS, substream
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _CHUNK = 65536
 _TILE = 256  # rows of the MI oracle's log-density tile (_TILE x n_inner float64)
 _HEADROOM = 1000.0  # check_audit_power's factor between its bound on the largest sum and float max
+_SZEGO_GRID = 2**16  # points of entropy_rate_szego's first grid, and of each block it evaluates
+_SZEGO_MAX_GRID = 2**23  # its finest grid
+_SZEGO_TOL = 1e-7  # successive grids' estimates that differ by more are refined
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], built once per n.
+
+    Newton's method on the three-term Legendre recurrence (Hale & Townsend,
+    SIAM J. Sci. Comput. 35(2), 2013) finds the ceil(n/2) nodes in [0, 1),
+    started from cos(pi (k - 1/4) / (n + 1/2)); the weights are
+    2 / ((1 - x^2) P_n'(x)^2), and both are mirrored onto [-1, 0).  Each node
+    is carried as y = 1 - x and the recurrence runs on the differences
+    D_j = P_j - P_{j-1}, so the outermost nodes, where 1 - x^2 is small, keep
+    their relative accuracy: against 40-digit roots of P_n the weights are
+    within 1e-14 relative at n = 512 and 1024, and the nodes within an ulp.
+    Every Newton step costs O(n^2) flops on arrays of ceil(n/2) floats, so
+    the build needs O(n) memory; it takes at most four steps (every n up to
+    1100, and n = 2048 and 4096, were checked).
+    Every caller shares the cached arrays, so they are read-only.
+    """
+    theta = np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    y = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - cos(theta), without cancellation
+    if n % 2:
+        y[-1] = 1.0  # the middle node x = 0
+    for _ in range(8):
+        p, dp = _legendre_and_derivative(n, y)
+        step = p / dp
+        y += step  # dx = -dy
+        if np.all(np.abs(step) <= 1e-12 * y):  # converging quadratically, so y is now exact to rounding
+            break
+    else:
+        raise RuntimeError(f"Newton's method did not converge on the {n}-node Legendre rule")
+    p, dp = _legendre_and_derivative(n, y)
+    half_weights = 2.0 / (y * (2.0 - y) * dp * dp)
+    nodes = np.concatenate((y - 1.0, (1.0 - y)[::-1][n % 2 :]))
+    weights = np.concatenate((half_weights, half_weights[::-1][n % 2 :]))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _legendre_and_derivative(n: int, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) at x = 1 - y, for n >= 1, by the recurrence in differences.
+
+    (j) P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2} becomes
+    j D_j = (j - 1) D_{j-1} - (2j - 1) y P_{j-1}, and
+    (1 - x^2) P_n' = n (P_{n-1} - x P_n) = n (y P_n - D_n).
+    """
+    p, d = 1.0 - y, -y
+    for j in range(2, n + 1):
+        d = ((j - 1) * d - (2 * j - 1) * y * p) / j
+        p = p + d
+    return p, n * (y * p - d) / (y * (2.0 - y))
+
+
+def quadrature(law: LogUniformX2, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights w of the n-node Gauss-Legendre rule for E[f(log|X|^2)] over ``law``.
+
+    The nodes lie in [log_min, log_max] and the weights sum to one, so
+    ``w @ f(u)`` approximates the average of f over the law.  A degenerate
+    slot has the single node log_min with weight 1.
+    """
+    a, b = law.log_min, law.log_max
+    if b == a:
+        return np.array([a]), np.array([1.0])
+    nodes, weights = _legendre_rule(n)
+    return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * weights
+
+
+def sample_log_x2(law: LogUniformX2, rng: np.random.Generator, size=None) -> np.ndarray:
+    """Draws of log|X|^2, uniform on [log_min, log_max]."""
+    return rng.uniform(law.log_min, law.log_max, size=size)
+
+
+def sample_log_x(law: LogUniformX2, rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+    """Complex logarithms ``u / 2 + i phase`` of symbols X, u from ``sample_log_x2``
+    and the phase uniform on [0, 2 pi), written into ``out`` when given.
+
+    X is ``np.exp`` of the result, and |X|^2 = e^u is ``np.exp(2 * result.real)``,
+    which forms no complex exponential.
+    """
+    u = sample_log_x2(law, rng, size)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    if out is None:
+        out = np.empty(np.shape(u), dtype=complex)
+    np.multiply(u, 0.5, out=out.real)
+    out.imag = phase
+    return out
+
+
+def lemma_mi_lower_bound(
+    mean_log_h2: float,
+    sigma_h: float,
+    sigma_w: float,
+    x2_law: LogUniformX2,
+) -> float:
+    """Mutual-information lower bound for the scalar model Y = H*X + W.
+
+    Returns  h(X) - E[log|X|^2] + E[log|H|^2] - E[log(pi e (sigma_h + sigma_w/|X|)^2)]
+    for X of law ``x2_law``, valid whenever X is independent of (H, W),
+    X -- H -- W is Markov, and all second moments are finite.  The last expectation is a deterministic
+    512-node Gauss-Legendre quadrature over the log-uniform magnitude law
+    (``quadrature``; no estimator noise on the bound side).  The rule is built
+    once per process, by Newton's method in O(n) memory (``_legendre_rule``),
+    with weights within 1e-14 relative of the exact ones.
+    """
+    log_sigma_h = math.log(positive_finite(sigma_h, "sigma_h"))
+    _nonnegative_finite(sigma_w, "sigma_w")
+    u, w = quadrature(x2_law, 512)
+    # log(sigma_h + sigma_w e^(-u/2)) in log form, finite however small |X| gets
+    log_sigma_w = math.log(sigma_w) if sigma_w > 0.0 else -math.inf
+    last_term = LOG_PI_E + 2.0 * float(w @ np.logaddexp(log_sigma_h, log_sigma_w - 0.5 * u))
+    return x2_law.entropy_x - x2_law.mean_log_x2 + mean_log_h2 - last_term
+
+
+def spectral_density(spec: PathGainSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """Power spectral density ``alpha (1-|a|^2) / |1 - a e^{-i lam}|^2`` on [-pi, pi]
+    of a Gaussian gain process (flat for the white family, ``a = 0``)."""
+    if not isinstance(spec, (IidGaussian, Ar1Gaussian)):
+        raise ValueError(f"no spectral density for {spec!r}")
+    top, a = spec.alpha * (1.0 - abs(spec.a) ** 2), spec.a
+
+    def density(lam: np.ndarray) -> np.ndarray:
+        return top / np.abs(1.0 - a * np.exp(-1j * np.asarray(lam, dtype=float))) ** 2
+
+    return density
+
+
+def entropy_rate_szego(spectral_density: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Entropy rate ``log(pi e) + (1/2 pi) int log S`` by periodic composite quadrature.
+
+    The integrand is 2*pi-periodic, so the equal-weight rule on a uniform grid
+    converges spectrally fast for smooth densities, but only once the grid
+    resolves the density's narrowest peak (width about 1 - |a| for AR(1)).
+    The grid starts at ``_SZEGO_GRID`` points and is doubled, adding the
+    midpoints, while two successive estimates differ by more than
+    ``_SZEGO_TOL``; the estimate of the first grid that agrees with the next
+    is returned.  Raises if that takes more than ``_SZEGO_MAX_GRID`` points,
+    or if the density is not strictly positive and finite on the grid.
+    """
+
+    def mean_log(lam: np.ndarray) -> float:
+        values = np.asarray(spectral_density(lam), dtype=float)
+        if values.shape != lam.shape:
+            raise ValueError("spectral density must evaluate elementwise on the grid")
+        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+            raise ValueError("spectral density must be strictly positive and finite on the grid")
+        return float(np.mean(np.log(values)))
+
+    points = _SZEGO_GRID
+    estimate = LOG_PI_E + mean_log(-math.pi + 2.0 * math.pi * np.arange(points) / points)
+    odd = 2.0 * np.arange(_SZEGO_GRID) + 1.0
+    while points < _SZEGO_MAX_GRID:
+        # the 2 * points grid's new nodes are the old grid's midpoints, _SZEGO_GRID at a time
+        midpoints = [
+            mean_log(-math.pi + math.pi * (odd + 2.0 * start) / points) for start in range(0, points, _SZEGO_GRID)
+        ]
+        finer = 0.5 * (estimate + LOG_PI_E + math.fsum(midpoints) / len(midpoints))
+        if abs(finer - estimate) <= _SZEGO_TOL:
+            return estimate
+        points, estimate = 2 * points, finer
+    raise ValueError(
+        f"the Szego quadrature did not converge to {_SZEGO_TOL:g} within {_SZEGO_MAX_GRID} grid points"
+    )
+
+
+def _nonnegative_finite(value: float, name: str) -> None:
+    """Raise a ValueError naming ``name`` unless 0 <= value < inf (NaN included)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _shards(n_samples: int, budget: str = "n_samples") -> List[Tuple[int, int]]:
@@ -108,8 +284,6 @@ class _Accumulator:
 
     def add(self, values: np.ndarray) -> None:
         """Merge ``values`` in, overwriting them with their squared deviations from their mean."""
-        import numpy as np
-
         n_b = values.size
         mean_b = float(np.mean(values))
         n = self.n + n_b
@@ -161,8 +335,6 @@ def _log_abs2(rng: np.random.Generator, size: int, variance: float) -> np.ndarra
     the generator yields after them, then meet them _CHUNK at a time, and
     ``log|H|^2`` is written back in place.
     """
-    import numpy as np
-
     scale = math.sqrt(variance / 2.0)
     out = np.empty(size)
     fill_normals(rng, out[:, None], scale)
@@ -199,8 +371,6 @@ def _log_mixture_density(y2: np.ndarray, log_c: np.ndarray, s_nodes: np.ndarray)
     rather than the sum, so the values equal a full-matrix logsumexp bit for
     bit.  One (_TILE x nodes) buffer is reused.
     """
-    import numpy as np
-
     log_fy = np.empty(y2.size)
     buf = np.empty((min(_TILE, y2.size), s_nodes.size))
     for start in range(0, y2.size, _TILE):
@@ -245,13 +415,10 @@ def mi_scalar_gaussian(
     O(_TILE * n_inner) whatever n_outer is.  The tiling does not touch the
     draws, so the estimate does not depend on _TILE.
     """
-    import numpy as np
-
     positive_finite(h_variance, "h_variance")
-    if not 0.0 <= w_variance < math.inf:
-        raise ValueError(f"w_variance must be nonnegative and finite, got {w_variance}")
+    _nonnegative_finite(w_variance, "w_variance")
     shards = _shards(n_outer, "n_outer")
-    u, weights = x2_law.quadrature(n_inner)
+    u, weights = quadrature(x2_law, n_inner)
     s_nodes = h_variance * np.exp(u) + w_variance  # conditional variances at nodes
     # log f_Y(y) for a circularly-symmetric mixture of CN(0, s_j) is
     # logsumexp_j(log_c_j - |y|^2 / s_j)
@@ -262,7 +429,7 @@ def mi_scalar_gaussian(
         rng = substream(seed, w)
         for start in range(0, size, _CHUNK):
             m = min(_CHUNK, size - start)
-            u_draw = x2_law.sample_log_x2(rng, m)
+            u_draw = sample_log_x2(x2_law, rng, m)
             s_draw = h_variance * np.exp(u_draw) + w_variance
             y2 = s_draw * rng.exponential(size=m)  # |Y|^2 | X is exponential(mean s)
             log_fy = _log_mixture_density(y2, log_c, s_nodes)
@@ -282,13 +449,11 @@ def mc_block_power(params: SchemeParams, n_samples: int, seed: int) -> McEstimat
 def _block_powers(params: SchemeParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` draws of one block's average power: slot after slot, each slot's
     log-powers drawn _CHUNK at a time, exponentiated and added into the total."""
-    import numpy as np
-
     total = np.zeros(size)
     for nu in range(1, params.tau + 1):
         law = params.slot_law(nu)
         for start in range(0, size, _CHUNK):
-            power = law.sample_log_x2(rng, min(_CHUNK, size - start))
+            power = sample_log_x2(law, rng, min(_CHUNK, size - start))
             np.exp(power, out=power)
             total[start : start + power.size] += power
             del power  # freed before the next chunk draws
@@ -297,7 +462,7 @@ def _block_powers(params: SchemeParams, size: int, rng: np.random.Generator) -> 
 
 
 def _scheme_log_inputs(params: SchemeParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """The complex logarithms (``LogUniformX2.sample_log_x``) of the (n_draws, L+1)
+    """The complex logarithms (``sample_log_x``) of the (n_draws, L+1)
     inputs X_tau, ..., X_{L+tau} of one scheme block, the ones that reach its
     last output: the block's last L+1 columns.
 
@@ -305,12 +470,10 @@ def _scheme_log_inputs(params: SchemeParams, n_draws: int, rng: np.random.Genera
     then slots 1..tau.  Slots before the window are still drawn, in order,
     and dropped, so the stream moves as for the whole block.
     """
-    import numpy as np
-
     log_x = np.full((n_draws, params.num_taps + 1), -np.inf, dtype=complex)
     for nu in range(1, params.tau + 1):
         column = params.num_taps + nu - params.tau  # the slot's column in the window
-        params.slot_law(nu).sample_log_x(rng, n_draws, out=log_x[:, column] if column >= 0 else None)
+        sample_log_x(params.slot_law(nu), rng, n_draws, out=log_x[:, column] if column >= 0 else None)
     return log_x
 
 
@@ -339,8 +502,6 @@ def verify_log_moment_bounds(
     draws bit for bit but holds only the time-k column of the noise and of
     each tap's gains.
     """
-    import numpy as np
-
     if scheme.num_taps != config.num_paths:
         raise ValueError("scheme guard length must match the channel memory")
     shards = _shards(n_samples)
@@ -382,7 +543,5 @@ def verify_log_moment_bounds(
 
 def _mix(seed: int, *key: int) -> int:
     """Stable derived master seed for components that take a seed, not a stream."""
-    import numpy as np
-
     mixed = np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(2)
     return int(mixed[0]) | (int(mixed[1]) << 32)

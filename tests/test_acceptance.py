@@ -25,30 +25,29 @@ import numpy as np
 import pytest
 
 from fadecap import cli
-from fadecap.channel import realize_many, simulate
+from fadecap.channel import realize_many, simulate, substream
 from fadecap.config import BoundParams, ChannelConfig, GridSpec
 from fadecap.converse import ConverseStats, jensen_cap, optimize_xi, upper_bound, upsilon
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
     SchemeParams,
-    lemma_mi_lower_bound,
     log_block_average_power,
     lower_bound,
     optimize_tau,
     schedule_is_valid,
 )
-from fadecap.fading import (
-    EULER_GAMMA,
-    Ar1Gaussian,
-    IidGaussian,
+from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, stats_of
+from fadecap.oracle import (
     entropy_rate_szego,
+    lemma_mi_lower_bound,
+    mc_block_power,
+    mc_log_gain,
+    mi_scalar_gaussian,
     spectral_density,
-    stats_of,
+    verify_log_moment_bounds,
 )
-from fadecap.oracle import mc_block_power, mc_log_gain, mi_scalar_gaussian, verify_log_moment_bounds
 from fadecap.record import replace
-from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
 DEMO = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fadecap.channel
-from fadecap.channel import ChannelRealization, output_at, realize_many, simulate
+from fadecap.channel import ChannelRealization, output_at, realize_many, sample_paths, simulate, substream
 from fadecap.config import ChannelConfig, aggregate_gain, config_from_dict, config_to_dict, snr_of
-from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath, sample_paths
-from fadecap.streams import substream
+from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath
 
 LOG10 = math.log(10.0)
 

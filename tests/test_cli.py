@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -690,14 +691,19 @@ class TestMainEntry:
         # numpy blocked is a one-line error that writes no report, and verify
         # imports numpy once it is unblocked. The records are not dataclasses,
         # so the import adds neither dataclasses nor the inspect and ast it loads.
-        # The audit layer (fadecap.oracle) is first loaded by verify, and
-        # argparse by main, so the import adds neither of them either.
+        # The numpy layer (fadecap.oracle and fadecap.channel) is first loaded
+        # by verify, and argparse by main, so neither importing fadecap nor
+        # importing fadecap.cli adds any of them, and fadecap.cli loads only
+        # the standard-library core of the package.
         probe = (
-            "import contextlib, io, json, sys\n"
-            "before = set(sys.modules)\n"
-            "import fadecap.cli as cli\n"
-            "unused = ('numpy', 'scipy', 'dataclasses', 'inspect', 'ast', 'argparse', 'fadecap.oracle')\n"
-            "loaded = sorted(m for m in set(sys.modules) - before if m in unused or m.split('.')[0] in unused)\n"
+            "import contextlib, importlib, io, json, sys\n"
+            "unused = ('numpy', 'scipy', 'dataclasses', 'inspect', 'ast', 'argparse', 'fadecap.oracle', 'fadecap.channel')\n"
+            "before, loaded = set(sys.modules), {}\n"
+            "for name in ('fadecap', 'fadecap.cli'):\n"
+            "    importlib.import_module(name)\n"
+            "    loaded[name] = sorted(m for m in set(sys.modules) - before if m in unused or m.split('.')[0] in unused)\n"
+            "cli = sys.modules['fadecap.cli']\n"
+            "package = sorted(m for m in sys.modules if m.split('.')[0] == 'fadecap')\n"
             "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
             "no_numpy, audit, report = json.loads(sys.argv[1])\n"
             "codes = [cli.main(argv) for argv in no_numpy]\n"
@@ -706,7 +712,8 @@ class TestMainEntry:
             "del sys.modules['numpy']\n"
             "codes.append(cli.main(audit))\n"
             "audit_loaded = 'fadecap.oracle' in sys.modules\n"
-            "print(json.dumps({'loaded': loaded, 'codes': codes, 'audit_loaded': audit_loaded, 'stderr': err.getvalue()}))\n"
+            "print(json.dumps({'loaded': loaded, 'package': package, 'codes': codes, 'audit_loaded': audit_loaded,"
+            " 'stderr': err.getvalue()}))\n"
         )
         json_config = demo_config_with(tmp_path / "config.json", {("output_format",): "json"})
         runs = [
@@ -725,7 +732,12 @@ class TestMainEntry:
         )
         result = json.loads(run.stdout.splitlines()[-1])
         stderr = result.pop("stderr").splitlines()
-        assert result == {"loaded": [], "codes": [0, 0, 0, 1, 0], "audit_loaded": True}, run.stderr
+        assert result == {
+            "loaded": {"fadecap": [], "fadecap.cli": []},
+            "package": [f"fadecap{m}" for m in ("", ".cli", ".config", ".converse", ".direct", ".fading", ".record")],
+            "codes": [0, 0, 0, 1, 0],
+            "audit_loaded": True,
+        }, run.stderr
         assert len(stderr) == 1 and stderr[0].startswith("error: verify needs numpy"), stderr
         assert not (tmp_path / "report.json").exists()
 
@@ -743,6 +755,45 @@ class TestMainEntry:
         for module in (fadecap, cli):
             with pytest.raises(AttributeError, match="no_such_name"):
                 module.no_such_name  # noqa: B018
+
+    def test_every_package_export_is_the_object_that_defines_it(self):
+        # every name the package root has exported, by the module that defines
+        # it; the numpy layer's names are served on first access, not bound
+        defined_in = {
+            "channel": ["ChannelRealization", "realize_many", "sample_paths", "simulate", "substream"],
+            "config": ["BoundParams", "ChannelConfig", "aggregate_gain", "snr_of"],
+            "converse": ["ConverseStats", "jensen_cap", "optimize_xi", "psi", "upper_bound", "upsilon", "xi_default"],
+            "direct": [
+                "DirectStats",
+                "LogUniformX2",
+                "SchemeParams",
+                "log_block_average_power",
+                "lower_bound",
+                "optimize_tau",
+                "schedule_is_valid",
+                "sharp_slot_bound",
+                "xi_p",
+            ],
+            "fading": ["EULER_GAMMA", "Ar1Gaussian", "IidGaussian", "PathStats", "ZeroPath", "stats_of"],
+            "oracle": [
+                "CheckReport",
+                "McEstimate",
+                "entropy_rate_szego",
+                "lemma_mi_lower_bound",
+                "mc_block_power",
+                "mc_log_gain",
+                "mi_scalar_gaussian",
+                "verify_log_moment_bounds",
+            ],
+        }
+        for module, names in defined_in.items():
+            defining = importlib.import_module(f"fadecap.{module}")
+            for name in names:
+                assert getattr(fadecap, name) is getattr(defining, name), name
+        served = sorted(name for names in defined_in.values() for name in names if name not in vars(fadecap))
+        assert served == sorted(defined_in["channel"] + defined_in["oracle"])
+        with pytest.raises(AttributeError, match="module 'fadecap' has no attribute 'no_such_name'"):
+            fadecap.no_such_name  # noqa: B018
 
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from fadecap.converse import log1p_alpha_snr, xi_default
-from fadecap.direct import DirectStats, LogUniformX2, lemma_mi_lower_bound
+from fadecap.direct import DirectStats, LogUniformX2
 from fadecap.fading import EULER_GAMMA
-from fadecap.oracle import mi_scalar_gaussian
+from fadecap.oracle import lemma_mi_lower_bound, mi_scalar_gaussian
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fadecap"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SRC.glob("*.py"))}
@@ -41,7 +41,37 @@ def _fadecap_imports(tree):
             yield from [alias.name.partition(".")[2] for alias in node.names if alias.name.startswith("fadecap")]
 
 
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").partition(".")[0] == "numpy"
+
+
+def _numpy_imports(tree):
+    """Where ``tree`` imports numpy: "module level" for a top-level statement, else its line."""
+    top = {id(node) for node in tree.body}
+    return ["module level" if id(node) in top else f"line {node.lineno}" for node in ast.walk(tree) if _imports_numpy(node)]
+
+
 class TestLayering:
+    def test_only_channel_and_oracle_import_numpy_each_once_at_module_level(self):
+        found = {name: _numpy_imports(tree) for name, tree in MODULES.items()}
+        assert {name: where for name, where in found.items() if where} == {
+            "channel": ["module level"],
+            "oracle": ["module level"],
+        }
+
+    def test_no_type_checking_block_imports_numpy(self):
+        blocks = [
+            f"{name} line {node.lineno}"
+            for name, tree in MODULES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If)
+            and "TYPE_CHECKING" in ast.unparse(node.test)
+            and any(map(_imports_numpy, ast.walk(node)))
+        ]
+        assert blocks == []
+
     def test_only_config_reads_fields_or_holds_a_field_table(self):
         assert list(_config_code(MODULES["config"]))  # the guard below sees what it looks for
         elsewhere = {name: list(_config_code(tree)) for name, tree in MODULES.items() if name != "config"}

@@ -325,4 +325,4 @@ class TestOptimizeXi:
         log_snr = 30.0
         xi_star, best = optimize_xi(log_snr, DEMO_STATS, BoundParams())
         direct_eval = upper_bound(log_snr, DEMO_STATS, BoundParams(xi=xi_star))
-        assert direct_eval == pytest.approx(best, rel=1e-12)
+        assert direct_eval == best

@@ -16,13 +16,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import fadecap.direct
+import fadecap.oracle
 from fadecap.config import ChannelConfig
 from fadecap.direct import (
     DirectStats,
     LogUniformX2,
     SchemeParams,
-    lemma_mi_lower_bound,
     log_block_average_power,
     log_log_ratio,
     lower_bound,
@@ -33,9 +32,9 @@ from fadecap.direct import (
     xi_p,
 )
 from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath
-from fadecap.oracle import _scheme_log_inputs
+from fadecap.channel import substream
+from fadecap.oracle import _scheme_log_inputs, lemma_mi_lower_bound, quadrature, sample_log_x, sample_log_x2
 from fadecap.record import asdict, fields, replace
-from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
 DOMAIN_ERROR = "the scheme requires P > 1 and a finite log P, got log P = {}"  # outside 0 < log P < inf
@@ -218,7 +217,7 @@ def whole_scheme_block(params, n_draws, rng):
     """All k = L + tau inputs of one scheme block: L guard zeros, then slots 1..tau."""
     x = np.zeros((n_draws, params.block_len), dtype=complex)
     for nu in range(1, params.tau + 1):
-        x[:, params.num_taps + nu - 1] = np.exp(params.slot_law(nu).sample_log_x(rng, n_draws))
+        x[:, params.num_taps + nu - 1] = np.exp(sample_log_x(params.slot_law(nu), rng, n_draws))
     return x
 
 
@@ -270,7 +269,7 @@ class TestSampling:
 
     def test_log_magnitude_uniform_midpoint(self):
         law = LogUniformX2(0.0, math.log(50.0))
-        u = law.sample_log_x2(substream(22, 0), 1_000_000)
+        u = sample_log_x2(law, substream(22, 0), 1_000_000)
         sem = np.std(u, ddof=1) / 1000.0
         assert abs(np.mean(u) - law.mean_log_x2) <= 3.0 * sem
 
@@ -278,36 +277,36 @@ class TestSampling:
         law = LogUniformX2(0.0, 1.0)
         log_x = np.zeros((1000, 3), dtype=complex)
         column = log_x[:, 1]
-        assert law.sample_log_x(substream(24, 0), 1000, out=column) is column
-        assert column.tobytes() == law.sample_log_x(substream(24, 0), 1000).tobytes()
+        assert sample_log_x(law, substream(24, 0), 1000, out=column) is column
+        assert column.tobytes() == sample_log_x(law, substream(24, 0), 1000).tobytes()
         assert not log_x[:, [0, 2]].any()
 
     @pytest.mark.parametrize("log_min, log_max", SYMBOL_LAWS)
     def test_symbols_are_the_exponential_of_their_exponent_bit_for_bit(self, log_min, log_max):
         law = LogUniformX2(log_min, log_max)
         reference = substream(25, 0)
-        u = law.sample_log_x2(reference, 1000)
+        u = sample_log_x2(law, reference, 1000)
         exponent = 0.5 * u + 1j * reference.uniform(0.0, 2.0 * math.pi, size=1000)
-        log_x = law.sample_log_x(substream(25, 0), 1000)
+        log_x = sample_log_x(law, substream(25, 0), 1000)
         assert log_x.tobytes() == exponent.tobytes()
         assert np.exp(log_x).tobytes() == np.exp(exponent).tobytes()
         x = np.zeros((1000, 3), dtype=complex)
-        law.sample_log_x(substream(25, 0), 1000, out=x[:, 1])  # a strided column, as _scheme_log_inputs passes it
+        sample_log_x(law, substream(25, 0), 1000, out=x[:, 1])  # a strided column, as _scheme_log_inputs passes it
         assert np.exp(x[:, 1]).tobytes() == np.exp(exponent).tobytes()
 
     @pytest.mark.parametrize("log_min, log_max", SYMBOL_LAWS)
     def test_power_from_the_real_part_is_within_8_ulps_of_the_symbols(self, log_min, log_max):
         # exp(2 Re log X) is e^u itself; |exp(log X)|^2 rounds the complex exponential and its modulus
         law = LogUniformX2(log_min, log_max)
-        log_x = law.sample_log_x(substream(27, 0), 200_000)
+        log_x = sample_log_x(law, substream(27, 0), 200_000)
         power = np.exp(2.0 * log_x.real)
         modulus = np.abs(np.exp(log_x)) ** 2
-        assert power.tobytes() == np.exp(law.sample_log_x2(substream(27, 0), 200_000)).tobytes()
+        assert power.tobytes() == np.exp(sample_log_x2(law, substream(27, 0), 200_000)).tobytes()
         assert np.all(np.abs(power - modulus) <= 8 * np.spacing(np.maximum(power, modulus)))
 
     def test_phases_cover_circle(self):
         law = LogUniformX2(0.0, 1.0)
-        x = np.exp(law.sample_log_x(substream(23, 0), 200_000))
+        x = np.exp(sample_log_x(law, substream(23, 0), 200_000))
         mean = np.mean(x)
         assert abs(mean) < 0.01  # circular symmetry kills the mean
 
@@ -372,7 +371,7 @@ class TestLemma:
     def test_quadrature_matches_monte_carlo(self):
         law = LogUniformX2(0.0, math.log(100.0))
         sigma_h, sigma_w = 1.0, 0.7
-        u = law.sample_log_x2(substream(24, 0), 400_000)
+        u = sample_log_x2(law, substream(24, 0), 400_000)
         samples = LOG_PI_E + 2.0 * np.log(sigma_h + sigma_w * np.exp(-0.5 * u))
         sem = np.std(samples, ddof=1) / math.sqrt(u.size)
         quad_term = (
@@ -390,14 +389,14 @@ class TestLemma:
 
     def test_quadrature_builds_each_rule_once_and_keeps_its_bits(self):
         law = LogUniformX2(0.0, math.log(100.0))
-        rule = fadecap.direct._legendre_rule
+        rule = fadecap.oracle._legendre_rule
         rule.cache_clear()
-        u, w = law.quadrature(37)
+        u, w = quadrature(law, 37)
         first = (u.tobytes(), w.tobytes())
         nodes, weights = rule(37)
         assert first == ((0.5 * law.spread * nodes + 0.5 * law.spread).tobytes(), (0.5 * weights).tobytes())
         u[0] = w[0] = math.nan  # the caller's arrays are its own
-        again_u, again_w = law.quadrature(37)
+        again_u, again_w = quadrature(law, 37)
         assert (again_u.tobytes(), again_w.tobytes()) == first
         assert (rule.cache_info().misses, rule.cache_info().hits) == (1, 2)  # built on the first call only
         with pytest.raises(ValueError, match="read-only"):
@@ -475,7 +474,7 @@ class TestLegendreRule:
         ],
     )
     def test_matches_40_digit_roots(self, n, indices, weight_tol):
-        nodes, weights = fadecap.direct._legendre_rule(n)
+        nodes, weights = fadecap.oracle._legendre_rule(n)
         for k in indices:
             root, weight = mp_legendre_root(n, nodes[k])
             assert float(abs(nodes[k] - root)) <= 2.0**-52, k  # within an ulp of 1
@@ -483,14 +482,14 @@ class TestLegendreRule:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 512, 1024])
     def test_symmetric_ascending_and_sums_to_two(self, n):
-        nodes, weights = fadecap.direct._legendre_rule(n)
+        nodes, weights = fadecap.oracle._legendre_rule(n)
         assert nodes.shape == weights.shape == (n,)
         assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
         assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and np.all(weights > 0.0)
         assert math.fsum(weights) == pytest.approx(2.0, rel=1e-14)
 
     def test_builds_in_linear_memory(self):
-        rule = fadecap.direct._legendre_rule
+        rule = fadecap.oracle._legendre_rule
         rule.cache_clear()
         tracemalloc.start()
         try:
@@ -503,11 +502,11 @@ class TestLegendreRule:
     def test_lemma_bound_imports_no_numpy_polynomial(self):
         probe = (
             "import sys\n"
-            "from fadecap.direct import LogUniformX2, lemma_mi_lower_bound\n"
+            "from fadecap.direct import LogUniformX2\nfrom fadecap.oracle import lemma_mi_lower_bound\n"
             "lemma_mi_lower_bound(0.0, 1.0, 1.0, LogUniformX2(0.0, 4.6))\n"
             "print(sorted(m for m in ('numpy', 'numpy.polynomial') if m in sys.modules))\n"
         )
-        src = str(Path(fadecap.direct.__file__).resolve().parent.parent)
+        src = str(Path(fadecap.oracle.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert run.stdout.split() == ["['numpy']"]

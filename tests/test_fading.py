@@ -8,21 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadecap.config import path_spec_from_dict, path_spec_to_dict
-from fadecap.fading import (
-    _BLOCK,
-    _ROW_BLOCK,
-    EULER_GAMMA,
-    LOG_PI_E,
-    Ar1Gaussian,
-    IidGaussian,
-    ZeroPath,
-    complex_normal,
-    entropy_rate_szego,
-    sample_paths,
-    spectral_density,
-    stats_of,
-)
-from fadecap.streams import substream
+from fadecap.channel import _BLOCK, _ROW_BLOCK, complex_normal, sample_paths, substream
+from fadecap.fading import EULER_GAMMA, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath, stats_of
+from fadecap.oracle import entropy_rate_szego, spectral_density
 
 class TestClosedForms:
     def test_unit_iid_gaussian(self):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import fadecap.oracle
-from fadecap.channel import output_at
+from fadecap.channel import complex_normal, output_at, substream
 from fadecap.config import ChannelConfig
 from fadecap.direct import LogUniformX2, SchemeParams
-from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath, complex_normal, stats_of
+from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath, stats_of
 from fadecap.oracle import (
     _CHUNK,
     _SHARDS,
@@ -29,10 +29,11 @@ from fadecap.oracle import (
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
+    quadrature,
+    sample_log_x2,
     verify_log_moment_bounds,
 )
 from fadecap.record import replace
-from fadecap.streams import substream
 
 LOG10 = math.log(10.0)
 LAW_1_100 = LogUniformX2(0.0, math.log(100.0))
@@ -40,7 +41,7 @@ LAW_1_100 = LogUniformX2(0.0, math.log(100.0))
 
 def law_1_100_mixture(h_variance, w_variance):
     """log_c and s_nodes of the 512-node output mixture for LAW_1_100, as mi_scalar_gaussian builds them."""
-    u, weights = LAW_1_100.quadrature(512)
+    u, weights = quadrature(LAW_1_100, 512)
     s_nodes = h_variance * np.exp(u) + w_variance
     return np.log(weights) - math.log(math.pi) - np.log(s_nodes), s_nodes
 
@@ -186,7 +187,7 @@ class TestBlockPowerOracle:
         rng, reference = substream(6, 1), substream(6, 1)
         want = np.zeros(size)
         for nu in range(1, scheme.tau + 1):
-            want += np.exp(scheme.slot_law(nu).sample_log_x2(reference, size))
+            want += np.exp(sample_log_x2(scheme.slot_law(nu), reference, size))
         want /= scheme.block_len
         assert _block_powers(scheme, size, rng).tobytes() == want.tobytes()
         assert rng.standard_normal() == reference.standard_normal()
