@@ -2,11 +2,14 @@
 """Sweep both capacity bounds over the demo channel and fit pre-loglog slopes.
 
 Writes sweep.csv (+ metadata sidecar) into --outdir and prints the slope
-fits on the configured grid.
+fits on the configured grid.  Both bounds are fitted before anything is
+written, so a config whose sweep cannot be fitted exits 1 with one
+``error:`` line and leaves no files.
 """
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 from fadecap import cli
@@ -18,13 +21,17 @@ def main() -> int:
     parser.add_argument("--outdir", default="outputs")
     args = parser.parse_args()
 
-    config = cli.load_config(args.config)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    sweep, metadata = cli.run_sweep(config)
-    out = outdir / f"sweep.{config.output_format}"
-    sidecar = cli.write_outputs(sweep, metadata, out, config.output_format)
+    try:
+        config = cli.load_config(args.config)
+        sweep, metadata = cli.run_sweep(config)
+        fits = {which: cli.fit_preloglog_slope(sweep, which) for which in ("upper", "lower")}
+        outdir = Path(args.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        out = outdir / f"sweep.{config.output_format}"
+        sidecar = cli.write_outputs(sweep, metadata, out, config.output_format)
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     print(f"wrote {out} and {sidecar}")
 
     print(f"\n{'log10 SNR':>10} {'loglog':>8} {'upper':>9} {'lower':>9} {'tau*':>6} {'u/loglog':>9} {'l/loglog':>9}")
@@ -34,8 +41,7 @@ def main() -> int:
             f"{lower:>9.4f} {tau_star:>6d} {ratio_upper:>9.4f} {ratio_lower:>9.4f}"
         )
 
-    for which in ("upper", "lower"):
-        fit = cli.fit_preloglog_slope(sweep, which)
+    for which, fit in fits.items():
         print(f"\n{which} bound on the configured grid: slope {fit.slope:.4f} (rms residual {fit.residual:.3g})")
     return 0
 

@@ -27,7 +27,7 @@ import numpy as np
 
 # perfbench/checks.py reads config_from_dict from this module
 from .config import ChannelConfig, config_from_dict  # noqa: F401
-from .fading import Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath
+from .fading import PathGainSpec, stats_of
 from .record import Record
 
 _BLOCK = 65536  # normals per draw in complex_normal
@@ -86,6 +86,9 @@ def sample_paths(
 ) -> np.ndarray:
     """``n_paths`` independent stationary sample paths of length ``n``, shape (n_paths, n).
 
+    The sampler follows from what the tap is, not its config kind: the zero
+    tap gives zeros, a tap with pole 0 white gains, any other the AR(1) recursion.
+
     With ``last=True`` only the gains at time n are returned, shape
     (n_paths,): the full draw's column n - 1, bit for bit.  The same draws
     are made in the same order, so ``rng`` is left where the full draw
@@ -98,25 +101,23 @@ def sample_paths(
         raise ValueError(f"path length must be >= 1, got {n}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if isinstance(spec, ZeroPath):
+    if not stats_of(spec).active:  # the zero tap; stats_of raises on what is not a tap
         return np.zeros((n_paths,) if last else (n_paths, n), dtype=complex)
-    if isinstance(spec, IidGaussian):
+    if spec.a == 0:  # the white tap, whatever its config kind
         return complex_normal(rng, (n_paths, n), spec.alpha, last=last)
-    if isinstance(spec, Ar1Gaussian):
-        h = complex_normal(rng, n_paths, spec.alpha)
-        variance = spec.alpha * (1.0 - abs(spec.a) ** 2)
-        if last:
-            if n > 1:
-                _ar1_last(spec.a, h, n - 1, variance, rng)
-            return h
-        innovations = complex_normal(rng, (n_paths, n - 1), variance)
-        out = np.empty((n_paths, n), dtype=complex)
-        out[:, 0] = h
-        for t in range(1, n):
-            h = _ar1_step(spec.a, innovations[:, t - 1], h)
-            out[:, t] = h
-        return out
-    raise TypeError(f"not a path-gain spec: {spec!r}")
+    h = complex_normal(rng, n_paths, spec.alpha)
+    variance = spec.alpha * (1.0 - abs(spec.a) ** 2)
+    if last:
+        if n > 1:
+            _ar1_last(spec.a, h, n - 1, variance, rng)
+        return h
+    innovations = complex_normal(rng, (n_paths, n - 1), variance)
+    out = np.empty((n_paths, n), dtype=complex)
+    out[:, 0] = h
+    for t in range(1, n):
+        h = _ar1_step(spec.a, innovations[:, t - 1], h)
+        out[:, t] = h
+    return out
 
 
 def _ar1_step(a: complex, innovation: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -8,15 +8,14 @@ supported:
   and IID standard circularly-symmetric innovations ``U[k]``, initialised
   from the stationary marginal ``CN(0, alpha)``;
 * ``IidGaussian(alpha)``    -- white complex Gaussian, variance ``alpha``:
-  the pole-0 case ``a = 0`` of the Gauss-Markov family in every closed form
-  (only its sampler and config kind are its own);
+  the pole-0 case ``a = 0`` of the Gauss-Markov family in every closed form,
+  sampler and quadrature (only its config kind is its own);
 * ``ZeroPath()``            -- the identically-zero tap.
 
 The Gaussian families share one closed form each for the variance,
 differential entropy rate and mean log-magnitude (all in nats).  Standard
-library only: the families' sampler is ``channel.sample_paths``, and the
-spectral density with its independent Szego quadrature oracle for the
-entropy rate lives in ``oracle``.
+library only: ``channel.sample_paths`` and the Szego oracle ``oracle.entropy_rate_szego``
+read a tap's ``alpha`` and ``a``; only this module and ``config`` name the families.
 """
 
 from __future__ import annotations

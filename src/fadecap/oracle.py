@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .channel import realize_many, simulate  # noqa: F401
 from .channel import fill_normals, output_at, substream
 from .config import _SHARDS, ChannelConfig, positive_finite
 from .direct import LogUniformX2, SchemeParams
-from .fading import LOG10, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, PathGainSpec, stats_of
+from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, stats_of
 from .record import Record
 
 _CHUNK = 65536
@@ -166,21 +166,9 @@ def lemma_mi_lower_bound(
     return x2_law.entropy_x - x2_law.mean_log_x2 + mean_log_h2 - last_term
 
 
-def spectral_density(spec: PathGainSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Power spectral density ``alpha (1-|a|^2) / |1 - a e^{-i lam}|^2`` on [-pi, pi]
-    of a Gaussian gain process (flat for the white family, ``a = 0``)."""
-    if not isinstance(spec, (IidGaussian, Ar1Gaussian)):
-        raise ValueError(f"no spectral density for {spec!r}")
-    top, a = spec.alpha * (1.0 - abs(spec.a) ** 2), spec.a
-
-    def density(lam: np.ndarray) -> np.ndarray:
-        return top / np.abs(1.0 - a * np.exp(-1j * np.asarray(lam, dtype=float))) ** 2
-
-    return density
-
-
-def entropy_rate_szego(spectral_density: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Entropy rate ``log(pi e) + (1/2 pi) int log S`` by periodic composite quadrature.
+def entropy_rate_szego(spec: PathGainSpec) -> float:
+    """Entropy rate ``log(pi e) + (1/2 pi) int log S`` of a Gaussian tap by periodic composite
+    quadrature of its spectral density ``S = alpha (1-|a|^2) / |1 - a e^{-i lam}|^2`` on [-pi, pi].
 
     The integrand is 2*pi-periodic, so the equal-weight rule on a uniform grid
     converges spectrally fast for smooth densities, but only once the grid
@@ -189,13 +177,15 @@ def entropy_rate_szego(spectral_density: Callable[[np.ndarray], np.ndarray]) -> 
     midpoints, while two successive estimates differ by more than
     ``_SZEGO_TOL``; the estimate of the first grid that agrees with the next
     is returned.  Raises if that takes more than ``_SZEGO_MAX_GRID`` points,
-    or if the density is not strictly positive and finite on the grid.
+    if the tap is the zero tap, or if the density is not strictly positive
+    and finite on the grid (a subnormal alpha underflows it to 0).
     """
+    if not stats_of(spec).active:
+        raise ValueError(f"no spectral density for {spec!r}")
+    top, a = spec.alpha * (1.0 - abs(spec.a) ** 2), spec.a
 
     def mean_log(lam: np.ndarray) -> float:
-        values = np.asarray(spectral_density(lam), dtype=float)
-        if values.shape != lam.shape:
-            raise ValueError("spectral density must evaluate elementwise on the grid")
+        values = top / np.abs(1.0 - a * np.exp(-1j * lam)) ** 2
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             raise ValueError("spectral density must be strictly positive and finite on the grid")
         return float(np.mean(np.log(values)))

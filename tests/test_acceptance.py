@@ -44,7 +44,6 @@ from fadecap.oracle import (
     mc_block_power,
     mc_log_gain,
     mi_scalar_gaussian,
-    spectral_density,
     verify_log_moment_bounds,
 )
 from fadecap.record import replace
@@ -223,7 +222,7 @@ class TestCriterion4ClosedFormStats:
         szego_err = []
         for alpha, a in szego_pairs:
             spec = Ar1Gaussian(alpha, a)
-            got = entropy_rate_szego(spectral_density(spec))
+            got = entropy_rate_szego(spec)
             szego_err.append(abs(got - stats_of(spec).entropy_rate))
         elapsed = time.monotonic() - t0
         ok = all(gain_ok) and all(e < 1e-5 for e in szego_err) and elapsed < 30.0

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -584,6 +585,27 @@ class TestMainEntry:
             "upper: slope 0.891954, intercept 2.600276, rms residual 0.0217",
             "lower: slope 0.629546, intercept -1.917210, rms residual 0.0271",
         ]
+
+    def test_large_tap_variance_sweeps_cleanly(self):
+        # upper is about alpha_0 = 1e200, so the squares of its misfits overflow but their rms does not
+        raw = copy.deepcopy(DEMO_RAW)
+        raw["channel"]["paths"][0]["alpha"] = 1e200
+        rc, err, files = run_sweep_cli(json.dumps(raw))
+        assert (rc, err, files) == (0, "", ["sweep.csv", "sweep.csv.meta.json"])
+        residual = fit_preloglog_slope(run_sweep(sweep_config_from_dict(raw))[0], "upper").residual
+        assert 1e196 < residual < math.inf
+
+    def test_demo_script_fits_before_writing(self, tmp_path, monkeypatch, capsys):
+        # the largest grid stop: the upper bound overflows to inf at the last of 19 points
+        config = demo_config_with(tmp_path / "config.json", {("grid", "log10_snr_stop"): MAX_GRID_STOP})
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        script = runpy.run_path(str(REPO_CONFIG.parent.parent / "scripts" / "run_demo_sweep.py"))
+        monkeypatch.setattr(sys, "argv", ["run_demo_sweep.py", "--config", str(config), "--outdir", str(outdir)])
+        assert script["main"]() == 1
+        where = f"row 18, upper = inf at log SNR {MAX_GRID_STOP * LOG10!r} nats"
+        assert capsys.readouterr().err == f"error: cannot fit the slope of a non-finite bound: {where}\n"
+        assert list(outdir.iterdir()) == []
 
     # The next four tests set a config key in a copy of the demo config.
     def test_sweep_json_output_format_key(self, tmp_path):

@@ -53,6 +53,17 @@ def _numpy_imports(tree):
     return ["module level" if id(node) in top else f"line {node.lineno}" for node in ast.walk(tree) if _imports_numpy(node)]
 
 
+TAP_FAMILIES = {"IidGaussian", "Ar1Gaussian", "ZeroPath"}
+
+
+def _family_references(tree):
+    """Each name, attribute or imported name in ``tree`` that is a tap family class, by line."""
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in TAP_FAMILIES:
+            yield f"line {node.lineno} names {name}"
+
+
 class TestLayering:
     def test_only_channel_and_oracle_import_numpy_each_once_at_module_level(self):
         found = {name: _numpy_imports(tree) for name, tree in MODULES.items()}
@@ -76,6 +87,13 @@ class TestLayering:
         assert list(_config_code(MODULES["config"]))  # the guard below sees what it looks for
         elsewhere = {name: list(_config_code(tree)) for name, tree in MODULES.items() if name != "config"}
         assert {name: found for name, found in elsewhere.items() if found} == {}
+
+    def test_only_fading_config_and_the_package_reexports_name_the_tap_families(self):
+        # every other module reads a tap's alpha and pole, or asks stats_of what it is
+        allowed = {"fading", "config", "__init__"}
+        named = {name: list(_family_references(tree)) for name, tree in MODULES.items()}
+        assert all(named[name] for name in allowed)  # the guard below sees what it looks for
+        assert {name: found for name, found in named.items() if found and name not in allowed} == {}
 
     def test_config_imports_only_record_and_fading(self):
         assert set(_fadecap_imports(MODULES["config"])) == {"record", "fading"}

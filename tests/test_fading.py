@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fadecap.config import path_spec_from_dict, path_spec_to_dict
 from fadecap.channel import _BLOCK, _ROW_BLOCK, complex_normal, sample_paths, substream
 from fadecap.fading import EULER_GAMMA, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath, stats_of
-from fadecap.oracle import entropy_rate_szego, spectral_density
+from fadecap.oracle import entropy_rate_szego
 
 class TestClosedForms:
     def test_unit_iid_gaussian(self):
@@ -55,12 +55,10 @@ class TestClosedForms:
 
 class TestSzegoOracle:
     def test_flat_spectrum(self):
-        assert entropy_rate_szego(lambda lam: np.ones_like(lam)) == pytest.approx(
-            LOG_PI_E, abs=1e-12
-        )
+        assert entropy_rate_szego(IidGaussian(1.0)) == pytest.approx(LOG_PI_E, abs=1e-12)
 
     def test_constant_scaling(self):
-        got = entropy_rate_szego(lambda lam: 3.0 * np.ones_like(lam))
+        got = entropy_rate_szego(IidGaussian(3.0))
         assert got == pytest.approx(LOG_PI_E + math.log(3.0), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -69,41 +67,43 @@ class TestSzegoOracle:
     )
     def test_ar1_matches_closed_form(self, alpha, a):
         # the pole factor integrates to zero, leaving the innovation variance
-        got = entropy_rate_szego(spectral_density(Ar1Gaussian(alpha, a)))
+        got = entropy_rate_szego(Ar1Gaussian(alpha, a))
         assert abs(got - stats_of(Ar1Gaussian(alpha, a)).entropy_rate) < 1e-6
 
     def test_iid_spectral_density_matches(self):
-        got = entropy_rate_szego(spectral_density(IidGaussian(2.0)))
+        got = entropy_rate_szego(IidGaussian(2.0))
         assert abs(got - stats_of(IidGaussian(2.0)).entropy_rate) < 1e-10
-        # flat: the a = 0 case of the Gauss-Markov density, bit for bit
-        lam = np.linspace(-math.pi, math.pi, 2**17)
+        # flat: the a = 0 density is alpha bit for bit, so every grid's mean log is log(alpha)
         for alpha in (1e-300, 0.3, 2.0, 1e300):
-            density = spectral_density(IidGaussian(alpha))(lam)
-            assert density.tobytes() == np.full_like(lam, alpha).tobytes()
+            assert entropy_rate_szego(IidGaussian(alpha)) == LOG_PI_E + float(np.log(alpha))
+            assert entropy_rate_szego(Ar1Gaussian(alpha, 0.0)) == LOG_PI_E + float(np.log(alpha))
 
     def test_zero_path_has_no_spectral_density(self):
         with pytest.raises(ValueError, match="no spectral density"):
-            spectral_density(ZeroPath())
+            entropy_rate_szego(ZeroPath())
+        with pytest.raises(TypeError, match="not a path-gain spec"):
+            entropy_rate_szego(lambda lam: np.ones_like(lam))
 
     def test_fast_fading_keeps_the_first_grid(self):
         # the first grid agrees with the next, so its estimate is returned as is
-        density = spectral_density(Ar1Gaussian(1.0, 0.5))
         lam = -math.pi + 2.0 * math.pi * np.arange(2**16) / 2**16
-        assert entropy_rate_szego(density) == LOG_PI_E + float(np.mean(np.log(density(lam))))
+        density = 0.75 / np.abs(1.0 - 0.5 * np.exp(-1j * lam)) ** 2
+        assert entropy_rate_szego(Ar1Gaussian(1.0, 0.5)) == LOG_PI_E + float(np.mean(np.log(density)))
 
     @pytest.mark.parametrize("a", [0.99999, 0.999999])
     def test_slow_fading_refines_the_grid(self, a):
         # the 2^16-point grid's error is 2.2e-5 at |a| = 0.99999
-        got = entropy_rate_szego(spectral_density(Ar1Gaussian(1.0, a)))
+        got = entropy_rate_szego(Ar1Gaussian(1.0, a))
         assert abs(got - stats_of(Ar1Gaussian(1.0, a)).entropy_rate) < 1e-7
 
     def test_unresolved_peak_raises(self):
         with pytest.raises(ValueError, match="did not converge"):
-            entropy_rate_szego(spectral_density(Ar1Gaussian(1.0, 0.9999999)))
+            entropy_rate_szego(Ar1Gaussian(1.0, 0.9999999))
 
     def test_nonpositive_density_rejected(self):
-        with pytest.raises(ValueError):
-            entropy_rate_szego(lambda lam: np.cos(lam))
+        # alpha (1 - |a|^2) / |1 - a e^{-i lam}|^2 underflows to 0 where the denominator exceeds 1.5
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            entropy_rate_szego(Ar1Gaussian(5e-324, 0.5))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -114,7 +114,7 @@ class TestSzegoOracle:
     def test_property_szego_agrees_for_random_ar1(self, alpha, a_mag, a_phase):
         a = a_mag * complex(math.cos(a_phase), math.sin(a_phase))
         spec = Ar1Gaussian(alpha, a)
-        got = entropy_rate_szego(spectral_density(spec))
+        got = entropy_rate_szego(spec)
         assert abs(got - stats_of(spec).entropy_rate) < 1e-5
 
 
@@ -150,6 +150,7 @@ AR1_TAPS = st.one_of(
         st.floats(0.0, 2.0 * math.pi),
     ),
 )
+RECURSIVE_TAPS = AR1_TAPS.filter(lambda spec: spec.a != 0)  # a pole-0 tap is drawn white
 TAPS = st.one_of(st.just(ZeroPath()), st.floats(0.01, 10.0).map(IidGaussian), AR1_TAPS)
 NEAR_A_BLOCK = st.sampled_from(["one", "below", "at", "above"])
 
@@ -242,12 +243,12 @@ class TestSamplers:
         assert got.shape == (n_paths,)
         assert got.tobytes() == paths[:, n - 1].tobytes()
         assert rng.standard_normal() == reference.standard_normal()
-        if isinstance(spec, Ar1Gaussian):
+        if isinstance(spec, Ar1Gaussian) and spec.a != 0:
             assert paths.tobytes() == ar1_reference(spec, n, n_paths, substream(seed, 0)).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
-        spec=AR1_TAPS,
+        spec=RECURSIVE_TAPS,
         n=st.integers(2, 8),
         whole_blocks=st.integers(0, 2),
         last_rows=st.sampled_from(["one", "half", "all"]),
@@ -273,6 +274,15 @@ class TestSamplers:
         rng, reference = substream(seed, 1), substream(seed, 1)
         got = complex_normal(rng, (n_rows, n), variance, last=True)
         assert got.tobytes() == complex_normal(reference, (n_rows, n), variance)[:, n - 1].tobytes()
+        assert rng.standard_normal() == reference.standard_normal()
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("n, n_paths", [(1, 1), (5, 3), (3, _BLOCK // 3 + 1)])
+    def test_ar1_tap_with_pole_zero_is_drawn_as_the_white_tap(self, n, n_paths, last):
+        # the same law, so the same sampler and the same bits, with the streams left in step
+        rng, reference = substream(21, 0), substream(21, 0)
+        got = sample_paths(Ar1Gaussian(1.7, 0.0), n, n_paths, rng, last=last)
+        assert got.tobytes() == sample_paths(IidGaussian(1.7), n, n_paths, reference, last=last).tobytes()
         assert rng.standard_normal() == reference.standard_normal()
 
     def test_bad_lengths_rejected(self):
