@@ -35,14 +35,7 @@ from .direct import (
     sharp_slot_bound,
     xi_p,
 )
-from .fading import (
-    EULER_GAMMA,
-    Ar1Gaussian,
-    IidGaussian,
-    PathStats,
-    ZeroPath,
-    stats_of,
-)
+from .fading import EULER_GAMMA, GaussianTap, PathStats, stats_of
 
 # name -> the module of the numpy layer that defines it
 _LAZY = {

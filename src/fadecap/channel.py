@@ -27,7 +27,7 @@ import numpy as np
 
 # perfbench/checks.py reads config_from_dict from this module
 from .config import ChannelConfig, config_from_dict  # noqa: F401
-from .fading import PathGainSpec, stats_of
+from .fading import GaussianTap, stats_of
 from .record import Record
 
 _BLOCK = 65536  # normals per draw in complex_normal
@@ -82,7 +82,7 @@ def complex_normal(rng: np.random.Generator, shape, variance: float, last: bool 
 
 
 def sample_paths(
-    spec: PathGainSpec, n: int, n_paths: int, rng: np.random.Generator, last: bool = False
+    spec: GaussianTap, n: int, n_paths: int, rng: np.random.Generator, last: bool = False
 ) -> np.ndarray:
     """``n_paths`` independent stationary sample paths of length ``n``, shape (n_paths, n).
 

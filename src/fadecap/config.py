@@ -5,7 +5,7 @@ every section against its table, so unknown keys are rejected everywhere.
 User-facing SNR/power values are base-10 logs; ``ChannelConfig`` carries
 ``log_power``, the natural log of P, so SNRs far beyond float range stay
 representable.  Standard library only, importing nothing from fadecap but
-``record`` and ``fading``'s path-gain families.
+``record`` and ``fading``'s tap record.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from array import array
 from typing import Optional, Tuple
 
-from .fading import LOG10, Ar1Gaussian, IidGaussian, PathGainSpec, ZeroPath
+from .fading import LOG10, GaussianTap
 from .record import Record, asdict, fields
 
 SCHEMA_VERSION = 1
@@ -93,8 +93,11 @@ _PATH_FIELDS = {
 }
 
 
-def path_spec_from_dict(data: dict, where: str = "path") -> PathGainSpec:
-    """Parse the config-schema form; unknown kinds and keys are errors."""
+def path_spec_from_dict(data: dict, where: str = "path") -> GaussianTap:
+    """Parse the config-schema form; unknown kinds and keys are errors, each naming ``where``.
+
+    ``iid`` and ``ar1`` taps must carry energy: ``zero`` is the one kind of ``alpha = 0``.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object, got {data!r}")
     kind = data.get("kind")
@@ -102,27 +105,27 @@ def path_spec_from_dict(data: dict, where: str = "path") -> PathGainSpec:
         raise ValueError(f"{where}.kind must be one of {sorted(_PATH_FIELDS)}, got {kind!r}")
     fields = read_fields(data, where, {"kind": (str, REQUIRED), **_PATH_FIELDS[kind]})
     if kind == "zero":
-        return ZeroPath()
-    if kind == "iid":
-        return IidGaussian(alpha=fields["alpha"])
-    return Ar1Gaussian(alpha=fields["alpha"], a=complex(fields["a_re"], fields["a_im"]))
+        return GaussianTap(0.0)
+    alpha = positive_finite(fields["alpha"], f"{where}.alpha")
+    try:
+        return GaussianTap(alpha, complex(fields.get("a_re", 0.0), fields.get("a_im", 0.0)))
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
 
 
-def path_spec_to_dict(spec: PathGainSpec) -> dict:
-    """Serialize to the config-schema form ``{kind, alpha, a_re, a_im}``."""
-    if isinstance(spec, ZeroPath):
+def path_spec_to_dict(spec: GaussianTap) -> dict:
+    """Serialize to the config-schema form of the tap's case: ``zero``, ``iid`` (pole 0) or ``ar1``."""
+    if spec.alpha == 0.0:
         return {"kind": "zero"}
-    if isinstance(spec, IidGaussian):
+    if spec.a == 0:
         return {"kind": "iid", "alpha": spec.alpha}
-    if isinstance(spec, Ar1Gaussian):
-        return {"kind": "ar1", "alpha": spec.alpha, "a_re": spec.a.real, "a_im": spec.a.imag}
-    raise TypeError(f"not a path-gain spec: {spec!r}")
+    return {"kind": "ar1", "alpha": spec.alpha, "a_re": spec.a.real, "a_im": spec.a.imag}
 
 
 class ChannelConfig(Record):
     """A channel instance: L+1 path specs, noise variance and log transmit power."""
 
-    path_specs: Tuple[PathGainSpec, ...]
+    path_specs: Tuple[GaussianTap, ...]
     noise_variance: float
     log_power: float
 

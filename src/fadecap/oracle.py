@@ -43,7 +43,7 @@ from .channel import realize_many, simulate  # noqa: F401
 from .channel import fill_normals, output_at, substream
 from .config import _SHARDS, ChannelConfig, positive_finite
 from .direct import LogUniformX2, SchemeParams
-from .fading import LOG10, LOG_PI, LOG_PI_E, PathGainSpec, stats_of
+from .fading import LOG10, LOG_PI, LOG_PI_E, GaussianTap, stats_of
 from .record import Record
 
 _CHUNK = 65536
@@ -166,7 +166,7 @@ def lemma_mi_lower_bound(
     return x2_law.entropy_x - x2_law.mean_log_x2 + mean_log_h2 - last_term
 
 
-def entropy_rate_szego(spec: PathGainSpec) -> float:
+def entropy_rate_szego(spec: GaussianTap) -> float:
     """Entropy rate ``log(pi e) + (1/2 pi) int log S`` of a Gaussian tap by periodic composite
     quadrature of its spectral density ``S = alpha (1-|a|^2) / |1 - a e^{-i lam}|^2`` on [-pi, pi].
 
@@ -340,7 +340,7 @@ def _log_abs2(rng: np.random.Generator, size: int, variance: float) -> np.ndarra
     return out
 
 
-def mc_log_gain(spec: PathGainSpec, n_samples: int, seed: int) -> McEstimate:
+def mc_log_gain(spec: GaussianTap, n_samples: int, seed: int) -> McEstimate:
     """Sample mean of log|H|^2 over independent stationary marginal draws.
 
     Each shard's draws are those of ``complex_normal``, but only one float

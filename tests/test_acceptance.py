@@ -37,7 +37,7 @@ from fadecap.direct import (
     optimize_tau,
     schedule_is_valid,
 )
-from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, stats_of
+from fadecap.fading import EULER_GAMMA, GaussianTap, stats_of
 from fadecap.oracle import (
     entropy_rate_szego,
     lemma_mi_lower_bound,
@@ -58,7 +58,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def l8_channel(log_power=3 * LOG10) -> ChannelConfig:
     return ChannelConfig(
-        path_specs=tuple(Ar1Gaussian(alpha=0.5**l, a=0.5) for l in range(9)),
+        path_specs=tuple(GaussianTap(alpha=0.5**l, a=0.5) for l in range(9)),
         noise_variance=1.0,
         log_power=log_power,
     )
@@ -212,7 +212,7 @@ class TestCriterion3LemmaOracle:
 class TestCriterion4ClosedFormStats:
     def test_log_gain_and_entropy_rate_oracles(self):
         t0 = time.monotonic()
-        gain_specs = [IidGaussian(1.0), IidGaussian(math.e), Ar1Gaussian(1.0, 0.9)]
+        gain_specs = [GaussianTap(1.0), GaussianTap(math.e), GaussianTap(1.0, 0.9)]
         gain_ok = []
         for i, spec in enumerate(gain_specs):
             est = mc_log_gain(spec, 1_000_000, seed=400 + i)
@@ -221,7 +221,7 @@ class TestCriterion4ClosedFormStats:
         szego_pairs = [(1.0, 0.5), (2.0, 0.5), (1.0, 0.9)]
         szego_err = []
         for alpha, a in szego_pairs:
-            spec = Ar1Gaussian(alpha, a)
+            spec = GaussianTap(alpha, a)
             got = entropy_rate_szego(spec)
             szego_err.append(abs(got - stats_of(spec).entropy_rate))
         elapsed = time.monotonic() - t0
@@ -241,7 +241,7 @@ class TestCriterion5ChannelIdentities:
     def test_structural_and_moment_identities(self):
         t0 = time.monotonic()
         config = ChannelConfig(
-            path_specs=(IidGaussian(1.0), IidGaussian(0.5), IidGaussian(0.25)),
+            path_specs=(GaussianTap(1.0), GaussianTap(0.5), GaussianTap(0.25)),
             noise_variance=1.5,
             log_power=0.0,
         )
@@ -317,9 +317,9 @@ class TestCriterion6InequalityAudit:
         for log10_p in (3.0, 6.0):
             config = ChannelConfig(
                 path_specs=(
-                    Ar1Gaussian(1.0, 0.5),
-                    Ar1Gaussian(0.5, 0.5),
-                    Ar1Gaussian(0.25, 0.5),
+                    GaussianTap(1.0, 0.5),
+                    GaussianTap(0.5, 0.5),
+                    GaussianTap(0.25, 0.5),
                 ),
                 noise_variance=1.0,
                 log_power=log10_p * LOG10,

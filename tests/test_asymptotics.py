@@ -20,7 +20,7 @@ from fadecap import cli
 from fadecap.config import BoundParams, ChannelConfig, GridSpec
 from fadecap.converse import ConverseStats, log1p_alpha_snr, psi, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
-from fadecap.fading import EULER_GAMMA, LOG10, LOG_PI, Ar1Gaussian, IidGaussian
+from fadecap.fading import EULER_GAMMA, LOG10, LOG_PI, GaussianTap
 
 PARAMS = BoundParams()
 DEMO = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
@@ -30,7 +30,7 @@ DEMO_DSTATS = DirectStats.from_config(DEMO.channel)
 
 def l8_stats() -> DirectStats:
     chan = ChannelConfig(
-        path_specs=tuple(Ar1Gaussian(alpha=0.5**l, a=0.5) for l in range(9)),
+        path_specs=tuple(GaussianTap(alpha=0.5**l, a=0.5) for l in range(9)),
         noise_variance=1.0,
         log_power=3.0 * math.log(10.0),
     )
@@ -164,8 +164,8 @@ def decade_windows(count=100, last_log_snr=1e290) -> list:
     return [GridSpec(s, 10.0 * s, DEMO.grid.points).log_snr_values() for s in starts]
 
 
-FLAT = DirectStats.from_config(ChannelConfig((IidGaussian(1.0),), 1.0, 0.0))  # L = 0
-SLOW_QUIET = DirectStats.from_config(ChannelConfig((Ar1Gaussian(2.0, 0.5),), 0.1, 0.0))  # L = 0, sigma^2 < 1
+FLAT = DirectStats.from_config(ChannelConfig((GaussianTap(1.0),), 1.0, 0.0))  # L = 0
+SLOW_QUIET = DirectStats.from_config(ChannelConfig((GaussianTap(2.0, 0.5),), 0.1, 0.0))  # L = 0, sigma^2 < 1
 
 
 def assert_windows_shrink(remainder_at):
@@ -217,7 +217,7 @@ def converse_next_terms(log_snr, stats) -> float:
 
 
 def iid_cstats(alpha: float) -> ConverseStats:
-    return ConverseStats.from_config(ChannelConfig((IidGaussian(alpha),), 1.0, 0.0))
+    return ConverseStats.from_config(ChannelConfig((GaussianTap(alpha),), 1.0, 0.0))
 
 
 class TestSecondOrderLimit:

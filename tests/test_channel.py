@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 import fadecap.channel
 from fadecap.channel import ChannelRealization, output_at, realize_many, sample_paths, simulate, substream
 from fadecap.config import ChannelConfig, aggregate_gain, config_from_dict, config_to_dict, snr_of
-from fadecap.fading import EULER_GAMMA, Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.fading import EULER_GAMMA, GaussianTap
 
 LOG10 = math.log(10.0)
 
 
 def two_tap_config(log_power=0.0):
     return ChannelConfig(
-        path_specs=(IidGaussian(1.0), IidGaussian(0.5)),
+        path_specs=(GaussianTap(1.0), GaussianTap(0.5)),
         noise_variance=1.0,
         log_power=log_power,
     )
@@ -37,15 +37,15 @@ def realize_one(config, n, seed):
 class TestConfig:
     def test_zero_alpha0_rejected(self):
         with pytest.raises(ValueError):
-            ChannelConfig(path_specs=(ZeroPath(), IidGaussian(1.0)), noise_variance=1.0, log_power=0.0)
+            ChannelConfig(path_specs=(GaussianTap(0.0), GaussianTap(1.0)), noise_variance=1.0, log_power=0.0)
 
     def test_bad_noise_rejected(self):
         with pytest.raises(ValueError):
-            ChannelConfig(path_specs=(IidGaussian(1.0),), noise_variance=0.0, log_power=0.0)
+            ChannelConfig(path_specs=(GaussianTap(1.0),), noise_variance=0.0, log_power=0.0)
 
     def test_active_set_skips_zero_paths(self):
         config = ChannelConfig(
-            path_specs=(IidGaussian(1.0), ZeroPath(), IidGaussian(2.0)),
+            path_specs=(GaussianTap(1.0), GaussianTap(0.0), GaussianTap(2.0)),
             noise_variance=1.0,
             log_power=0.0,
         )
@@ -54,14 +54,14 @@ class TestConfig:
 
     def test_aggregate_gain_arithmetic(self):
         config = ChannelConfig(
-            path_specs=(IidGaussian(1.0), IidGaussian(0.5), IidGaussian(0.25)),
+            path_specs=(GaussianTap(1.0), GaussianTap(0.5), GaussianTap(0.25)),
             noise_variance=1.0,
             log_power=0.0,
         )
         assert aggregate_gain(config) == pytest.approx(1.75)
 
     def test_single_path_gain(self):
-        config = ChannelConfig(path_specs=(IidGaussian(1.0),), noise_variance=1.0, log_power=0.0)
+        config = ChannelConfig(path_specs=(GaussianTap(1.0),), noise_variance=1.0, log_power=0.0)
         assert aggregate_gain(config) == pytest.approx(1.0)
 
 
@@ -96,9 +96,9 @@ class TestSnr:
         assert snr_of(two_tap_config(log_power=500.0)) == 500.0
 
     def test_rescaling_power_and_noise_preserves_snr(self):
-        base = ChannelConfig(path_specs=(IidGaussian(1.0),), noise_variance=1.0, log_power=3 * LOG10)
+        base = ChannelConfig(path_specs=(GaussianTap(1.0),), noise_variance=1.0, log_power=3 * LOG10)
         scaled = ChannelConfig(
-            path_specs=(IidGaussian(1.0),),
+            path_specs=(GaussianTap(1.0),),
             noise_variance=100.0,
             log_power=3 * LOG10 + math.log(100.0),
         )
@@ -122,7 +122,7 @@ class TestSimulate:
     def test_truncation_never_reads_prehistory(self):
         # first output sample sees only x_1 regardless of deeper taps
         config = ChannelConfig(
-            path_specs=(IidGaussian(1.0), IidGaussian(1.0), IidGaussian(1.0)),
+            path_specs=(GaussianTap(1.0), GaussianTap(1.0), GaussianTap(1.0)),
             noise_variance=1.0,
             log_power=0.0,
         )
@@ -173,14 +173,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(config, np.zeros(7), real)
         with pytest.raises(ValueError):
-            simulate(ChannelConfig(path_specs=(IidGaussian(1.0),), noise_variance=1.0, log_power=0.0),
+            simulate(ChannelConfig(path_specs=(GaussianTap(1.0),), noise_variance=1.0, log_power=0.0),
                      np.zeros(8), real)
 
 
 ACTIVE_TAPS = st.one_of(
-    st.floats(0.01, 10.0).map(IidGaussian),
+    st.floats(0.01, 10.0).map(GaussianTap),
     st.builds(
-        lambda alpha, mag, phase: Ar1Gaussian(alpha, mag * complex(math.cos(phase), math.sin(phase))),
+        lambda alpha, mag, phase: GaussianTap(alpha, mag * complex(math.cos(phase), math.sin(phase))),
         st.floats(0.01, 10.0),
         st.floats(0.0, 0.99),
         st.floats(0.0, 2.0 * math.pi),
@@ -192,7 +192,7 @@ class TestOutputAt:
     @settings(max_examples=60, deadline=None)
     @given(
         first_tap=ACTIVE_TAPS,
-        later_taps=st.lists(st.one_of(ACTIVE_TAPS, st.just(ZeroPath())), max_size=3),
+        later_taps=st.lists(st.one_of(ACTIVE_TAPS, st.just(GaussianTap(0.0))), max_size=3),
         n_samples=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
@@ -218,7 +218,7 @@ class TestOutputAt:
             return sample_paths(*args, **kwargs)
 
         monkeypatch.setattr(fadecap.channel, "sample_paths", spy)
-        taps = (IidGaussian(1.0), Ar1Gaussian(0.5, 0.5j), ZeroPath(), IidGaussian(0.25))
+        taps = (GaussianTap(1.0), GaussianTap(0.5, 0.5j), GaussianTap(0.0), GaussianTap(0.25))
         config = ChannelConfig(path_specs=taps, noise_variance=1.0, log_power=0.0)
         output_at(config, 3, np.ones((17, 3), dtype=complex), seed=0)
         assert calls == [(spec, 3, 17) for spec in taps[:3]]  # tap 3 cannot reach time 3
@@ -244,7 +244,7 @@ class TestOutputAt:
         # with no input Y_k is the noise, CN(0, sigma^2): E|Y|^2 = sigma^2 and
         # E log|Y|^2 = log sigma^2 - gamma
         config = ChannelConfig(
-            path_specs=(Ar1Gaussian(1.0, 0.5), Ar1Gaussian(0.5, 0.5), Ar1Gaussian(0.25, 0.5)),
+            path_specs=(GaussianTap(1.0, 0.5), GaussianTap(0.5, 0.5), GaussianTap(0.25, 0.5)),
             noise_variance=2.0,
             log_power=3 * LOG10,
         )
@@ -256,7 +256,7 @@ class TestOutputAt:
 
 class TestMoments:
     def test_noise_only_second_moment(self):
-        config = ChannelConfig(path_specs=(IidGaussian(1.0),), noise_variance=2.0, log_power=0.0)
+        config = ChannelConfig(path_specs=(GaussianTap(1.0),), noise_variance=2.0, log_power=0.0)
         real = realize_many(config, 1, 1_000_000, seed=6)
         y = simulate(config, np.zeros(1), real)
         power = np.abs(y[:, 0]) ** 2
@@ -266,7 +266,7 @@ class TestMoments:
     def test_second_moment_identity_deterministic_input(self):
         # E|Y_k|^2 = sigma^2 + sum_l alpha_l |x_{k-l}|^2, exercised at every k
         config = ChannelConfig(
-            path_specs=(IidGaussian(1.0), IidGaussian(0.5), IidGaussian(0.25)),
+            path_specs=(GaussianTap(1.0), GaussianTap(0.5), GaussianTap(0.25)),
             noise_variance=1.5,
             log_power=0.0,
         )

@@ -20,7 +20,6 @@ import fadecap.channel
 import fadecap.oracle
 from fadecap import cli
 from fadecap.direct import LogUniformX2, SchemeParams
-from fadecap.fading import IidGaussian
 from fadecap.record import replace
 
 DEMO = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
@@ -42,7 +41,7 @@ def white_tap(patch, ell):
     target, sample_paths = DEMO.channel.path_specs[ell], fadecap.channel.sample_paths
 
     def mutated(spec, *args, **kwargs):
-        return sample_paths(IidGaussian(spec.alpha) if spec == target else spec, *args, **kwargs)
+        return sample_paths(replace(spec, a=0.0) if spec == target else spec, *args, **kwargs)
 
     patch.setattr(fadecap.channel, "sample_paths", mutated)
 

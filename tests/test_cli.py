@@ -30,7 +30,7 @@ from fadecap.cli import COLUMNS, Sweep, emit, fit_preloglog_slope, load_config, 
 from fadecap.config import GridSpec, sweep_config_from_dict, sweep_config_to_dict
 from fadecap.converse import ConverseStats, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
-from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.fading import GaussianTap
 from fadecap.oracle import CheckReport
 from fadecap.record import fields, replace
 
@@ -796,7 +796,7 @@ class TestMainEntry:
                 "sharp_slot_bound",
                 "xi_p",
             ],
-            "fading": ["EULER_GAMMA", "Ar1Gaussian", "IidGaussian", "PathStats", "ZeroPath", "stats_of"],
+            "fading": ["EULER_GAMMA", "GaussianTap", "PathStats", "stats_of"],
             "oracle": [
                 "CheckReport",
                 "McEstimate",
@@ -915,7 +915,7 @@ class TestReadmeExampleChannel:
         config_path = tmp_path / "readme.json"
         config_path.write_text(example)
         config = load_config(config_path)
-        assert [type(spec) for spec in config.channel.path_specs] == [Ar1Gaussian, IidGaussian, ZeroPath]
+        assert config.channel.path_specs == (GaussianTap(1.0, 0.5), GaussianTap(0.5), GaussianTap(0.0))
         reports = cli.run_verification_suite(config, samples_mi=5000, samples_moments=20000)
         checks = [r.check for r in reports]
         assert {"mean_log_gain_path_1", "entropy_rate_path_1", "mean_log_gain_path_0"} <= set(checks)
@@ -924,6 +924,20 @@ class TestReadmeExampleChannel:
         assert cli.main(["stats", "--config", str(config_path)]) == 0
         paths = json.loads(capsys.readouterr().out)["paths"]
         assert [path["active"] for path in paths] == [True, True, False]
+
+
+class TestReadmeLibraryExample:
+    def test_runs_without_numpy(self):
+        # README's one python block, run as it stands: a renamed library name breaks it here
+        example = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        probe = example + "import sys\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        printed, numpy_modules = run.stdout.splitlines()
+        assert numpy_modules == "[]", run.stdout
+        upper, lower, tau, loglog_snr = printed.split()
+        assert float(upper) > float(lower) and int(tau) >= 1 and float(loglog_snr) == math.log(100.0)
 
 
 class TestSlowFadingEntropyRate:
@@ -1036,6 +1050,24 @@ class TestMalformedConfig:
         rc, err, files = run_sweep_cli(malformed(mutation))
         assert (rc, files) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1 and field in err, err
+
+    @pytest.mark.parametrize(
+        "path, tap, message",
+        [
+            (2, {"kind": "iid", "alpha": 0}, "channel.paths[2].alpha must be positive and finite, got 0.0"),
+            (
+                1,
+                {"kind": "ar1", "alpha": 0.5, "a_re": 0.5, "a_im": 0.9},
+                "channel.paths[1]: |a| must be below 1 for stationarity, got |a| = 1.0295630140987",
+            ),
+        ],
+    )
+    def test_a_tap_outside_its_domain_is_named_by_its_path(self, path, tap, message):
+        raw = copy.deepcopy(DEMO_RAW)
+        raw["channel"]["paths"][path] = tap
+        rc, err, files = run_sweep_cli(json.dumps(raw))
+        assert (rc, files) == (1, [])
+        assert err == f"error: {message}\n", err
 
     def test_overflowing_upper_bound_names_its_row_and_writes_nothing(self):
         # the largest grid stop: the upper bound overflows to inf at the last of 19 points

@@ -53,15 +53,14 @@ def _numpy_imports(tree):
     return ["module level" if id(node) in top else f"line {node.lineno}" for node in ast.walk(tree) if _imports_numpy(node)]
 
 
-TAP_FAMILIES = {"IidGaussian", "Ar1Gaussian", "ZeroPath"}
+TAP_KINDS = {"zero", "iid", "ar1"}
 
 
-def _family_references(tree):
-    """Each name, attribute or imported name in ``tree`` that is a tap family class, by line."""
+def _kind_constants(tree):
+    """Each string constant in ``tree`` that is a config kind of tap, by line."""
     for node in ast.walk(tree):
-        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in TAP_FAMILIES:
-            yield f"line {node.lineno} names {name}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in TAP_KINDS:
+            yield f"line {node.lineno} holds {node.value!r}"
 
 
 class TestLayering:
@@ -88,12 +87,11 @@ class TestLayering:
         elsewhere = {name: list(_config_code(tree)) for name, tree in MODULES.items() if name != "config"}
         assert {name: found for name, found in elsewhere.items() if found} == {}
 
-    def test_only_fading_config_and_the_package_reexports_name_the_tap_families(self):
-        # every other module reads a tap's alpha and pole, or asks stats_of what it is
-        allowed = {"fading", "config", "__init__"}
-        named = {name: list(_family_references(tree)) for name, tree in MODULES.items()}
-        assert all(named[name] for name in allowed)  # the guard below sees what it looks for
-        assert {name: found for name, found in named.items() if found and name not in allowed} == {}
+    def test_only_config_holds_the_tap_kinds(self):
+        # the kinds name cases of the one tap record: every other module reads a tap's alpha and pole
+        held = {name: list(_kind_constants(tree)) for name, tree in MODULES.items()}
+        assert held["config"]  # the guard below sees what it looks for
+        assert {name: found for name, found in held.items() if found and name != "config"} == {}
 
     def test_config_imports_only_record_and_fading(self):
         assert set(_fadecap_imports(MODULES["config"])) == {"record", "fading"}

@@ -20,7 +20,7 @@ from fadecap.converse import (
     upsilon,
     xi_default,
 )
-from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath, stats_of
+from fadecap.fading import GaussianTap, stats_of
 
 LOG10 = math.log(10.0)
 LOG_PI = math.log(math.pi)
@@ -31,9 +31,9 @@ TWO_OVER_E = 2.0 / math.e
 def demo_channel(log_power=3 * LOG10, noise_variance=1.0):
     return ChannelConfig(
         path_specs=(
-            Ar1Gaussian(1.0, 0.5),
-            Ar1Gaussian(0.5, 0.5),
-            Ar1Gaussian(0.25, 0.5),
+            GaussianTap(1.0, 0.5),
+            GaussianTap(0.5, 0.5),
+            GaussianTap(0.25, 0.5),
         ),
         noise_variance=noise_variance,
         log_power=log_power,
@@ -46,14 +46,14 @@ DEMO_STATS = ConverseStats.from_config(demo_channel())
 class TestStats:
     def test_inf_gap_over_active_set_only(self):
         config = ChannelConfig(
-            path_specs=(IidGaussian(1.0), ZeroPath(), IidGaussian(0.25)),
+            path_specs=(GaussianTap(1.0), GaussianTap(0.0), GaussianTap(0.25)),
             noise_variance=1.0,
             log_power=0.0,
         )
         stats = ConverseStats.from_config(config)
         gaps = [
-            stats_of(IidGaussian(1.0)).entropy_rate - 1.0,
-            stats_of(IidGaussian(0.25)).entropy_rate - 0.25,
+            stats_of(GaussianTap(1.0)).entropy_rate - 1.0,
+            stats_of(GaussianTap(0.25)).entropy_rate - 0.25,
         ]
         assert stats.inf_gap == pytest.approx(min(gaps), rel=1e-14)
         assert stats.alpha_total == pytest.approx(1.25)
@@ -61,7 +61,7 @@ class TestStats:
     def test_demo_values(self):
         assert DEMO_STATS.alpha_total == pytest.approx(1.75)
         # the weakest tap is the smallest-variance one here
-        weakest = stats_of(Ar1Gaussian(0.25, 0.5))
+        weakest = stats_of(GaussianTap(0.25, 0.5))
         assert DEMO_STATS.inf_gap == pytest.approx(weakest.entropy_rate - 0.25, rel=1e-14)
 
 

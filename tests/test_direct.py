@@ -31,10 +31,11 @@ from fadecap.direct import (
     _power_terms,
     xi_p,
 )
-from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E, Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.fading import EULER_GAMMA, LOG_PI, LOG_PI_E, GaussianTap
 from fadecap.channel import substream
 from fadecap.oracle import _scheme_log_inputs, lemma_mi_lower_bound, quadrature, sample_log_x, sample_log_x2
 from fadecap.record import asdict, fields, replace
+from test_acceptance import DEMO, GAP_NOISE, LimitApproach, slope_windows, window_slopes
 
 LOG10 = math.log(10.0)
 DOMAIN_ERROR = "the scheme requires P > 1 and a finite log P, got log P = {}"  # outside 0 < log P < inf
@@ -69,6 +70,34 @@ def reference_search(log_snr, stats, tau_max):
         if best is None or value > best[1]:
             best = (tau, value)
     return best
+
+
+def searched_optimum(log_snr, stats, tau_max):
+    """``reference_search``'s result by bisection and galloping, in tens of calls rather than a scan.
+
+    The last admissible tau comes from a bisection on ``schedule_is_valid``.
+    The search then gallops on tau = 1, 2, 4, ... while R(tau+1) > R(tau)
+    and bisects on that sign, so it finds the first maximum of any rate
+    that rises strictly up to its maximum and never rises after it.
+    """
+    log_power = log_snr + math.log(stats.sigma2)
+    if not schedule_is_valid(log_power, 1):
+        return None
+    last, over = (tau_max, tau_max + 1) if schedule_is_valid(log_power, tau_max) else (1, tau_max)
+    while over - last > 1:  # last is admissible; over is not, or lies past tau_max
+        mid = (last + over) // 2
+        last, over = (mid, over) if schedule_is_valid(log_power, mid) else (last, mid)
+
+    def rises(tau):
+        return tau < last and lower_bound(log_snr, tau + 1, stats) > lower_bound(log_snr, tau, stats)
+
+    below, probe = 0, 1  # rises(below), unless below = 0; the first maximum lies in (below, probe]
+    while rises(probe):
+        below, probe = probe, min(2 * probe, last)
+    while probe - below > 1:
+        mid = (below + probe) // 2
+        below, probe = (mid, probe) if rises(mid) else (below, mid)
+    return probe, lower_bound(log_snr, probe, stats)
 
 
 def admissibility_edge(tau):
@@ -117,17 +146,9 @@ def search_cases(draw):
 def config_stats(draw):
     """``DirectStats.from_config`` of a random channel, so E log|H^(0)|^2 = log alpha_0 - gamma."""
     alpha = st.floats(1e-3, 1e3)
-
-    def path(kinds):
-        kind = draw(st.sampled_from(kinds))
-        if kind is ZeroPath:
-            return ZeroPath()
-        if kind is IidGaussian:
-            return IidGaussian(draw(alpha))
-        return Ar1Gaussian(draw(alpha), draw(st.complex_numbers(max_magnitude=0.99)))
-
-    paths = [path([IidGaussian, Ar1Gaussian])]
-    paths += [path([IidGaussian, Ar1Gaussian, ZeroPath]) for _ in range(draw(st.integers(0, 4)))]
+    pole = st.one_of(st.just(0.0), st.complex_numbers(max_magnitude=0.99))  # white or Gauss-Markov
+    paths = [GaussianTap(draw(alpha), draw(pole))]
+    paths += [GaussianTap(draw(st.one_of(st.just(0.0), alpha)), draw(pole)) for _ in range(draw(st.integers(0, 4)))]
     noise_variance = math.exp(draw(st.floats(-8.0, 8.0)))
     return DirectStats.from_config(ChannelConfig(tuple(paths), noise_variance, 0.0))
 
@@ -159,6 +180,9 @@ def reference_log_block_average_power(scheme):
 
     slot_logs = [scheme.slot_law(nu).log_mean_power for nu in range(1, scheme.tau + 1)]
     return float(logsumexp(slot_logs)) - math.log(scheme.block_len)
+
+
+DEMO_STATS = DirectStats.from_config(DEMO.channel)
 
 
 class TestSchedule:
@@ -981,3 +1005,37 @@ class TestOptimizeTau:
             return
         tau, rate = optimize_tau(log_snr, stats, tau_max)
         assert (tau, rate.hex()) == (expected[0], expected[1].hex())
+
+
+class TestSearchedOptimum:
+    """R* = max over every admissible tau of the rate, found without a cap on tau.
+
+    The paper's pre-loglog is 1 for every L; ``optimize_tau``'s scan of
+    tau <= tau_max can only show tau_max / (L + tau_max) (criterion 2a).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=search_cases())
+    @example(case=MID_SCAN_STOP)
+    @example(case=(1e300, DEMO_STATS, 2048))
+    def test_property_bit_for_bit_against_plain_scan(self, case):
+        expected, got = reference_search(*case), searched_optimum(*case)
+        if expected is None:
+            assert got is None
+        else:
+            assert (got[0], got[1].hex()) == (expected[0], expected[1].hex())
+
+    def test_demo_optimum_at_1e300_nats(self):
+        assert searched_optimum(1e300, DEMO_STATS, 10**12) == (1362, 680.9816297220475)
+        assert optimize_tau(1e300, DEMO_STATS, 2048) == (1362, 680.9816297220475)
+
+    @pytest.mark.parametrize("num_taps", [0, 1, 2, 8])
+    def test_slope_of_the_optimum_approaches_one(self, num_taps):
+        # criterion 1's windows, out to 1e290 nats, where tau* reaches 5253 at L = 8
+        stats = stats_for(alpha_0=1.0, alpha_total=1.0 + num_taps / 2, sigma2=1.0, num_taps=num_taps)
+        windows = slope_windows(DEMO.grid)
+        slopes = window_slopes(windows, lambda log_snr: searched_optimum(log_snr, stats, 10**12)[1])
+        approach = LimitApproach.of(windows, slopes, 1.0, lambda slope: True)
+        assert approach.gap_rise <= GAP_NOISE, approach.detail
+        if num_taps == 8:  # past the limit of the tau <= 1024 scan
+            assert slopes[-1] > 1024 / 1032, approach.detail

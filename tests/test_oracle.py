@@ -14,7 +14,7 @@ import fadecap.oracle
 from fadecap.channel import complex_normal, output_at, substream
 from fadecap.config import ChannelConfig
 from fadecap.direct import LogUniformX2, SchemeParams
-from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath, stats_of
+from fadecap.fading import GaussianTap, stats_of
 from fadecap.oracle import (
     _CHUNK,
     _SHARDS,
@@ -49,9 +49,9 @@ def law_1_100_mixture(h_variance, w_variance):
 def demo_channel(log_power):
     return ChannelConfig(
         path_specs=(
-            Ar1Gaussian(1.0, 0.5),
-            Ar1Gaussian(0.5, 0.5),
-            Ar1Gaussian(0.25, 0.5),
+            GaussianTap(1.0, 0.5),
+            GaussianTap(0.5, 0.5),
+            GaussianTap(0.25, 0.5),
         ),
         noise_variance=1.0,
         log_power=log_power,
@@ -61,7 +61,7 @@ def demo_channel(log_power):
 class TestMcLogGain:
     @pytest.mark.parametrize(
         "spec",
-        [IidGaussian(1.0), IidGaussian(math.e), Ar1Gaussian(1.0, 0.9)],
+        [GaussianTap(1.0), GaussianTap(math.e), GaussianTap(1.0, 0.9)],
     )
     def test_matches_closed_form(self, spec):
         est = mc_log_gain(spec, 200_000, seed=101)
@@ -69,7 +69,7 @@ class TestMcLogGain:
 
     def test_zero_path_rejected(self):
         with pytest.raises(ValueError):
-            mc_log_gain(ZeroPath(), 100, seed=0)
+            mc_log_gain(GaussianTap(0.0), 100, seed=0)
 
     @pytest.mark.parametrize("size", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
     def test_log_gains_are_those_of_the_complex_draws_bit_for_bit(self, size):
@@ -82,8 +82,8 @@ class TestMcLogGain:
         assert rng.standard_normal() == reference.standard_normal()
 
     def test_deterministic_given_seed(self):
-        a = mc_log_gain(IidGaussian(1.0), 10_000, seed=5)
-        b = mc_log_gain(IidGaussian(1.0), 10_000, seed=5)
+        a = mc_log_gain(GaussianTap(1.0), 10_000, seed=5)
+        b = mc_log_gain(GaussianTap(1.0), 10_000, seed=5)
         assert a == b
 
 
@@ -296,7 +296,7 @@ class TestMemoryPerMillionSamples:
         [
             pytest.param(lambda: complex_normal(substream(0, 0), 10**6, 1.0), 16.5, id="complex_normal"),
             pytest.param(lambda: mc_block_power(SchemeParams(3, 3 * LOG10, 2), 10**6, 0), 5.5, id="mc_block_power"),
-            pytest.param(lambda: mc_log_gain(IidGaussian(1.0), 10**6, 0), 6.5, id="mc_log_gain"),
+            pytest.param(lambda: mc_log_gain(GaussianTap(1.0), 10**6, 0), 6.5, id="mc_log_gain"),
         ],
     )
     def test_peak(self, call, bound_mib):
@@ -313,7 +313,7 @@ class TestMemoryPerMillionSamples:
 
 
 BUDGETED = {
-    "mc_log_gain": ("n_samples", lambda n: mc_log_gain(IidGaussian(1.0), n, seed=0)),
+    "mc_log_gain": ("n_samples", lambda n: mc_log_gain(GaussianTap(1.0), n, seed=0)),
     "mc_block_power": ("n_samples", lambda n: mc_block_power(SchemeParams(3, 3 * LOG10, 2), n, seed=0)),
     "verify_log_moment_bounds": (
         "n_samples",

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fadecap.config import BoundParams, ChannelConfig
 from fadecap.converse import ConverseStats, optimize_xi, upper_bound
 from fadecap.direct import DirectStats, lower_bound, optimize_tau
-from fadecap.fading import Ar1Gaussian, IidGaussian, ZeroPath
+from fadecap.fading import GaussianTap
 from fadecap.record import replace
 
 REL_TOL = 1e-14
@@ -27,13 +27,13 @@ LOG10_LOG_SNR_MAX = 300.0
 
 CHANNELS = {
     "demo": ChannelConfig(
-        path_specs=(Ar1Gaussian(1.0, 0.5), Ar1Gaussian(0.5, 0.5), Ar1Gaussian(0.25, 0.5)),
+        path_specs=(GaussianTap(1.0, 0.5), GaussianTap(0.5, 0.5), GaussianTap(0.25, 0.5)),
         noise_variance=1.0,
         log_power=0.0,
     ),
-    "flat_iid": ChannelConfig(path_specs=(IidGaussian(2.0),), noise_variance=1.0, log_power=0.0),
+    "flat_iid": ChannelConfig(path_specs=(GaussianTap(2.0),), noise_variance=1.0, log_power=0.0),
     "gapped": ChannelConfig(
-        path_specs=(IidGaussian(0.7), ZeroPath(), Ar1Gaussian(0.3, 0.2 - 0.6j)),
+        path_specs=(GaussianTap(0.7), GaussianTap(0.0), GaussianTap(0.3, 0.2 - 0.6j)),
         noise_variance=3.0,
         log_power=0.0,
     ),
@@ -46,13 +46,11 @@ PARAMS = {
 
 def _mp_path(spec):
     """(alpha, entropy rate) of one tap at working precision; None for the zero tap."""
-    if isinstance(spec, ZeroPath):
+    if spec.alpha == 0.0:
         return None
     alpha = mpmath.mpf(spec.alpha)
-    rate = mpmath.log(mpmath.pi * mpmath.e * alpha)
-    if isinstance(spec, Ar1Gaussian):
-        rate += mpmath.log(1 - mpmath.mpf(spec.a.real) ** 2 - mpmath.mpf(spec.a.imag) ** 2)
-    return alpha, rate
+    pole_term = mpmath.log(1 - mpmath.mpf(spec.a.real) ** 2 - mpmath.mpf(spec.a.imag) ** 2)
+    return alpha, mpmath.log(mpmath.pi * mpmath.e * alpha) + pole_term
 
 
 def _mp_upper_terms(log_snr, config, params):

@@ -16,16 +16,14 @@ from fadecap.cli import SlopeFit, Sweep
 from fadecap.config import BoundParams, ChannelConfig, GridSpec, SweepConfig
 from fadecap.converse import ConverseStats
 from fadecap.direct import DirectStats, LogUniformX2, SchemeParams
-from fadecap.fading import Ar1Gaussian, IidGaussian, PathStats, ZeroPath
+from fadecap.fading import GaussianTap, PathStats
 from fadecap.oracle import CheckReport, McEstimate
 from fadecap.record import Record, asdict, fields, replace
 
 LOG10 = math.log(10.0)
-CHANNEL = ChannelConfig((IidGaussian(1.0), ZeroPath()), 1.0, 3.0 * LOG10)
+CHANNEL = ChannelConfig((GaussianTap(1.0), GaussianTap(0.0)), 1.0, 3.0 * LOG10)
 VALID = {
-    "IidGaussian": IidGaussian(0.5),
-    "Ar1Gaussian": Ar1Gaussian(1.0, 0.5 + 0.25j),
-    "ZeroPath": ZeroPath(),
+    "GaussianTap": GaussianTap(1.0, 0.5 + 0.25j),
     "PathStats": PathStats(0.0, None, None),
     "ChannelConfig": CHANNEL,
     "ChannelRealization": ChannelRealization(np.zeros((2, 3), dtype=complex), np.ones(3, dtype=complex)),
@@ -51,6 +49,19 @@ class LogUniformTwin(Record):
     log_max: float
 
 
+class White(Record):
+    """One field; the unannotated class attribute ``a`` is no field."""
+
+    alpha: float
+    a = 0.0
+
+
+class Empty(Record):
+    """No fields at all; the unannotated ``alpha`` is a plain class attribute."""
+
+    alpha = 0.0
+
+
 def assert_same_fields(got, want):
     """``got`` is a ``want`` with equal fields; arrays compared by dtype and elements."""
     assert type(got) is type(want)
@@ -63,7 +74,7 @@ def assert_same_fields(got, want):
 
 
 def test_table_covers_every_record():
-    assert len(VALID) == 17
+    assert len(VALID) == 15
     assert {cls.__qualname__ for cls in Record.__subclasses__() if cls.__module__.startswith("fadecap.")} == set(VALID)
     assert all(type(record).__qualname__ == name for name, record in VALID.items())
 
@@ -134,25 +145,26 @@ def test_different_classes_with_equal_values_are_unequal():
     twin = LogUniformTwin(0.5, 1.0)
     assert twin != LogUniformX2(0.5, 1.0) and not LogUniformX2(0.5, 1.0) == twin
     assert hash(twin) == hash(LogUniformX2(0.5, 1.0)) and twin == LogUniformTwin(0.5, 1.0)
-    assert IidGaussian(1.0) != (1.0,) and IidGaussian(1.0) != Ar1Gaussian(1.0, 0.0)
-    assert ZeroPath() == ZeroPath() and hash(ZeroPath()) == hash(())
+    assert White(1.0) != (1.0,) and White(1.0) != GaussianTap(1.0)
+    assert Empty() == Empty() and hash(Empty()) == hash(())
 
 
 def test_unannotated_class_attributes_are_not_fields():
-    assert fields(IidGaussian) == ("alpha",) and IidGaussian(2.0).a == 0.0
-    assert fields(ZeroPath) == () and ZeroPath().alpha == 0.0
-    assert asdict(IidGaussian(2.0)) == {"alpha": 2.0}
+    assert fields(White) == ("alpha",) and White(2.0).a == 0.0
+    assert fields(Empty) == () and Empty().alpha == 0.0
+    assert asdict(White(2.0)) == {"alpha": 2.0}
 
 
 def test_class_attribute_defaults():
     assert BoundParams() == BoundParams(1.0, 0.5, 0.0, None)
     assert VALID["SweepConfig"].tau is None
     assert fields(BoundParams) == ("delta", "eta", "eps_const", "xi")
+    assert GaussianTap(2.0) == GaussianTap(2.0, 0.0) and fields(GaussianTap) == ("alpha", "a")
 
 
 def test_post_init_may_coerce_through_object_setattr():
-    config = ChannelConfig([IidGaussian(1.0)], 1.0, 0.0)
-    assert config.path_specs == (IidGaussian(1.0),) and type(config.path_specs) is tuple
+    config = ChannelConfig([GaussianTap(1.0)], 1.0, 0.0)
+    assert config.path_specs == (GaussianTap(1.0),) and type(config.path_specs) is tuple
 
 
 def test_replace_reruns_validation():
@@ -166,4 +178,4 @@ def test_replace_reruns_validation():
 def test_repr_is_that_of_the_dataclasses_it_replaced():
     assert repr(BoundParams()) == "BoundParams(delta=1.0, eta=0.5, eps_const=0.0, xi=None)"
     assert repr(GridSpec(20.0, 200.0, 19)) == "GridSpec(log10_snr_start=20.0, log10_snr_stop=200.0, points=19)"
-    assert repr(ZeroPath()) == "ZeroPath()"
+    assert repr(Empty()) == "Empty()"
