@@ -80,7 +80,7 @@ class LogUniformX2(Record):
 class SchemeParams(Record):
     """The canonical block scheme for (tau, P, L): tau slots behind L guard zeros.
 
-    Construction fails unless 0 < log P < inf and the schedule is admissible, P^(1/tau) > log P.
+    Construction fails unless tau >= 1, 0 < log P < inf and the schedule is admissible, P^(1/tau) > log P.
     """
 
     tau: int
@@ -88,11 +88,9 @@ class SchemeParams(Record):
     num_taps: int
 
     def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.num_taps < 0:
             raise ValueError(f"num_taps must be >= 0, got {self.num_taps}")
-        log_log_ratio(self.log_power, self.tau)  # raises unless 0 < log P < inf, and on schedule inversion
+        log_log_ratio(self.log_power, self.tau)  # raises unless tau >= 1 and 0 < log P < inf, and on inversion
 
     @property
     def block_len(self) -> int:
@@ -107,8 +105,8 @@ class SchemeParams(Record):
 
 
 def schedule_is_valid(log_power: float, tau: int) -> bool:
-    """Whether the canonical schedule has nonempty slots: P^(1/tau) > log P."""
-    return log_power > 0.0 and log_power / tau > math.log(log_power)
+    """Whether tau >= 1 and the canonical schedule has nonempty slots: P^(1/tau) > log P."""
+    return tau >= 1 and log_power > 0.0 and log_power / tau > math.log(log_power)
 
 
 def log_block_average_power(params: SchemeParams) -> float:
@@ -161,10 +159,11 @@ class DirectStats(Record):
 def log_log_ratio(log_power: float, tau: int) -> float:
     """log log(P^(1/tau) / log P), computed stably from log P.
 
-    Raises a one-line ValueError unless 0 < log P < inf, and where ``math.log``
-    rejects the inadmissible schedule, P^(1/tau) <= log P.
+    Raises a one-line ValueError unless 0 < log P < inf and tau >= 1, and where
+    ``math.log`` rejects the inadmissible schedule, P^(1/tau) <= log P.
     """
     log_log_power = math.log(_check_power(log_power))
+    _check_tau(tau)
     try:
         return math.log(log_power / tau - log_log_power)
     except ValueError:
@@ -178,10 +177,17 @@ def _check_power(log_power: float) -> float:
     return log_power
 
 
+def _check_tau(tau: int) -> int:
+    """``tau`` itself, if it is a block length, tau >= 1; raises otherwise, unchained inside an ``except``."""
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}") from None
+    return tau
+
+
 def _inversion(log_power: float, tau: int, log_log_power: float) -> ValueError:
-    """The one-line error for an inadmissible schedule, P^(1/tau) <= log P."""
+    """The one-line error for an inadmissible schedule, P^(1/tau) <= log P; ``_check_tau``'s for tau < 1."""
     return ValueError(
-        f"schedule inversion at tau = {tau}: P^(1/tau) <= log P "
+        f"schedule inversion at tau = {_check_tau(tau)}: P^(1/tau) <= log P "
         f"(log P / tau = {log_power / tau:.6g} <= log log P = {log_log_power:.6g})"
     )
 
@@ -222,14 +228,14 @@ def lower_bound(
     ``terms`` is the point's ``(log P, log log P, Xi_P)`` from
     ``_power_terms(log_snr, stats)``, which a tau scan at one point evaluates
     once; without it the terms are evaluated here, with the same bits.  Raises
-    unless 0 < log P < inf, and with ``log_log_ratio``'s message where
-    ``math.log`` rejects an inadmissible schedule, P^(1/tau) <= log P;
-    callers should then lower tau.  NaN terms give a NaN rate.
+    unless 0 < log P < inf, and with ``log_log_ratio``'s messages at P^(1/tau) <= log P,
+    where callers should lower tau, and at tau < 1 where the expression fails (from log P >= 1 on:
+    only the error path checks tau, to keep the scan's calls lean).  NaN terms give a NaN rate.
     """
     log_power, log_log_power, xi = _power_terms(log_snr, stats) if terms is None else terms
     try:
         return tau / (stats.num_taps + tau) * (math.log(log_power / tau - log_log_power) + xi)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise _inversion(log_power, tau, log_log_power) from None
 
 

@@ -764,25 +764,35 @@ class TestMainEntry:
         assert not (tmp_path / "report.json").exists()
 
     def test_audit_names_resolve_on_first_access(self):
-        # the package and cli serve the oracle names without importing oracle
-        # up front; any other missing name is still an AttributeError naming it
-        from fadecap import CheckReport as package_report
-        from fadecap import McEstimate, mc_log_gain
-        from fadecap.oracle import CheckReport as oracle_report
-        from fadecap.oracle import McEstimate as oracle_estimate
-        from fadecap.oracle import mc_log_gain as oracle_log_gain
-
-        assert (package_report, McEstimate, mc_log_gain) == (oracle_report, oracle_estimate, oracle_log_gain)
-        assert cli.CheckReport is oracle_report
+        # cli serves the oracle names its audit calls without importing oracle
+        # up front; the package root serves none of the numpy layer's names,
+        # and any other missing name is an AttributeError naming it
+        oracle = importlib.import_module("fadecap.oracle")
+        served = [
+            "CheckReport",
+            "check_audit_power",
+            "entropy_rate_szego",
+            "lemma_mi_lower_bound",
+            "mc_block_power",
+            "mc_log_gain",
+            "mi_scalar_gaussian",
+            "verify_log_moment_bounds",
+        ]
+        for name in served:
+            assert getattr(cli, name) is getattr(oracle, name), name
+        with pytest.raises(AttributeError, match="^module 'fadecap' has no attribute 'mc_log_gain'$"):
+            fadecap.mc_log_gain  # noqa: B018
+        with pytest.raises(ImportError, match="cannot import name 'McEstimate' from 'fadecap'"):
+            from fadecap import McEstimate  # noqa: F401
         for module in (fadecap, cli):
             with pytest.raises(AttributeError, match="no_such_name"):
                 module.no_such_name  # noqa: B018
 
     def test_every_package_export_is_the_object_that_defines_it(self):
-        # every name the package root has exported, by the module that defines
-        # it; the numpy layer's names are served on first access, not bound
-        defined_in = {
-            "channel": ["ChannelRealization", "realize_many", "sample_paths", "simulate", "substream"],
+        # the package root binds the standard-library core and nothing else;
+        # each of the numpy layer's names is imported from the module that
+        # defines it, and the root has no attribute of that name
+        core = {
             "config": ["BoundParams", "ChannelConfig", "aggregate_gain", "snr_of"],
             "converse": ["ConverseStats", "jensen_cap", "optimize_xi", "psi", "upper_bound", "upsilon", "xi_default"],
             "direct": [
@@ -797,6 +807,9 @@ class TestMainEntry:
                 "xi_p",
             ],
             "fading": ["EULER_GAMMA", "GaussianTap", "PathStats", "stats_of"],
+        }
+        numpy_layer = {
+            "channel": ["ChannelRealization", "realize_many", "sample_paths", "simulate", "substream"],
             "oracle": [
                 "CheckReport",
                 "McEstimate",
@@ -808,12 +821,22 @@ class TestMainEntry:
                 "verify_log_moment_bounds",
             ],
         }
-        for module, names in defined_in.items():
+        for module, names in core.items():
             defining = importlib.import_module(f"fadecap.{module}")
             for name in names:
-                assert getattr(fadecap, name) is getattr(defining, name), name
-        served = sorted(name for names in defined_in.values() for name in names if name not in vars(fadecap))
-        assert served == sorted(defined_in["channel"] + defined_in["oracle"])
+                assert vars(fadecap)[name] is getattr(defining, name), name
+        exported = [
+            name
+            for name, value in vars(fadecap).items()
+            if not name.startswith("_") and not isinstance(value, type(fadecap))
+        ]
+        assert sorted(exported) == sorted(name for names in core.values() for name in names)
+        for module, names in numpy_layer.items():
+            defining = importlib.import_module(f"fadecap.{module}")
+            for name in names:
+                assert getattr(defining, name).__module__ == f"fadecap.{module}", name
+                with pytest.raises(AttributeError, match=f"^module 'fadecap' has no attribute {name!r}$"):
+                    getattr(fadecap, name)
         with pytest.raises(AttributeError, match="module 'fadecap' has no attribute 'no_such_name'"):
             fadecap.no_such_name  # noqa: B018
 

@@ -96,6 +96,18 @@ class TestLayering:
     def test_config_imports_only_record_and_fading(self):
         assert set(_fadecap_imports(MODULES["config"])) == {"record", "fading"}
 
+    def test_package_root_binds_only_the_core(self):
+        # the numpy layer's names are imported from channel and oracle, never
+        # through the root, whether by an import or by a module __getattr__
+        root = MODULES["__init__"]
+        assert set(_fadecap_imports(root)) == {"config", "converse", "direct", "fading"}
+        getattrs = [
+            f"line {node.lineno}"
+            for node in root.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__getattr__"
+        ]
+        assert getattrs == []
+
 
 # each bad value must be rejected with its rule's exact message, NaN and the infinities included
 POSITIVE_FINITE = [

@@ -853,6 +853,34 @@ class TestRateBound:
             assert str(raised.value) == expected
             assert raised.value.__suppress_context__ and raised.value.__cause__ is None
 
+    # a block length below 1: at tau = 0 each entry divided by zero, and at
+    # tau = -1 each reported a schedule inversion
+    @pytest.mark.parametrize("tau", [0, -1])
+    def test_block_length_below_one_raises_one_message_from_each_entry(self, tau):
+        log_power, stats = 100.0, stats_for(sigma2=1.0)  # log SNR = log P
+        assert not schedule_is_valid(log_power, tau)
+        for call in (
+            lambda: log_log_ratio(log_power, tau),
+            lambda: lower_bound(log_power, tau, stats),
+            lambda: lower_bound(log_power, tau, stats, _power_terms(log_power, stats)),
+            lambda: SchemeParams(tau, log_power, 2),
+        ):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == f"tau must be >= 1, got {tau}"
+            assert raised.value.__suppress_context__ and raised.value.__cause__ is None
+
+    # below log P = 1 a negative tau makes log P / tau - log log P positive, so
+    # the schedule's own inequality does not reject it
+    @pytest.mark.parametrize("tau", [-1, -3])
+    def test_negative_block_length_is_no_schedule_below_log_power_one(self, tau):
+        log_power = 0.3
+        assert log_power / tau - math.log(log_power) > 0.0
+        assert not schedule_is_valid(log_power, tau)
+        for call in (lambda: log_log_ratio(log_power, tau), lambda: SchemeParams(tau, log_power, 2)):
+            with pytest.raises(ValueError, match=f"^tau must be >= 1, got {tau}$"):
+                call()
+
     @pytest.mark.parametrize("log_snr", [math.nan, math.inf])
     def test_non_finite_log_snr_raises(self, log_snr):
         with pytest.raises(ValueError, match="finite log P") as raised:
