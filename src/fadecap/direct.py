@@ -229,10 +229,13 @@ def lower_bound(
     ``_power_terms(log_snr, stats)``, which a tau scan at one point evaluates
     once; without it the terms are evaluated here, with the same bits.  Raises
     unless 0 < log P < inf, and with ``log_log_ratio``'s messages at P^(1/tau) <= log P,
-    where callers should lower tau, and at tau < 1 where the expression fails (from log P >= 1 on:
-    only the error path checks tau, to keep the scan's calls lean).  NaN terms give a NaN rate.
+    where callers should lower tau, and at tau < 1 (with ``terms``, only where the expression
+    fails, from log P >= 1 on, to keep the scan's calls lean).  NaN terms give a NaN rate.
     """
-    log_power, log_log_power, xi = _power_terms(log_snr, stats) if terms is None else terms
+    if terms is None:
+        terms = _power_terms(log_snr, stats)
+        _check_tau(tau)
+    log_power, log_log_power, xi = terms
     try:
         return tau / (stats.num_taps + tau) * (math.log(log_power / tau - log_log_power) + xi)
     except (ValueError, ZeroDivisionError):

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import re
-import runpy
 import subprocess
 import sys
 import tempfile
@@ -595,18 +594,6 @@ class TestMainEntry:
         residual = fit_preloglog_slope(run_sweep(sweep_config_from_dict(raw))[0], "upper").residual
         assert 1e196 < residual < math.inf
 
-    def test_demo_script_fits_before_writing(self, tmp_path, monkeypatch, capsys):
-        # the largest grid stop: the upper bound overflows to inf at the last of 19 points
-        config = demo_config_with(tmp_path / "config.json", {("grid", "log10_snr_stop"): MAX_GRID_STOP})
-        outdir = tmp_path / "out"
-        outdir.mkdir()
-        script = runpy.run_path(str(REPO_CONFIG.parent.parent / "scripts" / "run_demo_sweep.py"))
-        monkeypatch.setattr(sys, "argv", ["run_demo_sweep.py", "--config", str(config), "--outdir", str(outdir)])
-        assert script["main"]() == 1
-        where = f"row 18, upper = inf at log SNR {MAX_GRID_STOP * LOG10!r} nats"
-        assert capsys.readouterr().err == f"error: cannot fit the slope of a non-finite bound: {where}\n"
-        assert list(outdir.iterdir()) == []
-
     # The next four tests set a config key in a copy of the demo config.
     def test_sweep_json_output_format_key(self, tmp_path):
         config = demo_config_with(tmp_path / "config.json", {("output_format",): "json"})
@@ -1092,10 +1079,12 @@ class TestMalformedConfig:
         assert (rc, files) == (1, [])
         assert err == f"error: {message}\n", err
 
-    def test_overflowing_upper_bound_names_its_row_and_writes_nothing(self):
+    # at a fixed tau and through the tau search
+    @pytest.mark.parametrize("tau", [8, None])
+    def test_overflowing_upper_bound_names_its_row_and_writes_nothing(self, tau):
         # the largest grid stop: the upper bound overflows to inf at the last of 19 points
         raw = copy.deepcopy(DEMO_RAW)
-        raw["tau"], raw["grid"]["log10_snr_stop"] = 8, MAX_GRID_STOP
+        raw["tau"], raw["grid"]["log10_snr_stop"] = tau, MAX_GRID_STOP
         rc, err, files = run_sweep_cli(json.dumps(raw))
         assert (rc, files) == (1, [])
         where = f"row 18, upper = inf at log SNR {MAX_GRID_STOP * LOG10!r} nats"

@@ -877,7 +877,12 @@ class TestRateBound:
         log_power = 0.3
         assert log_power / tau - math.log(log_power) > 0.0
         assert not schedule_is_valid(log_power, tau)
-        for call in (lambda: log_log_ratio(log_power, tau), lambda: SchemeParams(tau, log_power, 2)):
+        calls = (
+            lambda: log_log_ratio(log_power, tau),
+            lambda: SchemeParams(tau, log_power, 2),
+            lambda: lower_bound(log_power, tau, stats_for()),
+        )
+        for call in calls:
             with pytest.raises(ValueError, match=f"^tau must be >= 1, got {tau}$"):
                 call()
 
